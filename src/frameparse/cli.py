@@ -190,19 +190,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_parse(args) -> int:
+    # Every line is checked before any output is written, so a bad input
+    # leaves no partial prediction file behind.
+    with open(args.utterances, "r", encoding="utf-8") as handle:
+        utterances = [line.split() for line in handle]
+    empty = [lineno for lineno, tokens in enumerate(utterances, start=1) if not tokens]
+    for lineno in empty:
+        print(f"{args.utterances}:{lineno}: empty utterance", file=sys.stderr)
+    if empty:
+        return EXIT_FAIL
     model = rnng.load_model(args.checkpoint)
     beam = args.beam if args.beam is not None else model.config.beam_size
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        with open(args.utterances, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                tokens = line.split()
-                if not tokens:
-                    print(f"{args.utterances}:{lineno}: empty utterance", file=sys.stderr)
-                    return EXIT_FAIL
-                for tree, score in rnng.parse_beam(model, tokens, beam):
-                    print(f"{score:.6f}\t{trees.serialize(tree)}", file=out)
-                print("", file=out)
+        for tokens in utterances:
+            for tree, score in rnng.parse_beam(model, tokens, beam):
+                print(f"{score:.6f}\t{trees.serialize(tree)}", file=out)
+            print("", file=out)
     finally:
         if out is not sys.stdout:
             out.close()

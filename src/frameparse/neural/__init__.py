@@ -22,7 +22,6 @@ from .params import (
     CheckpointError,
     Param,
     ParamStore,
-    adam_step,
     load_checkpoint,
     save_checkpoint,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "ParamStore",
     "Tape",
     "Var",
-    "adam_step",
     "add_n",
     "bilstm_encode",
     "concat",

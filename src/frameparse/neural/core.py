@@ -5,9 +5,17 @@ calling ``backward`` seeds the output gradient and replays the closures in
 reverse.  Operations work on ``Var`` wrappers around 1-d (or 0-d) float
 arrays, which is all the parser needs.  Passing ``tape=None`` runs any
 operation forward-only, which is how inference avoids bookkeeping.
+
+Weight gradients are deferred: a closure of ``linear`` or ``lstm_cell``
+returns its rows ``(weight, dz, x)`` instead of adding ``outer(dz, x)``,
+and ``backward`` adds one ``dZ^T @ X`` per weight once every closure has
+run.  ``backward`` consumes the tape: it drops each closure once it has
+run, so a tape serves one backward pass and holds nothing afterwards.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -27,7 +35,7 @@ class GoldMasked(ValueError):
 class Var:
     """A value in the computation; ``grad`` is allocated on first use."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("value", "grad", "__weakref__")
 
     def __init__(self, value):
         self.value = np.asarray(value)
@@ -48,7 +56,13 @@ class Var:
 
 
 class Tape:
-    __slots__ = ("_steps",)
+    """Backward closures in execution order.
+
+    A closure returns None, or ``(weight, dz, x)`` to hand the tape the
+    weight-gradient rows ``outer(dz, x)`` of one use of ``weight``.
+    """
+
+    __slots__ = ("_steps", "__weakref__")
 
     def __init__(self):
         self._steps = []
@@ -57,17 +71,44 @@ class Tape:
         self._steps.append(backward_fn)
 
     def backward(self, output: Var, seed=1.0) -> None:
+        """Replay and drop every closure, then add each weight's deferred
+        rows with one matrix product."""
         output.add_grad(np.asarray(seed, dtype=output.value.dtype))
-        for fn in reversed(self._steps):
-            fn()
+        steps = self._steps
+        self._steps = []
+        rows = {}  # weight -> ([dz, ...], [x, ...])
+        while steps:
+            deferred = steps.pop()()
+            if deferred is not None:
+                weight, dz, x = deferred
+                pending = rows.get(weight)
+                if pending is None:
+                    rows[weight] = ([dz], [x])
+                else:
+                    pending[0].append(dz)
+                    pending[1].append(x)
+        for weight, (dzs, xs) in rows.items():
+            weight.add_grad(np.stack(dzs).T @ np.stack(xs))
 
     def __len__(self) -> int:
         return len(self._steps)
 
 
-def _sigmoid(z):
-    # Clipped for stability; saturation beyond +-60 is exact in float64 anyway.
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+@functools.lru_cache(maxsize=None)
+def _gate_affine(hidden: int, dtype) -> tuple:
+    """Read-only (scale, offset, slope) over the 4H gate axis: the gates are
+    ``scale * tanh(scale * z) + offset``, which is sigmoid(z) = 0.5 + 0.5 *
+    tanh(z / 2) for the input, forget and output gates and tanh(z) for the
+    candidate, and ``slope = scale**2`` is each gate's derivative per unit of
+    ``1 - tanh**2``."""
+    scale = np.full(4 * hidden, 0.5, dtype=dtype)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    offset = np.full(4 * hidden, 0.5, dtype=dtype)
+    offset[2 * hidden : 3 * hidden] = 0.0
+    affine = (scale, offset, scale * scale)
+    for array in affine:
+        array.flags.writeable = False
+    return affine
 
 
 def linear(tape, weight: Var, bias, x: Var) -> Var:
@@ -85,11 +126,11 @@ def linear(tape, weight: Var, bias, x: Var) -> Var:
         def backward():
             g = out.grad
             if g is None:
-                return
-            weight.add_grad(np.outer(g, x.value))
+                return None
             if bias is not None:
                 bias.add_grad(g)
             x.add_grad(weight.value.T @ g)
+            return weight, g, x.value
 
         tape.record(backward)
     return out
@@ -175,7 +216,9 @@ def dropout(tape, x: Var, rate: float, rng) -> Var:
 
 def lstm_cell(tape, weight: Var, bias: Var, x: Var, h: Var, c: Var):
     """One LSTM step.  Gate layout along the 4H axis is [input, forget,
-    candidate, output]; returns (h', c')."""
+    candidate, output]; returns (h', c').  All four gates come from one tanh
+    over the pre-activations, with sigmoid(z) = 0.5 + 0.5 * tanh(z / 2),
+    which cannot overflow and so needs no clipping."""
     hidden = c.value.shape[0]
     xh = np.concatenate([x.value, h.value])
     if weight.value.shape[1] != xh.shape[0]:
@@ -183,11 +226,17 @@ def lstm_cell(tape, weight: Var, bias: Var, x: Var, h: Var, c: Var):
             f"lstm_cell: weight {weight.value.shape} does not accept input+state "
             f"of size {xh.shape[0]}"
         )
-    z = weight.value @ xh + bias.value
-    gi = _sigmoid(z[:hidden])
-    gf = _sigmoid(z[hidden : 2 * hidden])
-    gg = np.tanh(z[2 * hidden : 3 * hidden])
-    go = _sigmoid(z[3 * hidden :])
+    z = weight.value @ xh
+    z += bias.value
+    scale, offset, slope = _gate_affine(hidden, z.dtype)
+    z *= scale
+    act = np.tanh(z, out=z)
+    gates = act * scale
+    gates += offset
+    gi = gates[:hidden]
+    gf = gates[hidden : 2 * hidden]
+    gg = gates[2 * hidden : 3 * hidden]
+    go = gates[3 * hidden :]
     c_new = gf * c.value + gi * gg
     tanh_c = np.tanh(c_new)
     h_new = go * tanh_c
@@ -200,33 +249,28 @@ def lstm_cell(tape, weight: Var, bias: Var, x: Var, h: Var, c: Var):
             dh = h_out.grad
             dc = c_out.grad
             if dh is None and dc is None:
-                return
+                return None
+            # dz holds the gradient w.r.t. the gates, then w.r.t. z.
+            dz = np.empty_like(gates)
             if dc is not None:
                 dc_total = dc.copy()
             else:
                 dc_total = np.zeros_like(c_new)
             if dh is not None:
-                d_go = dh * tanh_c
+                np.multiply(dh, tanh_c, out=dz[3 * hidden :])
                 dc_total += dh * go * (1.0 - tanh_c * tanh_c)
             else:
-                d_go = np.zeros_like(go)
-            d_gf = dc_total * c.value
-            d_gi = dc_total * gg
-            d_gg = dc_total * gi
-            dz = np.concatenate(
-                [
-                    d_gi * gi * (1.0 - gi),
-                    d_gf * gf * (1.0 - gf),
-                    d_gg * (1.0 - gg * gg),
-                    d_go * go * (1.0 - go),
-                ]
-            )
-            weight.add_grad(np.outer(dz, xh))
+                dz[3 * hidden :] = 0.0
+            np.multiply(dc_total, gg, out=dz[:hidden])
+            np.multiply(dc_total, c.value, out=dz[hidden : 2 * hidden])
+            np.multiply(dc_total, gi, out=dz[2 * hidden : 3 * hidden])
+            dz *= slope * (1.0 - act * act)
             bias.add_grad(dz)
             dxh = weight.value.T @ dz
             x.add_grad(dxh[:x_size])
             h.add_grad(dxh[x_size:])
             c.add_grad(dc_total * gf)
+            return weight, dz, xh
 
         tape.record(backward)
     return h_out, c_out

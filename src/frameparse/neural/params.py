@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import threading
 from typing import Optional
 
 import numpy as np
@@ -48,6 +50,9 @@ class ParamStore:
         self.dtype = np.dtype(dtype)
         self.params: dict = {}
         self.t = 0  # shared Adam timestep
+        # Adam's two scratch rows, one pair per thread (Hogwild workers step
+        # the store concurrently), each as large as the largest parameter.
+        self._scratch = threading.local()
 
     def add(self, name: str, shape, init: str = "auto") -> Param:
         if name in self.params:
@@ -85,24 +90,50 @@ class ParamStore:
     def num_values(self) -> int:
         return sum(p.value.size for p in self.params.values())
 
+    def _scratch_pair(self, value: np.ndarray):
+        """Two scratch arrays shaped like ``value``, owned by this thread."""
+        rows = getattr(self._scratch, "rows", None)
+        if rows is None or rows.shape[1] < value.size:
+            largest = max(p.value.size for p in self.params.values())
+            rows = self._scratch.rows = np.empty((2, largest), dtype=self.dtype)
+        size = value.size
+        return rows[0, :size].reshape(value.shape), rows[1, :size].reshape(value.shape)
+
     def adam_step(self, lr: float, weight_decay: float = 0.0,
                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-        """Adam with decoupled weight decay; increments the shared timestep."""
+        """Adam with decoupled weight decay; increments the shared timestep.
+
+        Every step runs in place or into the store's scratch rows, so no
+        parameter-sized array is allocated; the operations and their order
+        are those of the dense formula, so the result is bit-identical to
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+        ``value -= lr * ((m/bias1) / (sqrt(v/bias2) + eps) + wd*value)``.
+        """
         self.t += 1
         bias1 = 1.0 - beta1 ** self.t
         bias2 = 1.0 - beta2 ** self.t
         for param in self.params.values():
-            g = param.grad
-            param.m *= beta1
-            param.m += (1.0 - beta1) * g
-            param.v *= beta2
-            param.v += (1.0 - beta2) * (g * g)
-            update = (param.m / bias1) / (np.sqrt(param.v / bias2) + eps)
+            g, m, v, value = param.grad, param.m, param.v, param.value
+            update, tmp = self._scratch_pair(value)
+            m *= beta1
+            np.multiply(g, 1.0 - beta1, out=tmp)
+            m += tmp
+            v *= beta2
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - beta2
+            v += tmp
+            np.divide(v, bias2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            np.divide(m, bias1, out=update)
+            update /= tmp
             if weight_decay:
-                update = update + weight_decay * param.value
+                np.multiply(value, weight_decay, out=tmp)
+                update += tmp
             if param.frozen_rows is not None:
                 update[param.frozen_rows] = 0
-            param.value -= lr * update
+            update *= lr
+            value -= update
 
     def value_arrays(self) -> dict:
         return {name: self.params[name].value for name in sorted(self.params)}
@@ -118,11 +149,6 @@ class ParamStore:
                     f"shape {param.value.shape}"
                 )
             param.value[...] = value.astype(self.dtype, copy=False)
-
-
-def adam_step(store: ParamStore, lr: float, weight_decay: float = 0.0, **kwargs) -> ParamStore:
-    store.adam_step(lr, weight_decay, **kwargs)
-    return store
 
 
 def save_checkpoint(path, arrays: dict, meta: dict) -> None:
@@ -147,9 +173,39 @@ def save_checkpoint(path, arrays: dict, meta: dict) -> None:
             handle.write(blob)
 
 
+_ENTRY_KEYS = ("name", "dtype", "shape", "nbytes")
+
+
+def _array_entry(path, entry) -> tuple:
+    """Validate one array-table entry; returns (name, dtype, shape, nbytes)."""
+    if not isinstance(entry, dict) or any(key not in entry for key in _ENTRY_KEYS):
+        raise CheckpointError(
+            f"{path}: array table entry {entry!r} needs the keys {', '.join(_ENTRY_KEYS)}"
+        )
+    name, shape, nbytes = entry["name"], entry["shape"], entry["nbytes"]
+    if not isinstance(name, str):
+        raise CheckpointError(f"{path}: array name {name!r} is not a string")
+    try:
+        dtype = np.dtype(entry["dtype"])
+    except (TypeError, ValueError):
+        raise CheckpointError(f"{path}: array {name!r} has bad dtype {entry['dtype']!r}") from None
+    if dtype.hasobject or dtype.itemsize == 0:
+        raise CheckpointError(f"{path}: array {name!r} has unsupported dtype {dtype}")
+    if not isinstance(shape, list) or not all(type(dim) is int and dim >= 0 for dim in shape):
+        raise CheckpointError(f"{path}: array {name!r} has bad shape {shape!r}")
+    expected = math.prod(shape) * dtype.itemsize
+    if type(nbytes) is not int or nbytes != expected:
+        raise CheckpointError(
+            f"{path}: array {name!r} declares {nbytes!r} bytes, but shape {shape} of "
+            f"{dtype} needs {expected}"
+        )
+    return name, dtype, tuple(shape), nbytes
+
+
 def load_checkpoint(path):
     """Read a container written by :func:`save_checkpoint`; returns
-    (arrays, meta)."""
+    (arrays, meta).  Any malformed or truncated content raises
+    ``CheckpointError``."""
     with open(path, "rb") as handle:
         magic = handle.readline().rstrip(b"\n")
         if magic != CHECKPOINT_MAGIC:
@@ -158,19 +214,25 @@ def load_checkpoint(path):
             header = json.loads(handle.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise CheckpointError(f"{path}: corrupt checkpoint header: {err}") from None
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: checkpoint version {header.get('version')} is not supported "
                 f"(expected {CHECKPOINT_VERSION})"
             )
-        arrays = {}
-        for entry in header["arrays"]:
-            blob = handle.read(entry["nbytes"])
-            if len(blob) != entry["nbytes"]:
-                raise CheckpointError(f"{path}: truncated checkpoint")
-            arrays[entry["name"]] = (
-                np.frombuffer(blob, dtype=np.dtype(entry["dtype"]))
-                .reshape(entry["shape"])
-                .copy()
+        table, meta = header.get("arrays"), header.get("meta")
+        if not isinstance(table, list) or not isinstance(meta, dict):
+            raise CheckpointError(
+                f"{path}: checkpoint header needs an 'arrays' list and a 'meta' object"
             )
-    return arrays, header["meta"]
+        arrays = {}
+        for entry in table:
+            name, dtype, shape, nbytes = _array_entry(path, entry)
+            if name in arrays:
+                raise CheckpointError(f"{path}: array {name!r} appears twice")
+            blob = handle.read(nbytes)
+            if len(blob) != nbytes:
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+    return arrays, meta

@@ -168,6 +168,42 @@ def test_train_epochs_zero_saves_initial_model(tmp_path, corpus_tsv):
     assert model.config.epochs == 0
 
 
+def test_parse_checks_every_line_before_writing(tmp_path, capsys, corpus_tsv):
+    tsv, corpus = corpus_tsv
+    ckpt = str(tmp_path / "init.ckpt")
+    assert main(["train", tsv, "-o", ckpt, "--epochs", "0", "--seed", "1"] + TINY_FLAGS) == 0
+    utterances = write_lines(
+        tmp_path / "utts.txt",
+        [" ".join(corpus.examples[0].tokens), "", " ".join(corpus.examples[1].tokens), "  "],
+    )
+    pred = tmp_path / "pred.txt"
+    assert main(["parse", ckpt, utterances, "-o", str(pred)]) == 1
+    err = capsys.readouterr().err
+    assert "utts.txt:2: empty utterance" in err
+    assert "utts.txt:4: empty utterance" in err
+    assert not pred.exists()
+    assert not (tmp_path / "pred.txt.meta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"version": 1, "meta": {}},
+        {"version": 1, "meta": {}, "arrays": [{"name": "w", "dtype": "<f4", "shape": [2],
+                                                "nbytes": 7}]},
+        ["not", "a", "dict"],
+        {"version": 1, "meta": {}, "arrays": [{"name": "w", "dtype": "<f4", "shape": [2]}]},
+    ],
+    ids=["no-arrays", "nbytes-mismatch", "header-not-a-dict", "entry-missing-key"],
+)
+def test_parse_malformed_checkpoint_exits_three(tmp_path, capsys, header):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(b"FRAMEPARSE-CKPT\n" + json.dumps(header).encode() + b"\n" + bytes(8))
+    utterances = write_lines(tmp_path / "utts.txt", ["show the weather"])
+    assert main(["parse", str(ckpt), utterances]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_train_missing_file(tmp_path):
     assert main(["train", str(tmp_path / "nope.tsv"), "-o", str(tmp_path / "m.ckpt")]) == 3
 

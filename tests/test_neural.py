@@ -1,4 +1,8 @@
+import gc
+import json
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -13,13 +17,13 @@ from frameparse.neural import (
     ParamStore,
     Tape,
     Var,
-    adam_step,
     add_n,
     concat,
     dropout,
     grad_check,
     linear,
     load_checkpoint,
+    lstm_cell,
     lstm_sequence,
     masked_log_probs,
     masked_nll,
@@ -92,6 +96,78 @@ def test_lstm_cell_gradients_match_finite_differences():
 
     report = grad_check(loss_fn, store)
     assert report.passed, report.summary()
+
+
+class _RowSpyTape(Tape):
+    """Keeps its own per-step ``np.outer`` sum of every weight-gradient row
+    that a closure hands back, and checks that the row is only handed back:
+    the weight's gradient is still untouched while the closures run."""
+
+    __slots__ = ("outer_sums",)
+
+    def __init__(self):
+        super().__init__()
+        self.outer_sums = {}
+
+    def record(self, backward_fn):
+        sums = self.outer_sums
+
+        def spy():
+            rows = backward_fn()
+            if rows is not None:
+                weight, dz, x = rows
+                assert not weight.grad.any(), "weight gradient was not deferred"
+                sums[weight.name] = sums.get(weight.name, 0.0) + np.outer(dz, x)
+            return rows
+
+        super().record(spy)
+
+
+def test_deferred_weight_gradients_match_per_step_outer_products():
+    rng = np.random.default_rng(18)
+    store = f64_store(18)
+    hidden, x_dim, n_out = 5, 3, 4
+    cell_w = store.add("cell.weight", (4 * hidden, x_dim + hidden))
+    cell_b = store.add("cell.bias", (4 * hidden,))
+    out_w = store.add("out.weight", (n_out, hidden))
+    out_b = store.add("out.bias", (n_out,))
+    for name in store:
+        store[name].value[...] = rng.normal(scale=0.5, size=store[name].value.shape)
+    store.zero_grad()
+    tape = _RowSpyTape()
+    h, c = Var(np.zeros(hidden)), Var(np.zeros(hidden))
+    losses = []
+    for step in range(6):
+        h, c = lstm_cell(tape, cell_w, cell_b, Var(rng.normal(size=x_dim)), h, c)
+        logits = linear(tape, out_w, out_b, h)
+        losses.append(masked_nll(tape, logits, step % n_out, list(range(n_out))))
+    tape.backward(add_n(tape, losses))
+    assert sorted(tape.outer_sums) == ["cell.weight", "out.weight"]
+    for name, expected in tape.outer_sums.items():
+        got = store[name].grad
+        # rtol 1e-12, with an absolute floor for entries that cancel to ~0.
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_backward_consumes_tape_and_refcount_frees_it():
+    store = f64_store(19)
+    lstm = Lstm(store, "lstm", 3, 4, 2)
+    scorer = store.add("scorer", (4, 4))
+    inputs = [Var(np.random.default_rng(i).normal(size=3)) for i in range(4)]
+    gc.disable()
+    try:
+        tape = Tape()
+        outs = lstm_sequence(lstm, inputs, tape=tape)
+        loss = masked_nll(tape, linear(tape, scorer, None, outs[-1]), 1, [0, 1, 2, 3])
+        tape_ref, hidden_ref = weakref.ref(tape), weakref.ref(outs[0])
+        tape.backward(loss)
+        assert len(tape) == 0
+        del tape, outs, loss
+        # No reference cycle keeps the tape or its intermediate Vars alive.
+        assert tape_ref() is None
+        assert hidden_ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +292,7 @@ def test_adam_zero_gradients_no_change():
     param = store.add("w", (3, 3))
     before = param.value.copy()
     store.zero_grad()
-    adam_step(store, lr=0.1, weight_decay=0.0)
+    store.adam_step(lr=0.1, weight_decay=0.0)
     assert np.array_equal(param.value, before)
 
 
@@ -269,6 +345,66 @@ def test_adam_respects_frozen_rows():
     assert np.array_equal(emb.value[0], before[0])
     assert np.array_equal(emb.value[2], before[2])
     assert not np.array_equal(emb.value[1], before[1])
+
+
+def test_adam_step_is_bitwise_dense_adam():
+    """20 float32 steps against the dense formula, with every temporary
+    allocated, which is how Adam used to be written."""
+    rng = np.random.default_rng(20)
+    store = ParamStore(seed=20, dtype=np.float32)
+    emb = store.add("emb", (6, 3))
+    emb.frozen_rows = np.array([True, False, False, True, False, False])
+    store.add("w", (4, 7))
+    store.add("b", (4,))
+    lr, weight_decay, beta1, beta2, eps = 0.01, 0.05, 0.9, 0.999, 1e-8
+    dense = {
+        name: {"value": store[name].value.copy(), "m": np.zeros_like(store[name].value),
+               "v": np.zeros_like(store[name].value)}
+        for name in store
+    }
+    for t in range(1, 21):
+        for name in store:
+            store[name].grad[...] = rng.normal(size=store[name].grad.shape)
+        store.adam_step(lr, weight_decay)
+        bias1 = 1.0 - beta1 ** t
+        bias2 = 1.0 - beta2 ** t
+        for name in store:
+            ref, g = dense[name], store[name].grad
+            ref["m"] *= beta1
+            ref["m"] += (1.0 - beta1) * g
+            ref["v"] *= beta2
+            ref["v"] += (1.0 - beta2) * (g * g)
+            update = (ref["m"] / bias1) / (np.sqrt(ref["v"] / bias2) + eps)
+            update = update + weight_decay * ref["value"]
+            if store[name].frozen_rows is not None:
+                update[store[name].frozen_rows] = 0
+            ref["value"] -= lr * update
+    for name in store:
+        assert np.array_equal(store[name].m, dense[name]["m"]), name
+        assert np.array_equal(store[name].v, dense[name]["v"]), name
+        assert np.array_equal(store[name].value, dense[name]["value"]), name
+
+
+def test_adam_scratch_is_per_thread():
+    """Hogwild workers step one store at once; a scratch buffer shared
+    between them would mix one parameter's update into another's."""
+    store = f64_store(22)
+    param = store.add("w", (3, 4))
+    scratch = []
+
+    def grab():
+        scratch.append(store._scratch_pair(param.value))
+
+    grab()
+    thread = threading.Thread(target=grab)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    (update_a, tmp_a), (update_b, tmp_b) = scratch
+    assert update_a.shape == tmp_a.shape == param.value.shape
+    assert not np.shares_memory(update_a, tmp_a)
+    assert not np.shares_memory(update_a, update_b)
+    assert not np.shares_memory(tmp_a, tmp_b)
 
 
 # ---------------------------------------------------------------------------
@@ -406,5 +542,31 @@ def test_checkpoint_bytes_deterministic(tmp_path):
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint\n{}\n")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def _write_checkpoint(path, header, payload=b""):
+    path.write_bytes(b"FRAMEPARSE-CKPT\n" + json.dumps(header).encode("utf-8") + b"\n" + payload)
+    return path
+
+
+_GOOD_ENTRY = {"name": "w", "dtype": "<f4", "shape": [2, 3], "nbytes": 24}
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        pytest.param({"version": 1, "meta": {}}, id="no-arrays"),
+        pytest.param({"version": 1, "meta": {}, "arrays": [dict(_GOOD_ENTRY, nbytes=20)]},
+                     id="nbytes-not-shape-times-itemsize"),
+        pytest.param([1, {"arrays": []}], id="header-not-a-dict"),
+        pytest.param({"version": 1, "meta": {},
+                      "arrays": [{k: v for k, v in _GOOD_ENTRY.items() if k != "dtype"}]},
+                     id="entry-missing-key"),
+    ],
+)
+def test_checkpoint_rejects_malformed_header(tmp_path, header):
+    path = _write_checkpoint(tmp_path / "bad.ckpt", header, bytes(24))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
