@@ -4,7 +4,8 @@ A ``Tape`` records one backward closure per operation in execution order;
 calling ``backward`` seeds the output gradient and replays the closures in
 reverse.  Operations work on ``Var`` wrappers around 1-d (or 0-d) float
 arrays, which is all the parser needs.  Passing ``tape=None`` runs any
-operation forward-only, which is how inference avoids bookkeeping.
+operation forward-only.  Decoding uses the ``*_rows`` functions instead:
+forward-only, on plain arrays, one row per hypothesis.
 
 Weight gradients are deferred: a closure of ``linear`` or ``lstm_cell``
 returns its rows ``(weight, dz, x)`` instead of adding ``outer(dz, x)``,
@@ -214,6 +215,33 @@ def dropout(tape, x: Var, rate: float, rng) -> Var:
     return out
 
 
+def _lstm_gates(z, c, scale, offset, h_out=None, c_out=None):
+    """The gate math shared by :func:`lstm_cell` and :func:`lstm_rows`.
+
+    ``z`` holds the pre-activations (last axis 4H, overwritten with their
+    tanh), ``c`` the cell state (last axis H) and ``scale``/``offset`` come
+    from :func:`_gate_affine`; returns ``(act, (gi, gf, gg, go), c_new,
+    tanh(c_new), h_new)``, with ``h_new`` and ``c_new`` written into
+    ``h_out`` and ``c_out`` when given.
+    """
+    hidden = c.shape[-1]
+    z *= scale
+    act = np.tanh(z, out=z)
+    gates = act * scale
+    gates += offset
+    split = (
+        gates[..., :hidden],
+        gates[..., hidden : 2 * hidden],
+        gates[..., 2 * hidden : 3 * hidden],
+        gates[..., 3 * hidden :],
+    )
+    gi, gf, gg, go = split
+    c_new = np.multiply(gf, c, c_out)
+    c_new += gi * gg
+    tanh_c = np.tanh(c_new)
+    return act, split, c_new, tanh_c, np.multiply(go, tanh_c, h_out)
+
+
 def lstm_cell(tape, weight: Var, bias: Var, x: Var, h: Var, c: Var):
     """One LSTM step.  Gate layout along the 4H axis is [input, forget,
     candidate, output]; returns (h', c').  All four gates come from one tanh
@@ -229,17 +257,7 @@ def lstm_cell(tape, weight: Var, bias: Var, x: Var, h: Var, c: Var):
     z = weight.value @ xh
     z += bias.value
     scale, offset, slope = _gate_affine(hidden, z.dtype)
-    z *= scale
-    act = np.tanh(z, out=z)
-    gates = act * scale
-    gates += offset
-    gi = gates[:hidden]
-    gf = gates[hidden : 2 * hidden]
-    gg = gates[2 * hidden : 3 * hidden]
-    go = gates[3 * hidden :]
-    c_new = gf * c.value + gi * gg
-    tanh_c = np.tanh(c_new)
-    h_new = go * tanh_c
+    act, (gi, gf, gg, go), c_new, tanh_c, h_new = _lstm_gates(z, c.value, scale, offset)
     h_out = Var(h_new)
     c_out = Var(c_new)
     if tape is not None:
@@ -251,7 +269,7 @@ def lstm_cell(tape, weight: Var, bias: Var, x: Var, h: Var, c: Var):
             if dh is None and dc is None:
                 return None
             # dz holds the gradient w.r.t. the gates, then w.r.t. z.
-            dz = np.empty_like(gates)
+            dz = np.empty_like(act)
             if dc is not None:
                 dc_total = dc.copy()
             else:
@@ -274,6 +292,36 @@ def lstm_cell(tape, weight: Var, bias: Var, x: Var, h: Var, c: Var):
 
         tape.record(backward)
     return h_out, c_out
+
+
+def linear_rows(x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Forward-only :func:`linear` over the rows of ``x`` (B, in), given the
+    weight as its contiguous transpose ``weight_t`` (in, out).
+
+    The product runs as a stack of B vector-matrix products over
+    ``x[:, None, :]``, so row i is bitwise equal to ``x[i] @ weight_t``
+    whatever B is.  A plain ``x @ weight_t`` switches to a matrix-matrix
+    kernel whose rounding depends on B once B > 1 (for B = 1 it is the
+    same vector-matrix product, minus the stacking overhead), and
+    ``x @ weight.T`` to a much slower one.
+    """
+    if len(x) == 1:
+        y = x @ weight_t
+    else:
+        y = np.matmul(x[:, None, :], weight_t)[:, 0, :]
+    y += bias
+    return y
+
+
+def lstm_rows(weight_t: np.ndarray, bias: np.ndarray, x: np.ndarray, h: np.ndarray,
+              c: np.ndarray, h_out: np.ndarray, c_out: np.ndarray) -> None:
+    """Forward-only :func:`lstm_cell` over rows: ``x`` (B, in), ``h`` and
+    ``c`` (B, H), ``weight_t`` the contiguous transpose of the cell weight.
+    Writes h' and c' into ``h_out`` and ``c_out``; row i is bitwise what
+    row i alone would give."""
+    z = linear_rows(np.concatenate([x, h], axis=1), weight_t, bias)
+    scale, offset, _ = _gate_affine(c.shape[-1], z.dtype)
+    _lstm_gates(z, c, scale, offset, h_out, c_out)
 
 
 def masked_log_probs(logits: np.ndarray, valid_indices) -> np.ndarray:

@@ -77,6 +77,63 @@ class Lstm:
         return states
 
 
+class LstmRows:
+    """A forward-only copy of an :class:`Lstm` that steps many rows at once.
+
+    Each layer keeps its weight as a contiguous transpose (what
+    :func:`core.lstm_rows` takes) and a reference to its bias.  A state is
+    one array of shape (layers, 2, hidden) holding each layer's (h, c); a
+    batch of states stacks them to (B, layers, 2, hidden).  The copy is only
+    valid for the parameter values it was made from.
+    """
+
+    def __init__(self, lstm: Lstm):
+        self.layers = [
+            (np.ascontiguousarray(weight.value.T), bias.value)
+            for weight, bias, _, _ in lstm.layers
+        ]
+        self.initial = np.stack([np.stack([h0.value, c0.value]) for _, _, h0, c0 in lstm.layers])
+
+    def step(self, x: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """Feed row i of ``x`` to state i; returns the new states."""
+        new = np.empty_like(state)
+        inp = x
+        for layer, (weight_t, bias) in enumerate(self.layers):
+            h = new[:, layer, 0]
+            core.lstm_rows(weight_t, bias, inp, state[:, layer, 0], state[:, layer, 1],
+                           h, new[:, layer, 1])
+            inp = h
+        return new
+
+    def outputs(self, inputs: np.ndarray) -> np.ndarray:
+        """Top-layer hidden state after each row of one sequence."""
+        out = np.empty((len(inputs), self.initial.shape[-1]), dtype=self.initial.dtype)
+        state = self.initial[None]
+        for t in range(len(inputs)):
+            state = self.step(inputs[t : t + 1], state)
+            out[t] = state[0, -1, 0]
+        return out
+
+    def finals(self, sequences) -> np.ndarray:
+        """Top-layer hidden state at the end of each sequence (a list of
+        non-empty lists of vectors), stepping all of them in lockstep."""
+        order = sorted(range(len(sequences)), key=lambda i: -len(sequences[i]))
+        ordered = [sequences[i] for i in order]
+        state = np.repeat(self.initial[None], len(ordered), axis=0)
+        active = len(ordered)
+        for t in range(len(ordered[0])):
+            while len(ordered[active - 1]) <= t:
+                active -= 1  # the longest sequences come first
+            x = np.array([seq[t] for seq in ordered[:active]])
+            if active == len(ordered):
+                state = self.step(x, state)
+            else:
+                state[:active] = self.step(x, state[:active])
+        out = np.empty_like(state[:, -1, 0])
+        out[order] = state[:, -1, 0]
+        return out
+
+
 def lstm_sequence(lstm: Lstm, inputs, tape=None, dropout: float = 0.0, rng=None) -> list:
     """Top-layer hidden state for every input position."""
     return [lstm.output(s) for s in lstm.run(tape, inputs, dropout, rng)]
@@ -105,6 +162,24 @@ class BiLstmEncoder:
     def encode(self, tape, inputs) -> Var:
         h_fwd, h_bwd = self.final_pair(tape, inputs)
         return core.linear(tape, self.proj_weight, self.proj_bias, core.concat(tape, [h_fwd, h_bwd]))
+
+
+class BiLstmRows:
+    """A forward-only copy of a :class:`BiLstmEncoder` that encodes many
+    sequences at once; only valid for the parameter values it was made
+    from."""
+
+    def __init__(self, encoder: BiLstmEncoder):
+        self.fwd = LstmRows(encoder.fwd)
+        self.bwd = LstmRows(encoder.bwd)
+        self.proj = (np.ascontiguousarray(encoder.proj_weight.value.T), encoder.proj_bias.value)
+
+    def encode(self, sequences) -> np.ndarray:
+        """One summary row per sequence (a list of non-empty lists of
+        vectors)."""
+        h_fwd = self.fwd.finals(sequences)
+        h_bwd = self.bwd.finals([seq[::-1] for seq in sequences])
+        return core.linear_rows(np.concatenate([h_fwd, h_bwd], axis=1), *self.proj)
 
 
 def bilstm_encode(encoder: BiLstmEncoder, inputs, tape=None) -> Var:

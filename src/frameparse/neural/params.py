@@ -50,6 +50,10 @@ class ParamStore:
         self.dtype = np.dtype(dtype)
         self.params: dict = {}
         self.t = 0  # shared Adam timestep
+        # Bumped by adam_step and load_values, so copies derived from the
+        # values know when they are stale; code that writes values directly
+        # must bump it too.
+        self.version = 0
         # Adam's two scratch rows, one pair per thread (Hogwild workers step
         # the store concurrently), each as large as the largest parameter.
         self._scratch = threading.local()
@@ -110,6 +114,7 @@ class ParamStore:
         ``value -= lr * ((m/bias1) / (sqrt(v/bias2) + eps) + wd*value)``.
         """
         self.t += 1
+        self.version += 1
         bias1 = 1.0 - beta1 ** self.t
         bias2 = 1.0 - beta2 ** self.t
         for param in self.params.values():
@@ -139,6 +144,7 @@ class ParamStore:
         return {name: self.params[name].value for name in sorted(self.params)}
 
     def load_values(self, arrays: dict) -> None:
+        self.version += 1
         for name, param in self.params.items():
             if name not in arrays:
                 raise CheckpointError(f"checkpoint is missing parameter {name!r}")

@@ -12,7 +12,9 @@ transition mask get probability exactly zero, so any decode produces a
 well-formed tree.
 
 Training is teacher-forced on oracle action sequences with per-example
-Adam updates.  Inference is greedy or beam search over action prefixes.
+Adam updates, on a tape.  Inference is greedy or beam search over action
+prefixes, forward-only: every live hypothesis is one row of each matrix
+product, so beam search scores and advances all of them at once.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ from .transitions import (
     EmptyUtterance,
     REDUCE,
     SHIFT,
-    apply,
+    apply,  # noqa: F401 - kept importable as rnng.apply
+    apply_unchecked,
     initial_state,
     nt,
     oracle,
     valid_actions,
 )
-from .trees import Label, Tree
+from .trees import INTENT, SLOT, Label, Tree
 
 MODEL_FORMAT = "frameparse-rnng"
 MODEL_VERSION = 1
@@ -183,6 +186,8 @@ class Model:
 
         if embeddings is not None:
             self._load_pretrained(embeddings)
+        self._indices_by_kinds = {}
+        self._decode_weights = None
 
     def _load_pretrained(self, table) -> None:
         if table.dim != self.config.word_dim:
@@ -199,13 +204,28 @@ class Model:
         if not self.config.finetune_embeddings:
             self.word_emb.frozen_rows = frozen
 
-    def action_indices(self, kinds) -> np.ndarray:
-        """Ascending action indices permitted by a set of ActionKinds."""
-        out = []
-        for kind in (ActionKind.SHIFT, ActionKind.REDUCE, ActionKind.NT_INTENT, ActionKind.NT_SLOT):
-            if kind in kinds:
-                out.extend(self._kind_indices[kind])
-        return np.asarray(out, dtype=np.intp)
+    def action_indices(self, kinds: frozenset) -> np.ndarray:
+        """Ascending action indices permitted by a set of ActionKinds
+        (read-only; one array per distinct set)."""
+        indices = self._indices_by_kinds.get(kinds)
+        if indices is None:
+            out = []
+            for kind in (ActionKind.SHIFT, ActionKind.REDUCE, ActionKind.NT_INTENT,
+                         ActionKind.NT_SLOT):
+                if kind in kinds:
+                    out.extend(self._kind_indices[kind])
+            indices = np.asarray(out, dtype=np.intp)
+            indices.flags.writeable = False
+            self._indices_by_kinds[kinds] = indices
+        return indices
+
+    def decode_weights(self) -> "DecodeWeights":
+        """The forward-only copies decoding reads, rebuilt whenever the
+        parameter values have changed (``ParamStore.version``)."""
+        cached = self._decode_weights
+        if cached is None or cached.version != self.store.version:
+            cached = self._decode_weights = DecodeWeights(self)
+        return cached
 
     def token_ids(self, tokens) -> list:
         unk = self.token_vocab.index(UNK_TOKEN) if UNK_TOKEN in self.token_vocab else 0
@@ -213,6 +233,29 @@ class Model:
             self.token_vocab.get(sym, unk)
             for sym in self.normalizer.normalize_sequence(tokens)
         ]
+
+
+class DecodeWeights:
+    """What decoding reads, for one version of the parameter values: every
+    weight as a contiguous transpose (see ``core.linear_rows``), each LSTM's
+    learned initial state, and the stack vector of every label."""
+
+    def __init__(self, model: Model):
+        cfg = model.config
+        self.version = model.store.version
+        self.stack = layers.LstmRows(model.stack_lstm) if cfg.use_stack else None
+        self.buffer = layers.LstmRows(model.buffer_lstm) if cfg.use_buffer else None
+        self.actions = layers.LstmRows(model.action_lstm) if cfg.use_actions else None
+        self.compose = layers.BiLstmRows(model.compose) if cfg.use_stack else None
+        self.ff = (np.ascontiguousarray(model.ff_w.value.T), model.ff_b.value)
+        self.scorer = (np.ascontiguousarray(model.out_w.value.T), model.out_b.value)
+        self.labels = None
+        if cfg.use_stack:
+            self.labels = core.linear_rows(
+                model.label_emb.value,
+                np.ascontiguousarray(model.label_proj_w.value.T),
+                model.label_proj_b.value,
+            )
 
 
 class Hypothesis:
@@ -247,7 +290,7 @@ class Hypothesis:
         self.buffer_outputs = buffer_outputs
 
     def clone(self) -> "Hypothesis":
-        return Hypothesis(
+        return type(self)(
             self.state,
             self.score,
             list(self.stack_states) if self.stack_states is not None else None,
@@ -305,7 +348,7 @@ def encode_state(model: Model, hyp: Hypothesis, tape=None, train: bool = False, 
     return core.linear(tape, model.out_w, model.out_b, hidden)
 
 
-def _label_vector(model: Model, label: Label, tape, train, rng):
+def _label_vector(model: Model, label: Label, tape):
     emb = layers.embedding_lookup(tape, model.label_emb, model.label_index[label])
     return core.linear(tape, model.label_proj_w, model.label_proj_b, emb)
 
@@ -316,22 +359,28 @@ def compose(model: Model, label: Label, child_vectors, tape=None):
     children = list(child_vectors)
     if not children:
         raise EmptyChildren(f"cannot compose {label} with no children")
-    label_vec = _label_vector(model, label, tape, False, None)
+    label_vec = _label_vector(model, label, tape)
     return model.compose.encode(tape, [label_vec] + children)
 
 
 def advance(model: Model, hyp: Hypothesis, action: Action, step_logp: float,
             tape=None, train: bool = False, rng=None) -> None:
-    """Apply one action to the hypothesis, updating encoders in place."""
+    """Apply one action, taken from the mask, to the hypothesis, updating
+    encoders in place.  A decoding :class:`Branch` only queues its encoder
+    inputs; the next :func:`_branch_logits` runs them for all live branches
+    at once."""
+    if isinstance(hyp, Branch):
+        _advance_branch(model, hyp, action, step_logp)
+        return
     cfg = model.config
     dropout = cfg.dropout if train else 0.0
-    new_state = apply(hyp.state, action, cfg.max_open_nts)
+    new_state = apply_unchecked(hyp.state, action)
     if cfg.use_stack:
         if action.op == "SHIFT":
             vec = hyp.word_vecs[hyp.state.pos]
             _push(model, hyp, vec, tape, dropout, rng)
         elif action.op == "NT":
-            vec = _label_vector(model, action.label, tape, train, rng)
+            vec = _label_vector(model, action.label, tape)
             _push(model, hyp, vec, tape, dropout, rng)
             hyp.open_elem_pos.append(len(hyp.stack_elems) - 1)
         else:  # REDUCE
@@ -437,6 +486,122 @@ def _train_epoch_hogwild(model: Model, corpus: Corpus, order, workers: int) -> f
     return sum(totals)
 
 
+class Branch(Hypothesis):
+    """A hypothesis decoded forward-only.
+
+    Its encoder states are plain arrays (see ``layers.LstmRows``) and its
+    stack symbols vectors.  After :func:`advance`, its encoder inputs wait
+    in ``push`` (a stack vector, or the symbols a REDUCE composes) and
+    ``action`` (an action index) until :func:`_branch_logits` runs those of
+    all live branches with one product per layer.  A branch that reaches a
+    terminal state is never scored again, so its last inputs never run.
+    Clone a branch only while nothing is queued.
+    """
+
+    __slots__ = ("push", "action")
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.push = None
+        self.action = None
+
+
+def _start_branch(model: Model, weights: DecodeWeights, tokens: tuple) -> Branch:
+    state = initial_state(tokens)
+    cfg = model.config
+    word_vecs = buffer_outputs = None
+    if cfg.use_stack or cfg.use_buffer:
+        word_vecs = model.word_emb.value[model.token_ids(tokens)]
+    if cfg.use_buffer:
+        # Encoded right to left: entry [pos] reflects the next token to
+        # shift; entry [n] is the learned empty-buffer state.
+        outputs = weights.buffer.outputs(word_vecs[::-1])
+        buffer_outputs = np.concatenate([outputs[::-1], weights.buffer.initial[None, -1, 0]])
+    return Branch(
+        state,
+        0.0,
+        [weights.stack.initial] if cfg.use_stack else None,
+        [] if cfg.use_stack else None,
+        [] if cfg.use_stack else None,
+        weights.actions.initial if cfg.use_actions else None,
+        word_vecs,
+        buffer_outputs,
+    )
+
+
+def _advance_branch(model: Model, branch: Branch, action: Action, step_logp: float) -> None:
+    if model.config.use_stack:
+        if action.op == "SHIFT":
+            branch.push = branch.word_vecs[branch.state.pos]
+        elif action.op == "NT":
+            branch.open_elem_pos.append(len(branch.stack_elems))
+            branch.push = model.decode_weights().labels[model.label_index[action.label]]
+        else:  # REDUCE: compose the open label's vector and its children
+            opened = branch.open_elem_pos.pop()
+            branch.push = branch.stack_elems[opened:]
+            del branch.stack_elems[opened:]
+            del branch.stack_states[opened + 1 :]
+    branch.action = model.action_index[action]
+    branch.state = apply_unchecked(branch.state, action)
+    branch.score = branch.score + step_logp
+
+
+def _run_queued(model: Model, weights: DecodeWeights, branches: list) -> None:
+    """Run the encoder inputs the branches have queued, one row each.
+    (``np.array`` of a list stacks like ``np.stack``, at a third of the
+    cost for a few small rows.)"""
+    queued = [b for b in branches if b.action is not None]
+    if not queued:
+        return
+    cfg = model.config
+    if cfg.use_stack:
+        composed = [b.push for b in queued if isinstance(b.push, list)]
+        if composed:
+            subtrees = iter(weights.compose.encode(composed))
+            pushed = [next(subtrees) if isinstance(b.push, list) else b.push for b in queued]
+        else:
+            pushed = [b.push for b in queued]
+        states = weights.stack.step(
+            np.array(pushed), np.array([b.stack_states[-1] for b in queued])
+        )
+        for branch, vec, state in zip(queued, pushed, states):
+            branch.stack_elems.append(vec)
+            branch.stack_states.append(state)
+            branch.push = None
+    if cfg.use_actions:
+        states = weights.actions.step(
+            model.action_emb.value[[b.action for b in queued]],
+            np.array([b.action_state for b in queued]),
+        )
+        for branch, state in zip(queued, states):
+            branch.action_state = state
+    for branch in queued:
+        branch.action = None
+
+
+def _branch_logits(model: Model, weights: DecodeWeights, branches: list) -> np.ndarray:
+    """Action logits over the full inventory, one row per branch: one
+    feed-forward and one scorer product for all of them."""
+    _run_queued(model, weights, branches)
+    cfg = model.config
+    summary = np.empty((len(branches), weights.ff[0].shape[0]), dtype=model.store.dtype)
+    for row, b in zip(summary, branches):
+        parts = []
+        if cfg.use_stack:
+            parts.append(b.stack_states[-1][-1, 0])
+        if cfg.use_buffer:
+            parts.append(b.buffer_outputs[b.state.pos])
+        if cfg.use_actions:
+            parts.append(b.action_state[-1, 0])
+        np.concatenate(parts, out=row)
+    hidden = np.maximum(core.linear_rows(summary, *weights.ff), 0)
+    return core.linear_rows(hidden, *weights.scorer)
+
+
+def _valid_indices(model: Model, state) -> np.ndarray:
+    return model.action_indices(valid_actions(state, model.config.max_open_nts))
+
+
 def _decode_guard(n_tokens: int, max_open: int) -> int:
     return (n_tokens + 2) * (2 * max_open + 2) + 16
 
@@ -451,25 +616,26 @@ def parse_greedy(model: Model, tokens) -> tuple:
     tokens = tuple(tokens)
     if not tokens:
         raise EmptyUtterance("cannot parse an empty utterance")
-    hyp = start_hypothesis(model, tokens)
+    weights = model.decode_weights()
+    branch = _start_branch(model, weights, tokens)
     for _ in range(_decode_guard(len(tokens), model.config.max_open_nts)):
-        if hyp.state.is_terminal:
+        if branch.state.is_terminal:
             break
-        kinds = valid_actions(hyp.state, model.config.max_open_nts)
-        indices = model.action_indices(kinds)
-        logits = encode_state(model, hyp)
-        logps = core.masked_log_probs(logits.value, indices)
+        indices = _valid_indices(model, branch.state)
+        logps = core.masked_log_probs(_branch_logits(model, weights, [branch])[0], indices)
         best = int(np.argmax(logps))
-        advance(model, hyp, model.actions[int(indices[best])], float(logps[best]))
+        advance(model, branch, model.actions[indices[best]], float(logps[best]))
     else:
         raise RuntimeError("greedy decode failed to terminate")
-    return Tree(hyp.state.root, tokens), hyp.score
+    return Tree(branch.state.root, tokens), branch.score
 
 
 def parse_beam(model: Model, tokens, k: int) -> list:
     """Beam search over action prefixes; returns up to ``k`` (tree, score)
     pairs sorted by descending cumulative log-probability.
 
+    All live branches are scored and advanced in lockstep, one row each.
+    Expansions rank by score, then source branch, then action index.
     Hypotheses completing early are set aside and compete for the final
     ranking; the search stops once no live hypothesis can beat the k-th
     completed score.  With ``k=1`` this reproduces greedy decoding exactly.
@@ -479,26 +645,29 @@ def parse_beam(model: Model, tokens, k: int) -> list:
         raise EmptyUtterance("cannot parse an empty utterance")
     if k < 1:
         raise ValueError("beam size must be at least 1")
-    live = [start_hypothesis(model, tokens)]
+    weights = model.decode_weights()
+    live = [_start_branch(model, weights, tokens)]
     completed: list = []
     for _ in range(_decode_guard(len(tokens), model.config.max_open_nts)):
         if not live:
             break
-        expansions = []
-        for src, hyp in enumerate(live):
-            kinds = valid_actions(hyp.state, model.config.max_open_nts)
-            indices = model.action_indices(kinds)
-            logits = encode_state(model, hyp)
-            logps = core.masked_log_probs(logits.value, indices)
-            for j, action_idx in enumerate(indices):
-                expansions.append(
-                    (hyp.score + float(logps[j]), src, int(action_idx), float(logps[j]))
-                )
-        expansions.sort(key=lambda e: (-e[0], e[1], e[2]))
+        logits = _branch_logits(model, weights, live)
+        totals, sources, actions, steps = [], [], [], []
+        for src, branch in enumerate(live):
+            indices = _valid_indices(model, branch.state)
+            logps = core.masked_log_probs(logits[src], indices).astype(np.float64)
+            totals.append(branch.score + logps)
+            sources.append(np.full(len(indices), src))
+            actions.append(indices)
+            steps.append(logps)
+        totals = np.concatenate(totals)
+        sources = np.concatenate(sources)
+        actions = np.concatenate(actions)
+        steps = np.concatenate(steps)
         next_live = []
-        for score, src, action_idx, step_logp in expansions[:k]:
-            branch = live[src].clone()
-            advance(model, branch, model.actions[action_idx], step_logp)
+        for j in np.lexsort((actions, sources, -totals))[:k]:
+            branch = live[sources[j]].clone()
+            advance(model, branch, model.actions[actions[j]], float(steps[j]))
             if branch.state.is_terminal:
                 completed.append(branch)
             else:
@@ -517,19 +686,20 @@ def parse_beam(model: Model, tokens, k: int) -> list:
 
 def score_actions(model: Model, tokens, actions) -> float:
     """Recompute the cumulative masked log-probability of an action
-    sequence under the model (evaluation mode)."""
-    hyp = start_hypothesis(model, tuple(tokens))
+    sequence under the model (evaluation mode); equal to the score a
+    decoder reports for the same derivation."""
+    tokens = tuple(tokens)
+    weights = model.decode_weights()
+    branch = _start_branch(model, weights, tokens)
     total = 0.0
     for action in actions:
-        kinds = valid_actions(hyp.state, model.config.max_open_nts)
-        indices = model.action_indices(kinds)
-        logits = encode_state(model, hyp)
-        logps = core.masked_log_probs(logits.value, indices)
+        indices = _valid_indices(model, branch.state)
         position = np.nonzero(indices == model.action_index[action])[0]
         if position.size == 0:
             raise ValueError(f"action {action} is masked out at this step")
+        logps = core.masked_log_probs(_branch_logits(model, weights, [branch])[0], indices)
         total = total + float(logps[int(position[0])])
-        advance(model, hyp, action, 0.0)
+        advance(model, branch, action, 0.0)
     return total
 
 
@@ -558,7 +728,29 @@ def save_model(model: Model, path) -> None:
     save_checkpoint(path, arrays, meta)
 
 
+def _meta_strings(path, meta: dict, key: str) -> list:
+    value = meta.get(key)
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise CheckpointError(f"{path}: checkpoint meta {key!r} must be a list of strings")
+    return value
+
+
+def _meta_labels(path, meta: dict, key: str, kind: str) -> tuple:
+    labels = []
+    for text in _meta_strings(path, meta, key):
+        try:
+            label = Label.parse(text)
+        except ValueError:
+            raise CheckpointError(f"{path}: bad label {text!r} in {key!r}") from None
+        if label.kind != kind:
+            raise CheckpointError(f"{path}: {key!r} holds {text!r}, which is not a {kind}: label")
+        labels.append(label)
+    return tuple(labels)
+
+
 def load_model(path) -> Model:
+    """Read a checkpoint written by :func:`save_model`; anything missing,
+    mistyped or inconsistent raises ``CheckpointError``."""
     arrays, meta = load_checkpoint(path)
     if meta.get("format") != MODEL_FORMAT:
         raise CheckpointError(f"{path}: not a parser checkpoint")
@@ -566,14 +758,29 @@ def load_model(path) -> Model:
         raise CheckpointError(
             f"{path}: model version {meta.get('model_version')} unsupported"
         )
-    config = RnngConfig(**meta["config"])
-    token_vocab = Vocab(meta["token_vocab"])
-    intents = tuple(Label.parse(s) for s in meta["intent_labels"])
-    slots = tuple(Label.parse(s) for s in meta["slot_labels"])
-    normalizer = TokenNormalizer.from_config(meta["normalizer"])
-    model = Model(config, token_vocab, intents, slots, normalizer)
+    if not isinstance(meta.get("config"), dict):
+        raise CheckpointError(f"{path}: checkpoint meta 'config' must be an object")
+    try:
+        config = RnngConfig(**meta["config"])
+    except (TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: bad model config: {err}") from None
+    try:
+        token_vocab = Vocab(_meta_strings(path, meta, "token_vocab"))
+    except ValueError as err:
+        raise CheckpointError(f"{path}: bad token vocabulary: {err}") from None
+    intents = _meta_labels(path, meta, "intent_labels", INTENT)
+    slots = _meta_labels(path, meta, "slot_labels", SLOT)
+    if not isinstance(meta.get("normalizer"), dict):
+        raise CheckpointError(f"{path}: checkpoint meta 'normalizer' must be an object")
+    known = _meta_strings(path, meta["normalizer"], "known")
+    model = Model(config, token_vocab, intents, slots, TokenNormalizer(frozenset(known)))
     frozen = arrays.pop("word_emb.frozen_rows", None)
     model.store.load_values(arrays)
     if frozen is not None:
+        if frozen.shape != (len(token_vocab),):
+            raise CheckpointError(
+                f"{path}: word_emb.frozen_rows has shape {frozen.shape}, expected "
+                f"({len(token_vocab)},)"
+            )
         model.word_emb.frozen_rows = frozen.astype(bool)
     return model

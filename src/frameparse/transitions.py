@@ -207,6 +207,12 @@ def apply(
     """Execute one action, or raise :class:`InvalidAction` if masked out."""
     if kind_of(action) not in valid_actions(state, max_open_nts):
         raise InvalidAction(action, state.summary())
+    return apply_unchecked(state, action)
+
+
+def apply_unchecked(state: ParserState, action: Action) -> ParserState:
+    """Execute an action the caller has already taken from the
+    :func:`valid_actions` mask; an unmasked action gives a corrupt state."""
     history = state.history + (action,)
     if action.op == "NT":
         return ParserState(

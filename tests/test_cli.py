@@ -204,6 +204,54 @@ def test_parse_malformed_checkpoint_exits_three(tmp_path, capsys, header):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _set(key, value):
+    def edit(meta):
+        meta[key] = value
+    return edit
+
+
+def _delete(key):
+    def edit(meta):
+        del meta[key]
+    return edit
+
+
+def _add_config_key(meta):
+    meta["config"]["no_such_option"] = 1
+
+
+BAD_MODEL_META = {
+    "no-config": _delete("config"),
+    "config-not-object": _set("config", ["word_dim", 8]),
+    "unknown-config-key": _add_config_key,
+    "no-token-vocab": _delete("token_vocab"),
+    "token-vocab-not-list": _set("token_vocab", "turn the lights"),
+    "no-intent-labels": _delete("intent_labels"),
+    "intent-label-not-str": _set("intent_labels", [3]),
+    "unparsable-label": _set("intent_labels", ["XX:NOT_A_LABEL"]),
+    "no-slot-labels": _delete("slot_labels"),
+    "slot-labels-not-list": _set("slot_labels", {"SL:WHAT": 1}),
+    "no-normalizer": _delete("normalizer"),
+    "normalizer-not-object": _set("normalizer", ["abc"]),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_MODEL_META.values(), ids=BAD_MODEL_META.keys())
+def test_parse_bad_model_meta_exits_three(tmp_path, capsys, corpus_tsv, edit):
+    from frameparse.neural.params import load_checkpoint, save_checkpoint
+
+    tsv, _ = corpus_tsv
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", tsv, "-o", str(ckpt), "--epochs", "0", "--seed", "1"] + TINY_FLAGS) == 0
+    arrays, meta = load_checkpoint(ckpt)
+    edit(meta)
+    save_checkpoint(ckpt, arrays, meta)
+    utterances = write_lines(tmp_path / "utts.txt", ["show the weather"])
+    capsys.readouterr()
+    assert main(["parse", str(ckpt), utterances]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_train_missing_file(tmp_path):
     assert main(["train", str(tmp_path / "nope.tsv"), "-o", str(tmp_path / "m.ckpt")]) == 3
 

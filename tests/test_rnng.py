@@ -293,6 +293,99 @@ def test_example_loss_matches_score_of_gold():
 
 
 # ---------------------------------------------------------------------------
+# Lockstep decoding
+
+
+def _default_model(precision):
+    config = RnngConfig(precision=precision)
+    intents = tuple(intent(f"I{i}") for i in range(25))
+    slots = tuple(slot(f"S{i}") for i in range(36))
+    vocab = Vocab(("<UNK>", "<NUM>", "turn", "the", "lights"))
+    return Model(config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)))
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_row_products_are_bitwise_row_invariant(precision):
+    # The decoders score B live hypotheses with one product per layer; every
+    # row must equal the product of that row alone, so greedy (B = 1), beam
+    # and rescoring agree bit for bit.
+    from frameparse.neural import core
+
+    model = _default_model(precision)
+    weights = model.decode_weights()
+    lstms = [weights.stack, weights.buffer, weights.actions, weights.compose.fwd,
+             weights.compose.bwd]
+    products = [layer for lstm in lstms for layer in lstm.layers]
+    products += [weights.compose.proj, weights.ff, weights.scorer,
+                 (np.ascontiguousarray(model.label_proj_w.value.T), model.label_proj_b.value)]
+    assert len({w.shape for w, _ in products}) == 7  # every decode shape of the default config
+    rng = np.random.default_rng(0)
+    dtype = model.config.dtype
+    for weight_t, bias in products:
+        x = rng.normal(size=(5, weight_t.shape[0])).astype(dtype)
+        alone = [core.linear_rows(x[i : i + 1], weight_t, bias)[0] for i in range(5)]
+        assert np.array_equal(alone[0], x[0] @ weight_t + bias)
+        for batch in range(1, 6):
+            rows = core.linear_rows(x[:batch], weight_t, bias)
+            for i in range(batch):
+                assert np.array_equal(rows[i], alone[i]), (weight_t.shape, batch, i)
+    for lstm in lstms:
+        hidden = lstm.initial.shape[-1]
+        x = rng.normal(size=(5, lstm.layers[0][0].shape[0] - hidden)).astype(dtype)
+        state = rng.normal(size=(5,) + lstm.initial.shape).astype(dtype)
+        alone = [lstm.step(x[i : i + 1], state[i : i + 1])[0] for i in range(5)]
+        for batch in range(1, 6):
+            new = lstm.step(x[:batch], state[:batch])
+            for i in range(batch):
+                assert np.array_equal(new[i], alone[i])
+
+
+def _refreshed(model):
+    fresh = Model(model.config, model.token_vocab, model.intent_labels, model.slot_labels,
+                  model.normalizer)
+    fresh.store.load_values(model.store.value_arrays())
+    return fresh
+
+
+def test_decode_weights_follow_parameter_updates():
+    model = tiny_model(seed=32, precision="f32", lr=0.05)
+    example = example_of("[IN:SET turn [SL:WHAT the lights ] off ]")
+    tokens = example.tokens
+    before = parse_beam(model, tokens, 3)
+    train_example(model, example, np.random.default_rng(0))
+    after_step = parse_beam(model, tokens, 3)
+    assert after_step == parse_beam(_refreshed(model), tokens, 3)
+    assert after_step != before
+    other = tiny_model(seed=33, precision="f32")
+    model.store.load_values(other.store.value_arrays())
+    after_load = parse_beam(model, tokens, 3)
+    assert after_load == parse_beam(_refreshed(other), tokens, 3)
+    assert parse_greedy(model, tokens) == parse_greedy(other, tokens)
+    assert score_actions(model, tokens, oracle(example.tree)) == score_actions(
+        other, tokens, oracle(example.tree))
+
+
+def test_beam_matches_golden_fixture():
+    import json
+    from pathlib import Path
+
+    from frameparse.trees import serialize
+
+    golden = json.loads((Path(__file__).parent / "data" / "beam_top5_golden.json").read_text())
+    corpus = synth.learnable_corpus(seed=41, size=24)
+    vocab, intents, slots = build_vocabs(corpus)
+    config = RnngConfig(seed=42, precision="f32", lr=0.01, **TINY)
+    model = Model(config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)))
+    train(model, corpus, epochs=3)
+    for entry, example in zip(golden["utterances"], corpus.examples):
+        assert list(example.tokens) == entry["tokens"]
+        beam = parse_beam(model, example.tokens, 5)
+        assert [serialize(tree) for tree, _ in beam] == [text for text, _ in entry["top5"]]
+        for (_, score), (_, recorded) in zip(beam, entry["top5"]):
+            assert score == pytest.approx(recorded, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
 # Gradient check of the full step
 
 
