@@ -17,7 +17,7 @@ from .metrics import (
     tree_validity,
 )
 from .preprocess import EmbeddingTable, TokenNormalizer, load_embeddings, normalize
-from .rnng import Model, RnngConfig, ablate, compose, parse_beam, parse_greedy, train
+from .rnng import Model, RnngConfig, ablate, parse_beam, parse_greedy, train
 from .transitions import (
     Action,
     ParserState,

@@ -170,13 +170,12 @@ def cmd_train(args) -> int:
         log_entries.append(entry)
         print(json.dumps(entry))
 
-    rnng.train(model, train_corpus, workers=args.workers, epoch_callback=on_epoch)
+    rnng.train(model, train_corpus, epoch_callback=on_epoch)
     rnng.save_model(model, args.output)
     log = {
         "config": dataclasses.asdict(config),
         "train_tsv": str(args.train_tsv),
         "valid_tsv": str(args.valid) if args.valid else None,
-        "workers": args.workers,
         "min_count": args.min_count,
         "embeddings": str(args.embeddings) if args.embeddings else None,
         "epochs": log_entries,
@@ -313,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--embeddings", default=None, help="pretrained embedding text file")
-    p.add_argument("--workers", type=int, default=1,
-                   help=">1 enables non-deterministic lock-free multithreaded updates")
     p.add_argument("--lenient", dest="strict", action="store_false")
     for name, kind in (
         ("word-dim", int), ("label-dim", int), ("action-dim", int),

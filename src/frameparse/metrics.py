@@ -218,7 +218,7 @@ def read_gold_file(path) -> list:
             try:
                 trees.append(parse_bracketed(line))
             except FormatError as err:
-                raise FormatError(f"gold line {lineno}: {err.args[0]}", err.offset) from None
+                raise type(err)(f"gold line {lineno}: {err.args[0]}", err.offset) from None
     return trees
 
 

@@ -17,7 +17,7 @@ from .core import (
     relu,
 )
 from .gradcheck import GradCheckReport, grad_check
-from .layers import BiLstmEncoder, Lstm, bilstm_encode, embedding_lookup, lstm_sequence
+from .layers import BiLstmEncoder, Lstm, embedding_lookup
 from .params import (
     CheckpointError,
     Param,
@@ -39,7 +39,6 @@ __all__ = [
     "Tape",
     "Var",
     "add_n",
-    "bilstm_encode",
     "concat",
     "dropout",
     "embedding_lookup",
@@ -47,7 +46,6 @@ __all__ = [
     "linear",
     "load_checkpoint",
     "lstm_cell",
-    "lstm_sequence",
     "masked_log_probs",
     "masked_nll",
     "relu",

@@ -134,11 +134,6 @@ class LstmRows:
         return out
 
 
-def lstm_sequence(lstm: Lstm, inputs, tape=None, dropout: float = 0.0, rng=None) -> list:
-    """Top-layer hidden state for every input position."""
-    return [lstm.output(s) for s in lstm.run(tape, inputs, dropout, rng)]
-
-
 class BiLstmEncoder:
     """Reads a sequence both ways and projects the two final hidden states
     to a fixed-width summary."""
@@ -180,7 +175,3 @@ class BiLstmRows:
         h_fwd = self.fwd.finals(sequences)
         h_bwd = self.bwd.finals([seq[::-1] for seq in sequences])
         return core.linear_rows(np.concatenate([h_fwd, h_bwd], axis=1), *self.proj)
-
-
-def bilstm_encode(encoder: BiLstmEncoder, inputs, tape=None) -> Var:
-    return encoder.encode(tape, inputs)

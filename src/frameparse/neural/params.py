@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from typing import Optional
 
 import numpy as np
@@ -54,9 +53,9 @@ class ParamStore:
         # values know when they are stale; code that writes values directly
         # must bump it too.
         self.version = 0
-        # Adam's two scratch rows, one pair per thread (Hogwild workers step
-        # the store concurrently), each as large as the largest parameter.
-        self._scratch = threading.local()
+        # Adam's two scratch rows, each as large as the largest parameter,
+        # allocated by the first step.  One thread steps a store at a time.
+        self._scratch = None
 
     def add(self, name: str, shape, init: str = "auto") -> Param:
         if name in self.params:
@@ -95,11 +94,11 @@ class ParamStore:
         return sum(p.value.size for p in self.params.values())
 
     def _scratch_pair(self, value: np.ndarray):
-        """Two scratch arrays shaped like ``value``, owned by this thread."""
-        rows = getattr(self._scratch, "rows", None)
+        """Two scratch arrays shaped like ``value``."""
+        rows = self._scratch
         if rows is None or rows.shape[1] < value.size:
             largest = max(p.value.size for p in self.params.values())
-            rows = self._scratch.rows = np.empty((2, largest), dtype=self.dtype)
+            rows = self._scratch = np.empty((2, largest), dtype=self.dtype)
         size = value.size
         return rows[0, :size].reshape(value.shape), rows[1, :size].reshape(value.shape)
 

@@ -19,9 +19,7 @@ product, so beam search scores and advances all of them at once.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import asdict, dataclass, replace
-from queue import Empty, Queue
 from typing import Optional
 
 import numpy as np
@@ -53,10 +51,6 @@ ENCODERS = ("stack", "buffer", "actions")
 
 
 class AllEncodersDisabled(ValueError):
-    pass
-
-
-class EmptyChildren(ValueError):
     pass
 
 
@@ -353,16 +347,6 @@ def _label_vector(model: Model, label: Label, tape):
     return core.linear(tape, model.label_proj_w, model.label_proj_b, emb)
 
 
-def compose(model: Model, label: Label, child_vectors, tape=None):
-    """Collapse a closed subtree (label plus ordered child vectors) into a
-    single stack-symbol vector."""
-    children = list(child_vectors)
-    if not children:
-        raise EmptyChildren(f"cannot compose {label} with no children")
-    label_vec = _label_vector(model, label, tape)
-    return model.compose.encode(tape, [label_vec] + children)
-
-
 def advance(model: Model, hyp: Hypothesis, action: Action, step_logp: float,
             tape=None, train: bool = False, rng=None) -> None:
     """Apply one action, taken from the mask, to the hypothesis, updating
@@ -429,14 +413,13 @@ def train_example(model: Model, example, rng) -> float:
     return float(loss.value)
 
 
-def train(model: Model, corpus: Corpus, epochs: Optional[int] = None, workers: int = 1,
-          rng=None, epoch_callback=None) -> list:
+def train(model: Model, corpus: Corpus, epochs: Optional[int] = None, rng=None,
+          epoch_callback=None) -> list:
     """Teacher-force the oracle sequences with per-example Adam updates.
 
     Examples are reshuffled every epoch from the model seed (pass ``rng``
-    to continue an existing stream).  Returns the per-epoch mean example
-    loss.  ``workers > 1`` trains with lock-free shared updates across
-    threads; that mode tolerates lost writes and is not deterministic.
+    to continue an existing stream), so a seed fixes the result bit for
+    bit.  Returns the per-epoch mean example loss.
     """
     if epochs is None:
         epochs = model.config.epochs
@@ -446,44 +429,13 @@ def train(model: Model, corpus: Corpus, epochs: Optional[int] = None, workers: i
     trace = []
     for epoch in range(epochs):
         rng.shuffle(order)
-        if workers <= 1:
-            total = 0.0
-            for idx in order:
-                total += train_example(model, corpus.examples[idx], rng)
-        else:
-            total = _train_epoch_hogwild(model, corpus, order, workers)
+        total = 0.0
+        for idx in order:
+            total += train_example(model, corpus.examples[idx], rng)
         trace.append(total / len(corpus.examples))
         if epoch_callback is not None:
             epoch_callback(epoch, trace[-1])
     return trace
-
-
-def _train_epoch_hogwild(model: Model, corpus: Corpus, order, workers: int) -> float:
-    """One epoch of lock-free multi-threaded updates over shared parameters.
-
-    Workers race on the shared gradient buffers and values; lost updates
-    are tolerated by design, so this path is explicitly non-deterministic.
-    """
-    queue: Queue = Queue()
-    for idx in order:
-        queue.put(int(idx))
-    totals = [0.0] * workers
-
-    def run(worker_id: int) -> None:
-        worker_rng = np.random.default_rng([model.config.seed, 2, worker_id])
-        while True:
-            try:
-                idx = queue.get_nowait()
-            except Empty:
-                return
-            totals[worker_id] += train_example(model, corpus.examples[idx], worker_rng)
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return sum(totals)
 
 
 class Branch(Hypothesis):

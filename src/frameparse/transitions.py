@@ -133,14 +133,13 @@ class ParserState:
     as soon as they close, and the final tree lands in ``root``.
     """
 
-    __slots__ = ("tokens", "pos", "open_stack", "root", "history")
+    __slots__ = ("tokens", "pos", "open_stack", "root")
 
-    def __init__(self, tokens, pos=0, open_stack=(), root=None, history=()):
+    def __init__(self, tokens, pos=0, open_stack=(), root=None):
         self.tokens = tokens
         self.pos = pos
         self.open_stack = open_stack
         self.root = root
-        self.history = history
 
     @property
     def buffer(self) -> tuple:
@@ -213,23 +212,18 @@ def apply(
 def apply_unchecked(state: ParserState, action: Action) -> ParserState:
     """Execute an action the caller has already taken from the
     :func:`valid_actions` mask; an unmasked action gives a corrupt state."""
-    history = state.history + (action,)
     if action.op == "NT":
         return ParserState(
             state.tokens,
             state.pos,
             state.open_stack + (_OpenNT(action.label, (), False),),
-            None,
-            history,
         )
     if action.op == "SHIFT":
         top = state.open_stack[-1]
         new_top = _OpenNT(
             top.label, top.children + (Token(state.tokens[state.pos]),), top.has_nt_child
         )
-        return ParserState(
-            state.tokens, state.pos + 1, state.open_stack[:-1] + (new_top,), None, history
-        )
+        return ParserState(state.tokens, state.pos + 1, state.open_stack[:-1] + (new_top,))
     # REDUCE
     top = state.open_stack[-1]
     node = NonTerminal(top.label, top.children)
@@ -237,8 +231,8 @@ def apply_unchecked(state: ParserState, action: Action) -> ParserState:
     if rest:
         parent = rest[-1]
         new_parent = _OpenNT(parent.label, parent.children + (node,), True)
-        return ParserState(state.tokens, state.pos, rest[:-1] + (new_parent,), None, history)
-    return ParserState(state.tokens, state.pos, (), node, history)
+        return ParserState(state.tokens, state.pos, rest[:-1] + (new_parent,))
+    return ParserState(state.tokens, state.pos, (), node)
 
 
 def oracle(tree: Tree) -> list:

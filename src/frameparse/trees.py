@@ -359,18 +359,3 @@ def _spans(node: Node, start: int, spans: list) -> int:
 def yield_tokens(tree: Tree) -> list:
     """The utterance tokens, left to right."""
     return list(tree.tokens)
-
-
-def read_bracketed_file(path) -> list:
-    """Read one tree per line; raises FormatError annotated with the line number."""
-    trees = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                trees.append(parse_bracketed(line))
-            except FormatError as err:
-                raise type(err)(f"line {lineno}: {err.args[0]}", err.offset) from None
-    return trees

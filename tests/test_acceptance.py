@@ -26,7 +26,6 @@ from frameparse.neural import (
     embedding_lookup,
     grad_check,
     linear,
-    lstm_sequence,
     masked_nll,
     relu,
 )
@@ -211,7 +210,7 @@ def _lstm_builder(store, rng):
     xs = rng.normal(size=(steps, d_in))
 
     def loss_fn(tape):
-        outs = lstm_sequence(lstm, [Var(v.copy()) for v in xs], tape=tape)
+        outs = [lstm.output(s) for s in lstm.run(tape, [Var(v.copy()) for v in xs])]
         return masked_nll(tape, add_n(tape, outs), 1, list(range(hidden)))
 
     return loss_fn

@@ -128,6 +128,7 @@ def test_train_parse_eval_pipeline(tmp_path, capsys, corpus_tsv):
     assert len(log["epochs"]) == 2
     assert "valid_exact_match" in log["epochs"][0]
     assert log["config"]["lstm_units"] == 9
+    assert "workers" not in log
     capsys.readouterr()
 
     utterances = str(tmp_path / "utts.txt")
@@ -315,9 +316,13 @@ def test_train_determinism_bitwise(tmp_path, corpus_tsv):
 
 
 def test_usage_error_exits_two():
-    with pytest.raises(SystemExit) as err:
-        main(["definitely-not-a-command"])
-    assert err.value.code == 2
+    for argv in (
+        ["definitely-not-a-command"],
+        ["train", "train.tsv", "-o", "model.ckpt", "--workers", "2"],  # no such flag
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_pipeline_composition(tmp_path, capsys):

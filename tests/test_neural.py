@@ -1,7 +1,6 @@
 import gc
 import json
 import math
-import threading
 import weakref
 
 import numpy as np
@@ -24,7 +23,6 @@ from frameparse.neural import (
     linear,
     load_checkpoint,
     lstm_cell,
-    lstm_sequence,
     masked_log_probs,
     masked_nll,
     relu,
@@ -44,7 +42,7 @@ def test_lstm_zero_everything_gives_zero_hiddens():
     store = f64_store()
     lstm = Lstm(store, "lstm", 3, 4, 2, forget_bias=1.0)
     inputs = [Var(np.zeros(3)) for _ in range(5)]
-    outputs = lstm_sequence(lstm, inputs)
+    outputs = [lstm.output(s) for s in lstm.run(None, inputs)]
     assert len(outputs) == len(inputs)
     for out in outputs:
         assert np.allclose(out.value, 0.0)
@@ -74,7 +72,7 @@ def test_lstm_output_length_matches_input_length():
     lstm = Lstm(store, "lstm", 2, 5, 2)
     for n in (1, 4, 9):
         inputs = [Var(np.random.default_rng(n).normal(size=2)) for _ in range(n)]
-        assert len(lstm_sequence(lstm, inputs)) == n
+        assert len(lstm.run(None, inputs)) == n
 
 
 def test_lstm_dimension_mismatch():
@@ -91,7 +89,7 @@ def test_lstm_cell_gradients_match_finite_differences():
     inputs_value = rng.normal(size=(6, 3))
 
     def loss_fn(tape):
-        outs = lstm_sequence(lstm, [Var(v.copy()) for v in inputs_value], tape=tape)
+        outs = [lstm.output(s) for s in lstm.run(tape, [Var(v.copy()) for v in inputs_value])]
         return masked_nll(tape, add_n(tape, outs), 0, [0, 1, 2, 3])
 
     report = grad_check(loss_fn, store)
@@ -157,7 +155,7 @@ def test_backward_consumes_tape_and_refcount_frees_it():
     gc.disable()
     try:
         tape = Tape()
-        outs = lstm_sequence(lstm, inputs, tape=tape)
+        outs = [lstm.output(s) for s in lstm.run(tape, inputs)]
         loss = masked_nll(tape, linear(tape, scorer, None, outs[-1]), 1, [0, 1, 2, 3])
         tape_ref, hidden_ref = weakref.ref(tape), weakref.ref(outs[0])
         tape.backward(loss)
@@ -383,28 +381,6 @@ def test_adam_step_is_bitwise_dense_adam():
         assert np.array_equal(store[name].m, dense[name]["m"]), name
         assert np.array_equal(store[name].v, dense[name]["v"]), name
         assert np.array_equal(store[name].value, dense[name]["value"]), name
-
-
-def test_adam_scratch_is_per_thread():
-    """Hogwild workers step one store at once; a scratch buffer shared
-    between them would mix one parameter's update into another's."""
-    store = f64_store(22)
-    param = store.add("w", (3, 4))
-    scratch = []
-
-    def grab():
-        scratch.append(store._scratch_pair(param.value))
-
-    grab()
-    thread = threading.Thread(target=grab)
-    thread.start()
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    (update_a, tmp_a), (update_b, tmp_b) = scratch
-    assert update_a.shape == tmp_a.shape == param.value.shape
-    assert not np.shares_memory(update_a, tmp_a)
-    assert not np.shares_memory(update_a, update_b)
-    assert not np.shares_memory(tmp_a, tmp_b)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,13 @@ import pytest
 import synth
 from frameparse import rnng
 from frameparse.dataset import Corpus, Example, Vocab, build_vocabs
-from frameparse.neural import grad_check
+from frameparse.neural import Var, grad_check
 from frameparse.preprocess import TokenNormalizer
 from frameparse.rnng import (
     AllEncodersDisabled,
-    EmptyChildren,
     Model,
     RnngConfig,
     ablate,
-    compose,
     encode_state,
     example_loss,
     load_model,
@@ -120,45 +118,33 @@ def test_full_model_sees_remaining_tokens():
 
 
 # ---------------------------------------------------------------------------
-# Composition
+# Composition: REDUCE encodes the open label's stack vector and its children
+
+
+def stack_symbols(model, rng, n):
+    return [Var(rng.normal(size=model.config.word_dim)) for _ in range(n)]
 
 
 def test_compose_width_independent_of_child_count():
     model = tiny_model()
     rng = np.random.default_rng(0)
-    from frameparse.neural import Var
-
     for n in (1, 2, 5):
-        children = [Var(rng.normal(size=model.config.word_dim)) for _ in range(n)]
-        out = compose(model, slot("WHAT"), children)
+        out = model.compose.encode(None, stack_symbols(model, rng, 1 + n))
         assert out.value.shape == (model.config.word_dim,)
 
 
 def test_compose_single_token_child():
     model = tiny_model()
-    from frameparse.neural import Var
-
-    child = Var(np.random.default_rng(1).normal(size=model.config.word_dim))
-    out = compose(model, intent("SET"), [child])
+    out = model.compose.encode(None, stack_symbols(model, np.random.default_rng(1), 2))
     assert np.all(np.isfinite(out.value))
 
 
 def test_compose_is_order_sensitive():
     model = tiny_model()
-    from frameparse.neural import Var
-
-    rng = np.random.default_rng(2)
-    a = Var(rng.normal(size=model.config.word_dim))
-    b = Var(rng.normal(size=model.config.word_dim))
-    fwd = compose(model, slot("WHAT"), [a, b])
-    rev = compose(model, slot("WHAT"), [b, a])
+    label, a, b = stack_symbols(model, np.random.default_rng(2), 3)
+    fwd = model.compose.encode(None, [label, a, b])
+    rev = model.compose.encode(None, [label, b, a])
     assert not np.allclose(fwd.value, rev.value)
-
-
-def test_compose_requires_children():
-    model = tiny_model()
-    with pytest.raises(EmptyChildren):
-        compose(model, slot("WHAT"), [])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +420,7 @@ def test_ablated_models_gradients():
 
 
 # ---------------------------------------------------------------------------
-# Determinism, checkpointing, workers
+# Determinism and checkpointing
 
 
 def test_training_is_deterministic():
@@ -509,14 +495,3 @@ def test_pretrained_embeddings_frozen_rows(tmp_path):
         ).word_emb.value[i])
         for i in trainable
     )
-
-
-def test_hogwild_smoke():
-    corpus = synth.learnable_corpus(seed=16, size=16)
-    vocab, intents, slots = build_vocabs(corpus)
-    config = RnngConfig(seed=6, precision="f32", **TINY)
-    model = Model(config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)))
-    trace = train(model, corpus, epochs=2, workers=3)
-    assert len(trace) == 2
-    for name in model.store:
-        assert np.all(np.isfinite(model.store[name].value)), name

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 import synth
+from frameparse.metrics import read_gold_file
 from frameparse.trees import (
     BadLabelPrefix,
     EmptyNonTerminal,
@@ -18,7 +19,6 @@ from frameparse.trees import (
     intent,
     labeled_spans,
     parse_bracketed,
-    read_bracketed_file,
     serialize,
     slot,
     validate,
@@ -100,11 +100,11 @@ def test_roundtrip_random_trees():
 def test_read_bracketed_file(tmp_path):
     path = tmp_path / "trees.txt"
     path.write_text(f"{NESTED}\n\n[IN:X hello ]\n", encoding="utf-8")
-    trees = read_bracketed_file(path)
+    trees = read_gold_file(path)
     assert len(trees) == 2 and trees[1].tokens == ("hello",)
     path.write_text("[IN:X hello\n", encoding="utf-8")
     with pytest.raises(UnbalancedBrackets) as err:
-        read_bracketed_file(path)
+        read_gold_file(path)
     assert "line 1" in str(err.value)
 
 
