@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -152,9 +151,6 @@ class CorpusStats:
             "depth_histogram": {str(k): v for k, v in sorted(self.depth_histogram.items())},
             "length_histogram": {str(k): v for k, v in sorted(self.length_histogram.items())},
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
 
     def depth_csv(self) -> str:
         return _histogram_csv("depth", self.depth_histogram)

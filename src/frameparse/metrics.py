@@ -10,7 +10,6 @@ from any external system can be scored.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -157,9 +156,6 @@ class MetricsReport:
             out["top_k"] = {str(k): v for k, v in sorted(self.top_k.items())}
         return out
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
     def to_table(self) -> str:
         headers = [
             "Exact match", "F1", "Precision", "Recall",
@@ -218,7 +214,7 @@ def read_gold_file(path) -> list:
             try:
                 trees.append(parse_bracketed(line))
             except FormatError as err:
-                raise type(err)(f"gold line {lineno}: {err.args[0]}", err.offset) from None
+                raise type(err)(f"gold line {lineno}: {err.message}", err.offset) from None
     return trees
 
 

@@ -3,8 +3,8 @@
 A ``Tape`` records one backward closure per operation in execution order;
 calling ``backward`` seeds the output gradient and replays the closures in
 reverse.  Operations work on ``Var`` wrappers around 1-d (or 0-d) float
-arrays, which is all the parser needs.  Passing ``tape=None`` runs any
-operation forward-only.  Decoding uses the ``*_rows`` functions instead:
+arrays, which is all the parser needs.  Every taped operation needs a
+tape and records on it.  Decoding uses the ``*_rows`` functions instead:
 forward-only, on plain arrays, one row per hypothesis.
 
 Weight gradients are deferred: a closure of ``linear`` or ``lstm_cell``
@@ -122,30 +122,28 @@ def linear(tape, weight: Var, bias, x: Var) -> Var:
     if bias is not None:
         y = y + bias.value
     out = Var(y)
-    if tape is not None:
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return None
-            if bias is not None:
-                bias.add_grad(g)
-            x.add_grad(weight.value.T @ g)
-            return weight, g, x.value
+    def backward():
+        g = out.grad
+        if g is None:
+            return None
+        if bias is not None:
+            bias.add_grad(g)
+        x.add_grad(weight.value.T @ g)
+        return weight, g, x.value
 
-        tape.record(backward)
+    tape.record(backward)
     return out
 
 
 def relu(tape, x: Var) -> Var:
     out = Var(np.maximum(x.value, 0))
-    if tape is not None:
 
-        def backward():
-            if out.grad is not None:
-                x.add_grad(out.grad * (x.value > 0))
+    def backward():
+        if out.grad is not None:
+            x.add_grad(out.grad * (x.value > 0))
 
-        tape.record(backward)
+    tape.record(backward)
     return out
 
 
@@ -156,19 +154,18 @@ def concat(tape, parts) -> Var:
     if len(parts) == 1:
         return parts[0]
     out = Var(np.concatenate([p.value for p in parts]))
-    if tape is not None:
-        sizes = [p.value.shape[0] for p in parts]
+    sizes = [p.value.shape[0] for p in parts]
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            offset = 0
-            for part, size in zip(parts, sizes):
-                part.add_grad(g[offset : offset + size])
-                offset += size
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        offset = 0
+        for part, size in zip(parts, sizes):
+            part.add_grad(g[offset : offset + size])
+            offset += size
 
-        tape.record(backward)
+    tape.record(backward)
     return out
 
 
@@ -181,15 +178,14 @@ def add_n(tape, terms) -> Var:
     for t in terms[1:]:
         total = total + t.value
     out = Var(total)
-    if tape is not None:
 
-        def backward():
-            if out.grad is None:
-                return
-            for t in terms:
-                t.add_grad(out.grad)
+    def backward():
+        if out.grad is None:
+            return
+        for t in terms:
+            t.add_grad(out.grad)
 
-        tape.record(backward)
+    tape.record(backward)
     return out
 
 
@@ -205,13 +201,12 @@ def dropout(tape, x: Var, rate: float, rng) -> Var:
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.value.dtype)
     mask = keep * scale
     out = Var(x.value * mask)
-    if tape is not None:
 
-        def backward():
-            if out.grad is not None:
-                x.add_grad(out.grad * mask)
+    def backward():
+        if out.grad is not None:
+            x.add_grad(out.grad * mask)
 
-        tape.record(backward)
+    tape.record(backward)
     return out
 
 
@@ -260,37 +255,36 @@ def lstm_cell(tape, weight: Var, bias: Var, x: Var, h: Var, c: Var):
     act, (gi, gf, gg, go), c_new, tanh_c, h_new = _lstm_gates(z, c.value, scale, offset)
     h_out = Var(h_new)
     c_out = Var(c_new)
-    if tape is not None:
-        x_size = x.value.shape[0]
+    x_size = x.value.shape[0]
 
-        def backward():
-            dh = h_out.grad
-            dc = c_out.grad
-            if dh is None and dc is None:
-                return None
-            # dz holds the gradient w.r.t. the gates, then w.r.t. z.
-            dz = np.empty_like(act)
-            if dc is not None:
-                dc_total = dc.copy()
-            else:
-                dc_total = np.zeros_like(c_new)
-            if dh is not None:
-                np.multiply(dh, tanh_c, out=dz[3 * hidden :])
-                dc_total += dh * go * (1.0 - tanh_c * tanh_c)
-            else:
-                dz[3 * hidden :] = 0.0
-            np.multiply(dc_total, gg, out=dz[:hidden])
-            np.multiply(dc_total, c.value, out=dz[hidden : 2 * hidden])
-            np.multiply(dc_total, gi, out=dz[2 * hidden : 3 * hidden])
-            dz *= slope * (1.0 - act * act)
-            bias.add_grad(dz)
-            dxh = weight.value.T @ dz
-            x.add_grad(dxh[:x_size])
-            h.add_grad(dxh[x_size:])
-            c.add_grad(dc_total * gf)
-            return weight, dz, xh
+    def backward():
+        dh = h_out.grad
+        dc = c_out.grad
+        if dh is None and dc is None:
+            return None
+        # dz holds the gradient w.r.t. the gates, then w.r.t. z.
+        dz = np.empty_like(act)
+        if dc is not None:
+            dc_total = dc.copy()
+        else:
+            dc_total = np.zeros_like(c_new)
+        if dh is not None:
+            np.multiply(dh, tanh_c, out=dz[3 * hidden :])
+            dc_total += dh * go * (1.0 - tanh_c * tanh_c)
+        else:
+            dz[3 * hidden :] = 0.0
+        np.multiply(dc_total, gg, out=dz[:hidden])
+        np.multiply(dc_total, c.value, out=dz[hidden : 2 * hidden])
+        np.multiply(dc_total, gi, out=dz[2 * hidden : 3 * hidden])
+        dz *= slope * (1.0 - act * act)
+        bias.add_grad(dz)
+        dxh = weight.value.T @ dz
+        x.add_grad(dxh[:x_size])
+        h.add_grad(dxh[x_size:])
+        c.add_grad(dc_total * gf)
+        return weight, dz, xh
 
-        tape.record(backward)
+    tape.record(backward)
     return h_out, c_out
 
 
@@ -347,17 +341,16 @@ def masked_nll(tape, logits: Var, gold_index: int, valid_indices) -> Var:
     z = exps.sum()
     loss = (m + np.log(z)) - logits.value[gold_index]
     out = Var(np.asarray(loss, dtype=logits.value.dtype))
-    if tape is not None:
-        probs = exps / z
+    probs = exps / z
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            dlogits = np.zeros_like(logits.value)
-            dlogits[vi] = probs * g
-            dlogits[gold_index] -= g
-            logits.add_grad(dlogits)
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        dlogits = np.zeros_like(logits.value)
+        dlogits[vi] = probs * g
+        dlogits[gold_index] -= g
+        logits.add_grad(dlogits)
 
-        tape.record(backward)
+    tape.record(backward)
     return out

@@ -66,11 +66,11 @@ def grad_check(loss_fn, store: ParamStore, tolerance: float = 1e-4, step: float 
     """Compare backprop gradients against central finite differences.
 
     ``loss_fn(tape)`` must build the (deterministic) scalar loss on the
-    given tape; it is re-run forward-only with ``tape=None`` for each
-    probed coordinate.  Large parameters can be subsampled via
-    ``max_coords_per_param``.  ``corrupt_param`` shifts that parameter's
-    analytic gradient by 1.0 before comparison; it exists as a negative
-    control for the checker itself.
+    given tape; a tape is required, so each probed coordinate re-runs it on
+    a throwaway ``Tape()`` that is never replayed.  Large parameters can be
+    subsampled via ``max_coords_per_param``.  ``corrupt_param`` shifts that
+    parameter's analytic gradient by 1.0 before comparison; it exists as a
+    negative control for the checker itself.
     """
     store.zero_grad()
     tape = Tape()
@@ -99,9 +99,9 @@ def grad_check(loss_fn, store: ParamStore, tolerance: float = 1e-4, step: float 
         for coord in coords:
             original = flat_value[coord]
             flat_value[coord] = original + step
-            loss_plus = float(loss_fn(None).value)
+            loss_plus = float(loss_fn(Tape()).value)
             flat_value[coord] = original - step
-            loss_minus = float(loss_fn(None).value)
+            loss_minus = float(loss_fn(Tape()).value)
             flat_value[coord] = original
             numeric = (loss_plus - loss_minus) / (2.0 * step)
             rel = _relative_error(float(flat_analytic[coord]), numeric, floor)

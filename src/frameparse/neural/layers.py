@@ -11,17 +11,16 @@ from .core import EmptySequence, Var
 
 def embedding_lookup(tape, table: Var, index: int) -> Var:
     out = Var(table.value[index].copy())
-    if tape is not None:
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            if table.grad is None:
-                table.grad = np.zeros_like(table.value)
-            table.grad[index] += g
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        if table.grad is None:
+            table.grad = np.zeros_like(table.value)
+        table.grad[index] += g
 
-        tape.record(backward)
+    tape.record(backward)
     return out
 
 
@@ -146,16 +145,12 @@ class BiLstmEncoder:
         self.proj_bias = store.add(f"{prefix}.proj.bias", (output_dim,))
         self.output_dim = output_dim
 
-    def final_pair(self, tape, inputs):
+    def encode(self, tape, inputs) -> Var:
         inputs = list(inputs)
         if not inputs:
             raise EmptySequence("cannot encode an empty sequence")
-        f_states = self.fwd.run(tape, inputs)
-        b_states = self.bwd.run(tape, reversed(inputs))
-        return self.fwd.output(f_states[-1]), self.bwd.output(b_states[-1])
-
-    def encode(self, tape, inputs) -> Var:
-        h_fwd, h_bwd = self.final_pair(tape, inputs)
+        h_fwd = self.fwd.output(self.fwd.run(tape, inputs)[-1])
+        h_bwd = self.bwd.output(self.bwd.run(tape, reversed(inputs))[-1])
         return core.linear(tape, self.proj_weight, self.proj_bias, core.concat(tape, [h_fwd, h_bwd]))
 
 

@@ -94,10 +94,6 @@ class TokenNormalizer:
     def to_config(self) -> dict:
         return {"known": sorted(self.known)}
 
-    @classmethod
-    def from_config(cls, config: dict) -> "TokenNormalizer":
-        return cls(frozenset(config["known"]))
-
 
 class RaggedDimensions(ValueError):
     def __init__(self, line: int, message: str):

@@ -14,7 +14,10 @@ well-formed tree.
 Training is teacher-forced on oracle action sequences with per-example
 Adam updates, on a tape.  Inference is greedy or beam search over action
 prefixes, forward-only: every live hypothesis is one row of each matrix
-product, so beam search scores and advances all of them at once.
+product, so beam search scores and advances all of them at once.  Both
+step a :class:`Hypothesis` with the same :func:`advance`, which does the
+bookkeeping and queues the encoder inputs; each executor runs the queue
+its own way.
 """
 
 from __future__ import annotations
@@ -108,18 +111,11 @@ class RnngConfig:
 
 
 def ablate(config: RnngConfig, component: str) -> RnngConfig:
-    """Return a config with the named encoder (stack/buffer/actions) off."""
+    """Return a config with the named encoder (stack/buffer/actions) off;
+    turning off the last one raises ``AllEncodersDisabled``."""
     if component not in ENCODERS:
         raise ValueError(f"unknown encoder {component!r}; expected one of {ENCODERS}")
-    flags = {
-        "stack": "use_stack",
-        "buffer": "use_buffer",
-        "actions": "use_actions",
-    }
-    new = replace(config, **{flags[component]: False})
-    if not (new.use_stack or new.use_buffer or new.use_actions):
-        raise AllEncodersDisabled("cannot disable the last remaining encoder")
-    return new
+    return replace(config, **{f"use_{component}": False})
 
 
 class Model:
@@ -259,6 +255,14 @@ class Hypothesis:
     symbols, so popping is jumping back to an earlier entry; cloning
     shallow-copies the lists and shares the per-example word vectors and
     precomputed buffer states.
+
+    Training keeps the states as tape ``Var``s, decoding as plain arrays
+    (see ``layers.LstmRows``).  :func:`advance` only queues the encoder
+    inputs of an action: ``push`` holds a word vector (SHIFT), a label index
+    (NT) or the symbols a REDUCE composes, and ``action`` an action index.
+    They wait there until a runner takes them: :func:`encode_state` on the
+    tape, or :func:`_run_queued` for all live hypotheses of a decode step at
+    once.  Clone a hypothesis only while nothing is queued.
     """
 
     __slots__ = (
@@ -270,6 +274,8 @@ class Hypothesis:
         "action_state",
         "word_vecs",
         "buffer_outputs",
+        "push",
+        "action",
     )
 
     def __init__(self, state, score, stack_states, stack_elems, open_elem_pos,
@@ -282,9 +288,11 @@ class Hypothesis:
         self.action_state = action_state
         self.word_vecs = word_vecs
         self.buffer_outputs = buffer_outputs
+        self.push = None
+        self.action = None
 
     def clone(self) -> "Hypothesis":
-        return type(self)(
+        return Hypothesis(
             self.state,
             self.score,
             list(self.stack_states) if self.stack_states is not None else None,
@@ -296,11 +304,34 @@ class Hypothesis:
         )
 
 
-def start_hypothesis(model: Model, tokens, tape=None, train: bool = False, rng=None) -> Hypothesis:
+def advance(model: Model, hyp: Hypothesis, action: Action, step_logp: float) -> None:
+    """Apply one action, taken from the mask, to the hypothesis: the
+    transition and the stack bookkeeping happen now, and the encoder inputs
+    the action brings are queued for the next runner."""
+    if model.config.use_stack:
+        if action.op == "SHIFT":
+            hyp.push = hyp.word_vecs[hyp.state.pos]
+        elif action.op == "NT":
+            hyp.open_elem_pos.append(len(hyp.stack_elems))
+            hyp.push = model.label_index[action.label]
+        else:  # REDUCE: compose the open label's vector and its children
+            opened = hyp.open_elem_pos.pop()
+            hyp.push = hyp.stack_elems[opened:]
+            del hyp.stack_elems[opened:]
+            del hyp.stack_states[opened + 1 :]
+    hyp.action = model.action_index[action]
+    hyp.state = apply_unchecked(hyp.state, action)
+    hyp.score = hyp.score + step_logp
+
+
+def start_hypothesis(model: Model, tokens, tape, rng=None) -> Hypothesis:
+    """The hypothesis before the first action, for training on ``tape``.
+    Here and in :func:`encode_state` and :func:`example_loss`, dropout is
+    on exactly when ``rng`` is given."""
     tokens = tuple(tokens)
     state = initial_state(tokens)
     cfg = model.config
-    dropout = cfg.dropout if train else 0.0
+    dropout = cfg.dropout if rng is not None else 0.0
     needs_words = cfg.use_stack or cfg.use_buffer
     word_vecs = None
     if needs_words:
@@ -325,8 +356,33 @@ def start_hypothesis(model: Model, tokens, tape=None, train: bool = False, rng=N
     )
 
 
-def encode_state(model: Model, hyp: Hypothesis, tape=None, train: bool = False, rng=None):
+def _run_taped(model: Model, hyp: Hypothesis, tape, rng) -> None:
+    """Run the encoder inputs :func:`advance` queued, on the tape."""
+    if hyp.action is None:
+        return
+    cfg = model.config
+    dropout = cfg.dropout if rng is not None else 0.0
+    if cfg.use_stack:
+        vec = hyp.push
+        if isinstance(vec, list):
+            vec = model.compose.encode(tape, vec)
+        elif isinstance(vec, int):
+            emb = layers.embedding_lookup(tape, model.label_emb, vec)
+            vec = core.linear(tape, model.label_proj_w, model.label_proj_b, emb)
+        hyp.stack_states.append(
+            model.stack_lstm.step(tape, vec, hyp.stack_states[-1], dropout, rng)
+        )
+        hyp.stack_elems.append(vec)
+        hyp.push = None
+    if cfg.use_actions:
+        emb = layers.embedding_lookup(tape, model.action_emb, hyp.action)
+        hyp.action_state = model.action_lstm.step(tape, emb, hyp.action_state, dropout, rng)
+    hyp.action = None
+
+
+def encode_state(model: Model, hyp: Hypothesis, tape, rng=None):
     """Action logits for the current state (over the full inventory)."""
+    _run_taped(model, hyp, tape, rng)
     cfg = model.config
     parts = []
     if cfg.use_stack:
@@ -336,69 +392,25 @@ def encode_state(model: Model, hyp: Hypothesis, tape=None, train: bool = False, 
     if cfg.use_actions:
         parts.append(model.action_lstm.output(hyp.action_state))
     summary = core.concat(tape, parts)
-    if train and cfg.dropout > 0.0:
+    if rng is not None and cfg.dropout > 0.0:
         summary = core.dropout(tape, summary, cfg.dropout, rng)
     hidden = core.relu(tape, core.linear(tape, model.ff_w, model.ff_b, summary))
     return core.linear(tape, model.out_w, model.out_b, hidden)
 
 
-def _label_vector(model: Model, label: Label, tape):
-    emb = layers.embedding_lookup(tape, model.label_emb, model.label_index[label])
-    return core.linear(tape, model.label_proj_w, model.label_proj_b, emb)
-
-
-def advance(model: Model, hyp: Hypothesis, action: Action, step_logp: float,
-            tape=None, train: bool = False, rng=None) -> None:
-    """Apply one action, taken from the mask, to the hypothesis, updating
-    encoders in place.  A decoding :class:`Branch` only queues its encoder
-    inputs; the next :func:`_branch_logits` runs them for all live branches
-    at once."""
-    if isinstance(hyp, Branch):
-        _advance_branch(model, hyp, action, step_logp)
-        return
-    cfg = model.config
-    dropout = cfg.dropout if train else 0.0
-    new_state = apply_unchecked(hyp.state, action)
-    if cfg.use_stack:
-        if action.op == "SHIFT":
-            vec = hyp.word_vecs[hyp.state.pos]
-            _push(model, hyp, vec, tape, dropout, rng)
-        elif action.op == "NT":
-            vec = _label_vector(model, action.label, tape)
-            _push(model, hyp, vec, tape, dropout, rng)
-            hyp.open_elem_pos.append(len(hyp.stack_elems) - 1)
-        else:  # REDUCE
-            opened = hyp.open_elem_pos.pop()
-            children = hyp.stack_elems[opened + 1 :]
-            label_vec = hyp.stack_elems[opened]
-            subtree = model.compose.encode(tape, [label_vec] + children)
-            del hyp.stack_elems[opened:]
-            del hyp.stack_states[opened + 1 :]
-            _push(model, hyp, subtree, tape, dropout, rng)
-    if cfg.use_actions:
-        emb = layers.embedding_lookup(tape, model.action_emb, model.action_index[action])
-        hyp.action_state = model.action_lstm.step(tape, emb, hyp.action_state, dropout, rng)
-    hyp.state = new_state
-    hyp.score = hyp.score + step_logp
-
-
-def _push(model: Model, hyp: Hypothesis, vec, tape, dropout, rng) -> None:
-    hyp.stack_states.append(
-        model.stack_lstm.step(tape, vec, hyp.stack_states[-1], dropout, rng)
-    )
-    hyp.stack_elems.append(vec)
-
-
-def example_loss(model: Model, tokens, gold_actions, tape=None, train: bool = False, rng=None):
+def example_loss(model: Model, tokens, gold_actions, tape, rng=None):
     """Teacher-forced loss: the sum over steps of masked softmax NLL."""
-    hyp = start_hypothesis(model, tokens, tape, train, rng)
+    hyp = start_hypothesis(model, tokens, tape, rng)
     losses = []
     for action in gold_actions:
         kinds = valid_actions(hyp.state, model.config.max_open_nts)
         indices = model.action_indices(kinds)
-        logits = encode_state(model, hyp, tape, train, rng)
+        logits = encode_state(model, hyp, tape, rng)
         losses.append(core.masked_nll(tape, logits, model.action_index[action], indices))
-        advance(model, hyp, action, 0.0, tape, train, rng)
+        advance(model, hyp, action, 0.0)
+    # Nothing reads the last action's encoder states, but running them keeps
+    # the dropout masks of every later example where they were.
+    _run_taped(model, hyp, tape, rng)
     return core.add_n(tape, losses)
 
 
@@ -406,7 +418,7 @@ def train_example(model: Model, example, rng) -> float:
     """One forward/backward/update step on a single example."""
     gold_actions = oracle(example.tree)
     tape = core.Tape()
-    loss = example_loss(model, example.tokens, gold_actions, tape, train=True, rng=rng)
+    loss = example_loss(model, example.tokens, gold_actions, tape, rng)
     model.store.zero_grad()
     tape.backward(loss)
     model.store.adam_step(model.config.lr, model.config.weight_decay)
@@ -438,27 +450,7 @@ def train(model: Model, corpus: Corpus, epochs: Optional[int] = None, rng=None,
     return trace
 
 
-class Branch(Hypothesis):
-    """A hypothesis decoded forward-only.
-
-    Its encoder states are plain arrays (see ``layers.LstmRows``) and its
-    stack symbols vectors.  After :func:`advance`, its encoder inputs wait
-    in ``push`` (a stack vector, or the symbols a REDUCE composes) and
-    ``action`` (an action index) until :func:`_branch_logits` runs those of
-    all live branches with one product per layer.  A branch that reaches a
-    terminal state is never scored again, so its last inputs never run.
-    Clone a branch only while nothing is queued.
-    """
-
-    __slots__ = ("push", "action")
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.push = None
-        self.action = None
-
-
-def _start_branch(model: Model, weights: DecodeWeights, tokens: tuple) -> Branch:
+def _start_branch(model: Model, weights: DecodeWeights, tokens: tuple) -> Hypothesis:
     state = initial_state(tokens)
     cfg = model.config
     word_vecs = buffer_outputs = None
@@ -469,7 +461,7 @@ def _start_branch(model: Model, weights: DecodeWeights, tokens: tuple) -> Branch
         # shift; entry [n] is the learned empty-buffer state.
         outputs = weights.buffer.outputs(word_vecs[::-1])
         buffer_outputs = np.concatenate([outputs[::-1], weights.buffer.initial[None, -1, 0]])
-    return Branch(
+    return Hypothesis(
         state,
         0.0,
         [weights.stack.initial] if cfg.use_stack else None,
@@ -481,38 +473,26 @@ def _start_branch(model: Model, weights: DecodeWeights, tokens: tuple) -> Branch
     )
 
 
-def _advance_branch(model: Model, branch: Branch, action: Action, step_logp: float) -> None:
-    if model.config.use_stack:
-        if action.op == "SHIFT":
-            branch.push = branch.word_vecs[branch.state.pos]
-        elif action.op == "NT":
-            branch.open_elem_pos.append(len(branch.stack_elems))
-            branch.push = model.decode_weights().labels[model.label_index[action.label]]
-        else:  # REDUCE: compose the open label's vector and its children
-            opened = branch.open_elem_pos.pop()
-            branch.push = branch.stack_elems[opened:]
-            del branch.stack_elems[opened:]
-            del branch.stack_states[opened + 1 :]
-    branch.action = model.action_index[action]
-    branch.state = apply_unchecked(branch.state, action)
-    branch.score = branch.score + step_logp
-
-
 def _run_queued(model: Model, weights: DecodeWeights, branches: list) -> None:
-    """Run the encoder inputs the branches have queued, one row each.
-    (``np.array`` of a list stacks like ``np.stack``, at a third of the
-    cost for a few small rows.)"""
+    """Run the encoder inputs the hypotheses have queued, one row each: the
+    REDUCEs compose together, then one stack-LSTM and one action-LSTM
+    product per layer.  (``np.array`` of a list stacks like ``np.stack``, at
+    a third of the cost for a few small rows.)"""
     queued = [b for b in branches if b.action is not None]
     if not queued:
         return
     cfg = model.config
     if cfg.use_stack:
         composed = [b.push for b in queued if isinstance(b.push, list)]
-        if composed:
-            subtrees = iter(weights.compose.encode(composed))
-            pushed = [next(subtrees) if isinstance(b.push, list) else b.push for b in queued]
-        else:
-            pushed = [b.push for b in queued]
+        subtrees = iter(weights.compose.encode(composed)) if composed else None
+        pushed = []
+        for b in queued:
+            if isinstance(b.push, list):
+                pushed.append(next(subtrees))
+            elif isinstance(b.push, int):
+                pushed.append(weights.labels[b.push])
+            else:
+                pushed.append(b.push)
         states = weights.stack.step(
             np.array(pushed), np.array([b.stack_states[-1] for b in queued])
         )
@@ -532,8 +512,10 @@ def _run_queued(model: Model, weights: DecodeWeights, branches: list) -> None:
 
 
 def _branch_logits(model: Model, weights: DecodeWeights, branches: list) -> np.ndarray:
-    """Action logits over the full inventory, one row per branch: one
-    feed-forward and one scorer product for all of them."""
+    """Action logits over the full inventory, one row per hypothesis: one
+    feed-forward and one scorer product for all of them.  A hypothesis that
+    reached a terminal state is never scored again, so its last queued
+    inputs never run."""
     _run_queued(model, weights, branches)
     cfg = model.config
     summary = np.empty((len(branches), weights.ff[0].shape[0]), dtype=model.store.dtype)

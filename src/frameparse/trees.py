@@ -26,10 +26,12 @@ _BRACKETS = frozenset("[]")
 
 
 class FormatError(ValueError):
-    """Bracketed text that cannot be parsed; ``offset`` is the character position."""
+    """Bracketed text that cannot be parsed; ``offset`` is the character
+    position and ``message`` the text without it."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
 
 

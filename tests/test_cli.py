@@ -293,6 +293,15 @@ def test_eval_length_mismatch(tmp_path):
     assert main(["eval", gold, pred]) == 1
 
 
+def test_eval_bad_gold_line_names_offset_once(tmp_path, capsys):
+    gold = write_lines(tmp_path / "gold.txt", ["[IN:X a ]", "[IN:X hello"])
+    pred = write_lines(tmp_path / "pred.txt", ["[IN:X a ]", "[IN:X hello ]"])
+    assert main(["eval", gold, pred]) == 3
+    err = capsys.readouterr().err
+    assert "error: gold line 2: unclosed '[' (offset 0)\n" in err
+    assert err.count("offset") == 1
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--max-coords", "4"]) == 0
     out = capsys.readouterr().out

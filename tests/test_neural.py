@@ -42,7 +42,7 @@ def test_lstm_zero_everything_gives_zero_hiddens():
     store = f64_store()
     lstm = Lstm(store, "lstm", 3, 4, 2, forget_bias=1.0)
     inputs = [Var(np.zeros(3)) for _ in range(5)]
-    outputs = [lstm.output(s) for s in lstm.run(None, inputs)]
+    outputs = [lstm.output(s) for s in lstm.run(Tape(), inputs)]
     assert len(outputs) == len(inputs)
     for out in outputs:
         assert np.allclose(out.value, 0.0)
@@ -55,7 +55,7 @@ def test_lstm_scalar_step_hand_computed():
     # Gate rows: input, forget, candidate, output; columns: [x, h].
     weight.value[...] = np.array([[0.5, 0.1], [0.3, 0.2], [1.0, -0.5], [0.25, 0.4]])
     bias.value[...] = np.array([0.1, 0.2, -0.2, 0.05])
-    state = lstm.step(None, Var(np.array([1.0])), lstm.initial())
+    state = lstm.step(Tape(), Var(np.array([1.0])), lstm.initial())
     sig = lambda z: 1.0 / (1.0 + math.exp(-z))
     gate_in = sig(0.5 * 1.0 + 0.1 * 0.0 + 0.1)
     gate_fg = sig(0.3 * 1.0 + 0.2 * 0.0 + 0.2)
@@ -72,14 +72,14 @@ def test_lstm_output_length_matches_input_length():
     lstm = Lstm(store, "lstm", 2, 5, 2)
     for n in (1, 4, 9):
         inputs = [Var(np.random.default_rng(n).normal(size=2)) for _ in range(n)]
-        assert len(lstm.run(None, inputs)) == n
+        assert len(lstm.run(Tape(), inputs)) == n
 
 
 def test_lstm_dimension_mismatch():
     store = f64_store()
     lstm = Lstm(store, "lstm", 3, 4, 1)
     with pytest.raises(DimensionMismatch):
-        lstm.step(None, Var(np.zeros(5)), lstm.initial())
+        lstm.step(Tape(), Var(np.zeros(5)), lstm.initial())
 
 
 def test_lstm_cell_gradients_match_finite_differences():
@@ -182,7 +182,8 @@ def test_bilstm_single_element_reads_same_both_ways():
         bh.value[...] = fh.value
         bc.value[...] = fc.value
     x = Var(np.random.default_rng(0).normal(size=3))
-    h_fwd, h_bwd = enc.final_pair(None, [x])
+    h_fwd = enc.fwd.output(enc.fwd.run(Tape(), [x])[-1])
+    h_bwd = enc.bwd.output(enc.bwd.run(Tape(), [x])[-1])
     assert np.array_equal(h_fwd.value, h_bwd.value)
 
 
@@ -191,17 +192,21 @@ def test_bilstm_reversal_symmetry():
     enc_a = BiLstmEncoder(store_a, "enc", 3, 4, 6)
     store_b = f64_store(999)
     enc_b = BiLstmEncoder(store_b, "enc", 3, 4, 6)
-    # enc_b's forward direction carries enc_a's backward parameters.
-    for (aw, ab, ah, ac), (bw, bb, bh, bc) in zip(enc_a.bwd.layers, enc_b.fwd.layers):
-        bw.value[...] = aw.value
-        bb.value[...] = ab.value
-        bh.value[...] = ah.value
-        bc.value[...] = ac.value
+    # enc_b is enc_a with its two directions swapped, and so the two halves
+    # of its projection; reading the sequence reversed gives the same summary.
+    for a_dir, b_dir in ((enc_a.bwd, enc_b.fwd), (enc_a.fwd, enc_b.bwd)):
+        for (aw, ab, ah, ac), (bw, bb, bh, bc) in zip(a_dir.layers, b_dir.layers):
+            bw.value[...] = aw.value
+            bb.value[...] = ab.value
+            bh.value[...] = ah.value
+            bc.value[...] = ac.value
+    enc_b.proj_weight.value[...] = np.roll(enc_a.proj_weight.value, 4, axis=1)
+    enc_b.proj_bias.value[...] = enc_a.proj_bias.value
     rng = np.random.default_rng(1)
     xs = [Var(rng.normal(size=3)) for _ in range(5)]
-    _, backward_half = enc_a.final_pair(None, xs)
-    forward_half, _ = enc_b.final_pair(None, list(reversed(xs)))
-    assert np.allclose(backward_half.value, forward_half.value)
+    summary_a = enc_a.encode(Tape(), xs)
+    summary_b = enc_b.encode(Tape(), list(reversed(xs)))
+    assert np.allclose(summary_a.value, summary_b.value)
 
 
 def test_bilstm_zero_params_zero_summary():
@@ -209,7 +214,7 @@ def test_bilstm_zero_params_zero_summary():
     enc = BiLstmEncoder(store, "enc", 3, 4, 6)
     for name in store:
         store[name].value[...] = 0.0
-    out = enc.encode(None, [Var(np.random.default_rng(2).normal(size=3)) for _ in range(3)])
+    out = enc.encode(Tape(), [Var(np.random.default_rng(2).normal(size=3)) for _ in range(3)])
     assert np.allclose(out.value, 0.0)
 
 
@@ -217,7 +222,7 @@ def test_bilstm_empty_sequence():
     store = f64_store()
     enc = BiLstmEncoder(store, "enc", 3, 4, 6)
     with pytest.raises(EmptySequence):
-        enc.encode(None, [])
+        enc.encode(Tape(), [])
 
 
 def test_bilstm_gradients():
@@ -240,19 +245,19 @@ def test_bilstm_gradients():
 
 def test_masked_nll_uniform():
     logits = Var(np.zeros(6))
-    loss = masked_nll(None, logits, 2, [0, 2, 4, 5])
+    loss = masked_nll(Tape(), logits, 2, [0, 2, 4, 5])
     assert float(loss.value) == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_masked_nll_single_valid_action():
     logits = Var(np.random.default_rng(0).normal(size=5))
-    loss = masked_nll(None, logits, 3, [3])
+    loss = masked_nll(Tape(), logits, 3, [3])
     assert float(loss.value) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_masked_nll_gold_outside_mask():
     with pytest.raises(GoldMasked):
-        masked_nll(None, Var(np.zeros(4)), 1, [0, 2])
+        masked_nll(Tape(), Var(np.zeros(4)), 1, [0, 2])
 
 
 def test_masked_nll_masked_probability_is_zero():
@@ -433,14 +438,14 @@ def test_grad_check_detects_corruption():
 
 def test_dropout_zero_rate_is_identity():
     x = Var(np.random.default_rng(1).normal(size=50))
-    out = dropout(None, x, 0.0, np.random.default_rng(0))
+    out = dropout(Tape(), x, 0.0, np.random.default_rng(0))
     assert out is x
 
 
 def test_dropout_mask_values_and_expectation():
     rng = np.random.default_rng(14)
     x = Var(np.ones(20000))
-    out = dropout(None, x, 0.34, rng)
+    out = dropout(Tape(), x, 0.34, rng)
     kept = out.value[out.value != 0.0]
     assert np.allclose(kept, 1.0 / (1.0 - 0.34))
     assert out.value.mean() == pytest.approx(1.0, abs=0.02)

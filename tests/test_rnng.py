@@ -4,7 +4,7 @@ import pytest
 import synth
 from frameparse import rnng
 from frameparse.dataset import Corpus, Example, Vocab, build_vocabs
-from frameparse.neural import Var, grad_check
+from frameparse.neural import Tape, Var, grad_check
 from frameparse.preprocess import TokenNormalizer
 from frameparse.rnng import (
     AllEncodersDisabled,
@@ -89,32 +89,36 @@ def test_summary_width_matches_enabled_encoders():
 
 def test_encode_state_initial_shapes():
     model = tiny_model()
-    hyp = start_hypothesis(model, ("turn", "the", "lights", "off"))
-    logits = encode_state(model, hyp)
+    tape = Tape()
+    hyp = start_hypothesis(model, ("turn", "the", "lights", "off"), tape)
+    logits = encode_state(model, hyp, tape)
     assert logits.value.shape == (len(model.actions),)
     assert np.all(np.isfinite(logits.value))
 
 
 def test_ablated_buffer_ignores_remaining_tokens():
     model = tiny_model(use_buffer=False)
-    h1 = start_hypothesis(model, ("turn", "the", "lights"))
-    h2 = start_hypothesis(model, ("turn", "up", "down"))
+    tape = Tape()
+    h1 = start_hypothesis(model, ("turn", "the", "lights"), tape)
+    h2 = start_hypothesis(model, ("turn", "up", "down"), tape)
     for hyp in (h1, h2):
         rnng.advance(model, hyp, model.actions[3], 0.0)  # NT(IN:SET)
         rnng.advance(model, hyp, model.actions[0], 0.0)  # SHIFT "turn"
     # Same consumed prefix and actions, different remaining tokens.
-    a = encode_state(model, h1).value
-    b = encode_state(model, h2).value
+    a = encode_state(model, h1, tape).value
+    b = encode_state(model, h2, tape).value
     assert np.array_equal(a, b)
 
 
 def test_full_model_sees_remaining_tokens():
     model = tiny_model()
-    h1 = start_hypothesis(model, ("turn", "the", "lights"))
-    h2 = start_hypothesis(model, ("turn", "up", "down"))
+    tape = Tape()
+    h1 = start_hypothesis(model, ("turn", "the", "lights"), tape)
+    h2 = start_hypothesis(model, ("turn", "up", "down"), tape)
     for hyp in (h1, h2):
         rnng.advance(model, hyp, model.actions[3], 0.0)
-    assert not np.array_equal(encode_state(model, h1).value, encode_state(model, h2).value)
+    a = encode_state(model, h1, tape).value
+    assert not np.array_equal(a, encode_state(model, h2, tape).value)
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +133,21 @@ def test_compose_width_independent_of_child_count():
     model = tiny_model()
     rng = np.random.default_rng(0)
     for n in (1, 2, 5):
-        out = model.compose.encode(None, stack_symbols(model, rng, 1 + n))
+        out = model.compose.encode(Tape(), stack_symbols(model, rng, 1 + n))
         assert out.value.shape == (model.config.word_dim,)
 
 
 def test_compose_single_token_child():
     model = tiny_model()
-    out = model.compose.encode(None, stack_symbols(model, np.random.default_rng(1), 2))
+    out = model.compose.encode(Tape(), stack_symbols(model, np.random.default_rng(1), 2))
     assert np.all(np.isfinite(out.value))
 
 
 def test_compose_is_order_sensitive():
     model = tiny_model()
     label, a, b = stack_symbols(model, np.random.default_rng(2), 3)
-    fwd = model.compose.encode(None, [label, a, b])
-    rev = model.compose.encode(None, [label, b, a])
+    fwd = model.compose.encode(Tape(), [label, a, b])
+    rev = model.compose.encode(Tape(), [label, b, a])
     assert not np.allclose(fwd.value, rev.value)
 
 
@@ -274,7 +278,7 @@ def test_example_loss_matches_score_of_gold():
     model = tiny_model(seed=28)
     example = example_of("[IN:SET turn [SL:WHAT the lights ] off ]")
     actions = oracle(example.tree)
-    loss = example_loss(model, example.tokens, actions)
+    loss = example_loss(model, example.tokens, actions, Tape())
     assert float(loss.value) == pytest.approx(-score_actions(model, example.tokens, actions), rel=1e-9)
 
 
@@ -371,6 +375,22 @@ def test_beam_matches_golden_fixture():
             assert score == pytest.approx(recorded, abs=1e-5)
 
 
+def test_training_matches_golden_fixture():
+    # Pins the order of the taped ops and the dropout stream: one dropout
+    # mask more or less anywhere in an example shifts every later loss.
+    import json
+    from pathlib import Path
+
+    golden = json.loads((Path(__file__).parent / "data" / "train_golden.json").read_text())
+    corpus = synth.learnable_corpus(seed=51, size=10)
+    vocab, intents, slots = build_vocabs(corpus)
+    config = RnngConfig(seed=52, precision="f64", lr=0.01, **{**TINY, "dropout": 0.3})
+    model = Model(config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)))
+    rng = np.random.default_rng(53)
+    losses = [train_example(model, example, rng) for example in corpus.examples]
+    assert losses == pytest.approx(golden["losses"], rel=1e-9, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # Gradient check of the full step
 
@@ -395,7 +415,7 @@ def test_full_step_gradients_with_dropout_fixed_seed():
 
     def loss_fn(tape):
         local = np.random.default_rng(77)  # same masks on every call
-        return example_loss(model, example.tokens, actions, tape, train=True, rng=local)
+        return example_loss(model, example.tokens, actions, tape, local)
 
     report = grad_check(loss_fn, model.store, max_coords_per_param=4,
                         rng=np.random.default_rng(10))
