@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Commands: validate, stats, oracle, train, parse, eval, gradcheck.
-Exit codes: 0 success, 1 validation or metric failure, 2 usage, 3 I/O.
+Exit codes: 0 success, 1 validation or metric failure, 2 usage, 3 I/O or
+refused input.
 Hyperparameters resolve as flag > config file (key=value lines) > default,
 and every JSON artifact echoes the fully resolved configuration.
 """
@@ -86,6 +87,10 @@ def cmd_validate(args) -> int:
             n_lines += 1
             try:
                 tree = trees.parse_bracketed(line)
+            except trees.NestingTooDeep as err:
+                # Too deep to check at all: the input is refused, not judged.
+                raise trees.NestingTooDeep(f"{args.trees}:{lineno}: {err.message}",
+                                           err.offset) from None
             except trees.FormatError as err:
                 n_bad += 1
                 print(f"{args.trees}:{lineno}: format: {err}")

@@ -42,8 +42,8 @@ class Lstm:
         for layer in range(num_layers):
             in_dim = input_dim if layer == 0 else hidden_dim
             weight = store.add(f"{prefix}.l{layer}.weight", (4 * hidden_dim, in_dim + hidden_dim))
-            bias = store.add(f"{prefix}.l{layer}.bias", (4 * hidden_dim,))
-            bias.value[hidden_dim : 2 * hidden_dim] = forget_bias
+            bias = store.add(f"{prefix}.l{layer}.bias", (4 * hidden_dim,),
+                             init=lambda value: value[hidden_dim : 2 * hidden_dim].fill(forget_bias))
             h0 = store.add(f"{prefix}.l{layer}.h0", (hidden_dim,))
             c0 = store.add(f"{prefix}.l{layer}.c0", (hidden_dim,))
             self.layers.append((weight, bias, h0, c0))

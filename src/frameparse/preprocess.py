@@ -9,7 +9,6 @@ model's input vocabulary is closed.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -46,19 +45,6 @@ def unk_class(token: str, position: int) -> str:
             parts.append(suffix)
             break
     return "<UNK" + "".join("-" + p for p in parts) + ">"
-
-
-def unk_class_inventory() -> list:
-    """Every symbol :func:`unk_class` can produce (144 in total)."""
-    caps = ("", "ICAP", "CAP")
-    digs = ("", "DIG")
-    dashes = ("", "DASH")
-    suffixes = ("",) + SUFFIXES
-    inventory = []
-    for cap, dig, dash, suf in itertools.product(caps, digs, dashes, suffixes):
-        parts = [p for p in (cap, dig, dash, suf) if p]
-        inventory.append("<UNK" + "".join("-" + p for p in parts) + ">")
-    return inventory
 
 
 def normalize(token: str, position: int, vocab) -> str:

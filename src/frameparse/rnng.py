@@ -173,6 +173,7 @@ class Model:
         self.ff_b = store.add("ff.bias", (cfg.lstm_units,))
         self.out_w = store.add("scorer.weight", (len(self.actions), cfg.lstm_units))
         self.out_b = store.add("scorer.bias", (len(self.actions),))
+        store.allocate()
 
         if embeddings is not None:
             self._load_pretrained(embeddings)

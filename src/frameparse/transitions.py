@@ -11,7 +11,6 @@ derivation yields a well-formed tree.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -75,26 +74,8 @@ def nt(label: "Label | str") -> Action:
     return Action("NT", label)
 
 
-_NT_RE = re.compile(r"^NT\((.+)\)$")
-
-
-def parse_action(text: str) -> Action:
-    if text == "SHIFT":
-        return SHIFT
-    if text == "REDUCE":
-        return REDUCE
-    m = _NT_RE.match(text)
-    if m:
-        return nt(m.group(1))
-    raise ValueError(f"cannot parse action {text!r}")
-
-
 def format_actions(actions: Sequence[Action]) -> str:
     return " ".join(str(a) for a in actions)
-
-
-def parse_actions(line: str) -> list:
-    return [parse_action(tok) for tok in line.split()]
 
 
 class ActionKind(Enum):

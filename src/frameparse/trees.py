@@ -24,6 +24,11 @@ SLOT = "SL"
 
 _BRACKETS = frozenset("[]")
 
+# The deepest nesting of non-terminals that parse_bracketed accepts.  Tree
+# code recurses once or twice per level, so this keeps every traversal far
+# below the interpreter's recursion limit.
+MAX_DEPTH = 100
+
 
 class FormatError(ValueError):
     """Bracketed text that cannot be parsed; ``offset`` is the character
@@ -48,6 +53,10 @@ class BadLabelPrefix(FormatError):
 
 
 class TrailingInput(FormatError):
+    pass
+
+
+class NestingTooDeep(FormatError):
     pass
 
 
@@ -203,15 +212,16 @@ def parse_bracketed(text: str) -> Tree:
     """Parse one bracketed tree, e.g. ``[IN:X hello [SL:Y world ] ]``.
 
     Only structural sanity is enforced here (balance, non-empty
-    non-terminals, IN:/SL: label prefixes); use :func:`validate` for the
-    semantic constraints.  Raises :class:`FormatError` subclasses carrying
-    the offending character offset.
+    non-terminals, IN:/SL: label prefixes, nesting at most ``MAX_DEPTH``
+    deep); use :func:`validate` for the semantic constraints.  Raises
+    :class:`FormatError` subclasses carrying the offending character
+    offset.
     """
     n = len(text)
     i = _skip_ws(text, 0)
     if i >= n or text[i] != "[":
         raise UnbalancedBrackets("expected '[' to open a tree", i)
-    root, i = _parse_nonterminal(text, i)
+    root, i = _parse_nonterminal(text, i, 1)
     i = _skip_ws(text, i)
     if i < n:
         raise TrailingInput("unexpected input after tree", i)
@@ -232,7 +242,9 @@ def _scan_word(text: str, i: int) -> int:
     return i
 
 
-def _parse_nonterminal(text: str, i: int):
+def _parse_nonterminal(text: str, i: int, depth: int):
+    if depth > MAX_DEPTH:
+        raise NestingTooDeep(f"non-terminals nested deeper than {MAX_DEPTH}", i)
     open_offset = i
     i += 1  # past '['
     label_start = i
@@ -254,7 +266,7 @@ def _parse_nonterminal(text: str, i: int):
                 raise EmptyNonTerminal(f"non-terminal {raw_label} has no children", i)
             return NonTerminal(label, tuple(children)), i + 1
         if ch == "[":
-            child, i = _parse_nonterminal(text, i)
+            child, i = _parse_nonterminal(text, i, depth + 1)
             children.append(child)
         else:
             start = i

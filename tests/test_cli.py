@@ -45,6 +45,16 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "format" in out
 
 
+def test_validate_too_deep_tree_exits_three(tmp_path, capsys):
+    """2,400 nested non-terminals: refused with a typed error, no traceback."""
+    labels = ["IN:A" if level % 2 == 0 else "SL:B" for level in range(2400)]
+    deep = "".join(f"[{label} " for label in labels) + "w" + " ]" * 2400
+    path = write_lines(tmp_path / "trees.txt", ["[IN:X hello ]", deep])
+    assert main(["validate", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trees.txt:2: " in err and "deeper than 100" in err
+
+
 def test_validate_empty_file_warns(tmp_path, capsys):
     path = write_lines(tmp_path / "trees.txt", [])
     assert main(["validate", path]) == 0
@@ -251,6 +261,53 @@ def test_parse_bad_model_meta_exits_three(tmp_path, capsys, corpus_tsv, edit):
     capsys.readouterr()
     assert main(["parse", str(ckpt), utterances]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _split_checkpoint(path):
+    """(magic line, header dict, payload) of a checkpoint file."""
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    return magic, json.loads(header), payload
+
+
+def _join_checkpoint(path, magic, header, payload):
+    path.write_bytes(magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+
+def _flip_payload_byte(magic, header, payload):
+    payload = bytearray(payload)
+    payload[len(payload) // 2] ^= 0x40
+    return magic, header, bytes(payload)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_flip_payload_byte, lambda magic, header, payload: (magic, header, payload + b"\0")],
+    ids=["flipped-payload-byte", "trailing-byte"],
+)
+def test_parse_corrupt_checkpoint_payload_exits_three(tmp_path, capsys, corpus_tsv, corrupt):
+    tsv, _ = corpus_tsv
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", tsv, "-o", str(ckpt), "--epochs", "0", "--seed", "1"] + TINY_FLAGS) == 0
+    _join_checkpoint(ckpt, *corrupt(*_split_checkpoint(ckpt)))
+    utterances = write_lines(tmp_path / "utts.txt", ["show the weather"])
+    capsys.readouterr()
+    assert main(["parse", str(ckpt), utterances]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("sha256" in err or "trailing" in err)
+
+
+def test_parse_checkpoint_without_digest_still_loads(tmp_path, capsys, corpus_tsv):
+    tsv, _ = corpus_tsv
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", tsv, "-o", str(ckpt), "--epochs", "0", "--seed", "1"] + TINY_FLAGS) == 0
+    utterances = write_lines(tmp_path / "utts.txt", ["show the weather", "turn the lights off"])
+    with_digest, without_digest = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert main(["parse", str(ckpt), utterances, "-o", str(with_digest)]) == 0
+    magic, header, payload = _split_checkpoint(ckpt)
+    del header["sha256"]
+    _join_checkpoint(ckpt, magic, header, payload)
+    assert main(["parse", str(ckpt), utterances, "-o", str(without_digest)]) == 0
+    assert with_digest.read_text() == without_digest.read_text()
 
 
 def test_train_missing_file(tmp_path):

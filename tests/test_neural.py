@@ -6,6 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
+import synth
+from frameparse import rnng
+from frameparse.dataset import build_vocabs
 from frameparse.neural import (
     BiLstmEncoder,
     CheckpointError,
@@ -13,6 +16,7 @@ from frameparse.neural import (
     EmptySequence,
     GoldMasked,
     Lstm,
+    Param,
     ParamStore,
     Tape,
     Var,
@@ -28,6 +32,8 @@ from frameparse.neural import (
     relu,
     save_checkpoint,
 )
+from frameparse.neural.params import ADAM_CHUNK
+from frameparse.preprocess import TokenNormalizer, load_embeddings
 
 
 def f64_store(seed=0):
@@ -386,6 +392,172 @@ def test_adam_step_is_bitwise_dense_adam():
         assert np.array_equal(store[name].m, dense[name]["m"]), name
         assert np.array_equal(store[name].v, dense[name]["v"]), name
         assert np.array_equal(store[name].value, dense[name]["value"]), name
+
+
+# ---------------------------------------------------------------------------
+# Parameter arena
+
+
+def _assert_views_tile_arena(store):
+    """Every parameter's value/grad/m/v is the next slice of the store's
+    flat buffers, in ``add`` order, and together they cover them; every
+    parameter is a plain ``Param``, without the allocate-on-read hook."""
+    offset = 0
+    for param in store.params.values():
+        assert type(param) is Param, param.name
+        size = math.prod(param.shape)
+        for view in ("value", "grad", "m", "v"):
+            array, flat = getattr(param, view), getattr(store, view)
+            assert array.shape == param.shape, (param.name, view)
+            assert np.shares_memory(array, flat), (param.name, view)
+            assert array.ctypes.data == flat[offset:].ctypes.data, (param.name, view)
+        offset += size
+    assert offset == store.value.size == store.num_values()
+
+
+def _tiny_corpus_model(**model_kwargs):
+    corpus = synth.learnable_corpus(seed=30, size=6)
+    vocab, intents, slots = build_vocabs(corpus)
+    config = rnng.RnngConfig(seed=30, word_dim=8, label_dim=6, action_dim=5, lstm_units=9,
+                             lstm_layers=2)
+    model = rnng.Model(config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)),
+                       **model_kwargs)
+    return model, corpus
+
+
+def test_arena_views_survive_training_and_loading(tmp_path):
+    model, corpus = _tiny_corpus_model()
+    store = model.store
+    _assert_views_tile_arena(store)
+    rnng.train_example(model, corpus.examples[0], np.random.default_rng(0))
+    _assert_views_tile_arena(store)
+    other, _ = _tiny_corpus_model()
+    other.store.load_values({name: value + 1 for name, value in store.value_arrays().items()})
+    _assert_views_tile_arena(other.store)
+    assert np.array_equal(other.store.value, store.value + np.float32(1))
+
+    emb_path = tmp_path / "vectors.txt"
+    words = [w for w in model.token_vocab.symbols if not w.startswith("<")][:3]
+    emb_path.write_text("".join(f"{w} {' '.join(['0.5'] * 8)}\n" for w in words))
+    table = load_embeddings(emb_path, model.token_vocab.symbols, seed=0)
+    pretrained, _ = _tiny_corpus_model(embeddings=table)
+    _assert_views_tile_arena(pretrained.store)
+    assert np.all(pretrained.word_emb.value[model.token_vocab.index(words[0])] == 0.5)
+
+
+def test_arena_initialization_draws_in_add_order():
+    store = ParamStore(seed=31, dtype=np.float32)
+    store.add("w1", (3, 4))
+    store.add("b", (5,))
+    store.add("w2", (2, 6))
+    rng = np.random.default_rng(31)
+    expected_w1 = rng.uniform(-np.sqrt(6.0 / 7), np.sqrt(6.0 / 7), (3, 4)).astype(np.float32)
+    expected_w2 = rng.uniform(-np.sqrt(6.0 / 8), np.sqrt(6.0 / 8), (2, 6)).astype(np.float32)
+    assert np.array_equal(store["w1"].value, expected_w1)
+    assert np.array_equal(store["w2"].value, expected_w2)
+    assert not store["b"].value.any()
+    _assert_views_tile_arena(store)
+
+
+def test_arena_add_after_allocation_raises():
+    store = f64_store(32)
+    param = store.add("w", (2, 2))
+    store.add("b", (2,))
+    param.value  # the first read allocates the arena
+    with pytest.raises(RuntimeError):
+        store.add("late", (3,))
+    assert "late" not in store and store.value.size == 6
+
+
+def test_zero_grad_clears_every_gradient():
+    store = f64_store(33)
+    Lstm(store, "lstm", 3, 4, 1)
+    store.add("scorer", (5, 4))
+    for name in store:
+        store[name].grad[...] = 1.5
+    store.zero_grad()
+    assert not store.grad.any()
+    for name in store:
+        assert not store[name].grad.any(), name
+    _assert_views_tile_arena(store)
+
+
+def test_dropped_model_frees_its_arena_without_cycle_collection():
+    model, _ = _tiny_corpus_model()
+    store_ref, buffer_ref = weakref.ref(model.store), weakref.ref(model.store.value)
+    gc.disable()
+    try:
+        del model
+        assert store_ref() is None and buffer_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_adam_chunks_match_dense_adam_across_frozen_boundary():
+    """A frozen-row parameter that straddles a chunk boundary steps exactly
+    like the dense per-parameter formula."""
+    rng = np.random.default_rng(34)
+    store = ParamStore(seed=34, dtype=np.float32)
+    store.add("head", (5,))
+    emb = store.add("emb", (1100, 64))
+    store.add("tail", (3, 7))
+    frozen = np.zeros(1100, dtype=bool)
+    frozen[::3] = True
+    frozen[1023] = True  # row 1023 holds the arena's element ADAM_CHUNK
+    emb.frozen_rows = frozen
+    assert 5 + 1023 * 64 < ADAM_CHUNK < 5 + 1024 * 64
+    initial = emb.value.copy()
+    lr, weight_decay, beta1, beta2, eps = 0.01, 0.05, 0.9, 0.999, 1e-8
+    dense = {
+        name: {"value": store[name].value.copy(), "m": np.zeros_like(store[name].value),
+               "v": np.zeros_like(store[name].value)}
+        for name in store
+    }
+    for t in range(1, 6):
+        for name in store:
+            store[name].grad[...] = rng.normal(size=store[name].shape)
+        store.adam_step(lr, weight_decay)
+        bias1 = 1.0 - beta1 ** t
+        bias2 = 1.0 - beta2 ** t
+        for name in store:
+            ref, g = dense[name], store[name].grad
+            ref["m"] *= beta1
+            ref["m"] += (1.0 - beta1) * g
+            ref["v"] *= beta2
+            ref["v"] += (1.0 - beta2) * (g * g)
+            update = (ref["m"] / bias1) / (np.sqrt(ref["v"] / bias2) + eps)
+            update = update + weight_decay * ref["value"]
+            if store[name].frozen_rows is not None:
+                update[store[name].frozen_rows] = 0
+            ref["value"] -= lr * update
+    for name in store:
+        assert np.array_equal(store[name].m, dense[name]["m"]), name
+        assert np.array_equal(store[name].v, dense[name]["v"]), name
+        assert np.array_equal(store[name].value, dense[name]["value"]), name
+    assert np.array_equal(emb.value[frozen], initial[frozen])
+    assert not np.array_equal(emb.value[1022], initial[1022])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda arrays: arrays.update(zzz_extra=np.zeros(2)),
+        lambda arrays: arrays.update(b=np.zeros(3)),
+        lambda arrays: arrays.pop("b"),
+    ],
+    ids=["extra-array", "bad-shape-second", "missing"],
+)
+def test_load_values_checks_everything_before_writing(edit):
+    store = f64_store(35)
+    store.add("a", (2, 2))
+    store.add("b", (2,))
+    store.allocate()
+    before, version = store.value.copy(), store.version
+    arrays = {"a": np.full((2, 2), 7.0), "b": np.full(2, 7.0)}
+    edit(arrays)
+    with pytest.raises(CheckpointError):
+        store.load_values(arrays)
+    assert np.array_equal(store.value, before) and store.version == version
 
 
 # ---------------------------------------------------------------------------

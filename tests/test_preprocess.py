@@ -1,16 +1,28 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from frameparse.preprocess import (
     NUM_TOKEN,
+    SUFFIXES,
     RaggedDimensions,
     TokenNormalizer,
     is_number,
     load_embeddings,
     normalize,
     unk_class,
-    unk_class_inventory,
 )
+
+
+def unk_class_inventory() -> list:
+    """Every symbol ``unk_class`` can produce (144 in total)."""
+    inventory = []
+    for features in itertools.product(("", "ICAP", "CAP"), ("", "DIG"), ("", "DASH"),
+                                      ("",) + SUFFIXES):
+        inventory.append("<UNK" + "".join("-" + f for f in features if f) + ">")
+    return inventory
+
 
 VOCAB = frozenset({"directions", "driving", "the", NUM_TOKEN, "<UNK-CAP-ly>"})
 

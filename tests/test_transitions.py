@@ -19,7 +19,6 @@ from frameparse.transitions import (
     kind_of,
     nt,
     oracle,
-    parse_actions,
     valid_actions,
 )
 from frameparse.trees import (
@@ -31,6 +30,19 @@ from frameparse.trees import (
     slot,
     validate,
 )
+
+def parse_actions(line: str) -> list:
+    """The inverse of ``format_actions``."""
+    actions = []
+    for text in line.split():
+        if text in ("SHIFT", "REDUCE"):
+            actions.append(Action(text))
+        elif text.startswith("NT(") and text.endswith(")"):
+            actions.append(nt(text[3:-1]))
+        else:
+            raise ValueError(f"cannot parse action {text!r}")
+    return actions
+
 
 NESTED = (
     "[IN:GET_DIRECTIONS Driving directions to "

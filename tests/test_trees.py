@@ -3,12 +3,15 @@ import pytest
 
 import oracles
 import synth
-from frameparse.metrics import read_gold_file
+from frameparse.metrics import evaluate, read_gold_file
+from frameparse.transitions import oracle
 from frameparse.trees import (
     BadLabelPrefix,
     EmptyNonTerminal,
     Label,
+    MAX_DEPTH,
     LabeledSpan,
+    NestingTooDeep,
     NonTerminal,
     Token,
     TrailingInput,
@@ -78,6 +81,26 @@ def test_parse_errors_carry_offsets():
     assert err.value.offset == len("[IN:X hello ] ")
     with pytest.raises(TrailingInput):
         parse_bracketed("[IN:X hello ] ]")
+
+
+def _nested(levels: int) -> str:
+    labels = ["IN:A" if level % 2 == 0 else "SL:B" for level in range(levels)]
+    return "".join(f"[{label} " for label in labels) + "w" + " ]" * levels
+
+
+def test_nesting_limit():
+    """The deepest accepted tree goes through every recursive traversal;
+    one level more is refused at the offset of the '[' that exceeds it."""
+    text = _nested(MAX_DEPTH)
+    tree = parse_bracketed(text)
+    assert depth(tree) == count_nonterminals(tree) == MAX_DEPTH
+    assert serialize(tree) == text and validate(tree) == []
+    assert tree == parse_bracketed(text) and len(labeled_spans(tree)) == MAX_DEPTH
+    assert len(oracle(tree)) == 2 * MAX_DEPTH + 1
+    assert evaluate([tree], [tree]).exact_match == 100.0
+    with pytest.raises(NestingTooDeep) as err:
+        parse_bracketed(_nested(MAX_DEPTH + 1))
+    assert err.value.offset == 6 * MAX_DEPTH  # each level opens with "[IN:A " or "[SL:B "
 
 
 def test_parse_accepts_extra_whitespace():
