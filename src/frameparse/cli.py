@@ -2,7 +2,7 @@
 
 Commands: validate, stats, oracle, train, parse, eval, gradcheck.
 Exit codes: 0 success, 1 validation or metric failure, 2 usage, 3 I/O or
-refused input.
+refused input (including text that is not valid UTF-8).
 Hyperparameters resolve as flag > config file (key=value lines) > default,
 and every JSON artifact echoes the fully resolved configuration.
 """
@@ -366,6 +366,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except UnicodeDecodeError as err:
+        # Caught before ValueError, its base: undecodable text is refused input.
+        print(f"error: input is not valid UTF-8: {err}", file=sys.stderr)
+        return EXIT_IO
     except (dataset.IngestError, CheckpointError, trees.FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

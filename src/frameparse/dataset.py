@@ -25,8 +25,9 @@ class Split(Enum):
 
 
 class IngestError(Exception):
-    """Problem reading a corpus file. ``kind`` is one of io, bad-column-count,
-    tree-format, constraint-violation, token-mismatch, empty-corpus."""
+    """Problem reading a corpus file. ``kind`` is one of io, encoding,
+    bad-column-count, tree-format, constraint-violation, token-mismatch,
+    empty-corpus."""
 
     def __init__(self, kind: str, message: str, line: Optional[int] = None):
         at = f"line {line}: " if line is not None else ""
@@ -93,6 +94,7 @@ def load_tsv(path, split: Split = Split.UNSPLIT, strict: bool = True) -> Corpus:
 
     With ``strict`` (the default), the first malformed line aborts the load;
     otherwise bad lines are skipped and reported in ``Corpus.skipped``.
+    A file that is not valid UTF-8 is refused as a whole in either mode.
     """
     examples = []
     skipped = []
@@ -101,19 +103,38 @@ def load_tsv(path, split: Split = Split.UNSPLIT, strict: bool = True) -> Corpus:
     except OSError as err:
         raise IngestError("io", str(err)) from None
     with handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            try:
-                examples.append(_parse_line(line, lineno))
-            except IngestError as err:
-                if strict:
-                    raise
-                skipped.append(LineIssue(line=lineno, kind=err.kind, message=str(err)))
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                try:
+                    examples.append(_parse_line(line, lineno))
+                except IngestError as err:
+                    if strict:
+                        raise
+                    skipped.append(LineIssue(line=lineno, kind=err.kind, message=str(err)))
+        except UnicodeDecodeError as err:
+            raise IngestError(
+                "encoding", f"not valid UTF-8 ({err.reason})", _undecodable_line(path)
+            ) from None
     if not examples:
         raise IngestError("empty-corpus", f"no usable examples in {path}")
     return Corpus(examples=examples, split=split, skipped=tuple(skipped))
+
+
+def _undecodable_line(path) -> Optional[int]:
+    """Number of the first line of ``path`` that is not UTF-8.  The text
+    reader decodes whole chunks, so its error does not say which line.  The
+    lines split as the reader splits them (at ``\\n``, ``\\r\\n`` or ``\\r``),
+    bytes that no multi-byte UTF-8 sequence contains."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
 
 
 def lower_median(values) -> int:

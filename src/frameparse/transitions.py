@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .trees import INTENT, SLOT, Label, NonTerminal, Token, Tree, validate
+from .trees import (
+    INTENT, MAX_DEPTH, SLOT, Label, NonTerminal, Token, Tree, shared_token, validate,
+)
 
-DEFAULT_MAX_OPEN_NTS = 40
+# One nesting limit: every tree that parse_bracketed accepts can be derived.
+DEFAULT_MAX_OPEN_NTS = MAX_DEPTH
 
 
 class TransitionError(Exception):
@@ -151,6 +154,16 @@ def initial_state(tokens: Sequence[str]) -> ParserState:
     return ParserState(tuple(tokens))
 
 
+# Every mask valid_actions can return, built once and indexed by bits in
+# ActionKind order: no call builds a set or hashes an ActionKind, and each
+# mask's hash is computed only once.
+_SHIFT, _REDUCE, _NT_INTENT, _NT_SLOT = 1, 2, 4, 8
+_MASKS = tuple(
+    frozenset(kind for bit, kind in enumerate(ActionKind) if bits >> bit & 1)
+    for bits in range(16)
+)
+
+
 def valid_actions(state: ParserState, max_open_nts: int = DEFAULT_MAX_OPEN_NTS) -> frozenset:
     """The set of permitted :class:`ActionKind` values; empty iff terminal.
 
@@ -160,25 +173,26 @@ def valid_actions(state: ParserState, max_open_nts: int = DEFAULT_MAX_OPEN_NTS) 
     the buffer is exhausted only REDUCE remains.
     """
     if state.root is not None:
-        return frozenset()
+        return _MASKS[0]
     buffer_empty = state.pos >= len(state.tokens)
-    if state.open_count == 0:
+    open_count = len(state.open_stack)
+    if open_count == 0:
         # Nothing derived yet: the root non-terminal must be an intent.
-        return frozenset() if buffer_empty else frozenset({ActionKind.NT_INTENT})
+        return _MASKS[0] if buffer_empty else _MASKS[_NT_INTENT]
     if buffer_empty:
-        return frozenset({ActionKind.REDUCE})
-    kinds = set()
+        return _MASKS[_REDUCE]
+    bits = 0
     top = state.open_stack[-1]
     if not (top.label.kind == SLOT and top.has_nt_child):
-        kinds.add(ActionKind.SHIFT)
-    if state.open_count < max_open_nts:
+        bits |= _SHIFT
+    if open_count < max_open_nts:
         if top.label.kind == INTENT:
-            kinds.add(ActionKind.NT_SLOT)
+            bits |= _NT_SLOT
         elif not top.children:
-            kinds.add(ActionKind.NT_INTENT)
-    if top.children and state.open_count > 1:
-        kinds.add(ActionKind.REDUCE)
-    return frozenset(kinds)
+            bits |= _NT_INTENT
+    if top.children and open_count > 1:
+        bits |= _REDUCE
+    return _MASKS[bits]
 
 
 def apply(
@@ -202,7 +216,7 @@ def apply_unchecked(state: ParserState, action: Action) -> ParserState:
     if action.op == "SHIFT":
         top = state.open_stack[-1]
         new_top = _OpenNT(
-            top.label, top.children + (Token(state.tokens[state.pos]),), top.has_nt_child
+            top.label, top.children + (shared_token(state.tokens[state.pos]),), top.has_nt_child
         )
         return ParserState(state.tokens, state.pos + 1, state.open_stack[:-1] + (new_top,))
     # REDUCE

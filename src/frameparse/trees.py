@@ -16,6 +16,8 @@ so that malformed system output can still be inspected.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -23,6 +25,8 @@ INTENT = "IN"
 SLOT = "SL"
 
 _BRACKETS = frozenset("[]")
+# Matches exactly the characters for which ``ch.isspace() or ch in "[]"``.
+_BAD_SYMBOL_CHAR = re.compile(r"[\s\[\]]")
 
 # The deepest nesting of non-terminals that parse_bracketed accepts.  Tree
 # code recurses once or twice per level, so this keeps every traversal far
@@ -63,7 +67,7 @@ class NestingTooDeep(FormatError):
 def _check_symbol(text: str, what: str) -> None:
     if not text:
         raise ValueError(f"{what} must be non-empty")
-    if any(ch.isspace() or ch in _BRACKETS for ch in text):
+    if _BAD_SYMBOL_CHAR.search(text):
         raise ValueError(f"{what} may not contain whitespace or brackets: {text!r}")
 
 
@@ -118,6 +122,18 @@ class Token:
         _check_symbol(self.text, "token")
 
 
+# Tokens and labels are immutable and compare by value, so the parser hands
+# out one shared instance per distinct text instead of a fresh object per
+# occurrence.  A loaded corpus then holds a few objects per tree for the
+# cyclic garbage collector to rescan instead of one per word and label.
+# ``lru_cache`` keeps only returned values: text that fails validation
+# raises on every call.
+TOKEN_CACHE_SIZE = 1 << 16
+LABEL_CACHE_SIZE = 1 << 12
+shared_token = functools.lru_cache(maxsize=TOKEN_CACHE_SIZE)(Token)
+shared_label = functools.lru_cache(maxsize=LABEL_CACHE_SIZE)(Label.parse)
+
+
 @dataclass(frozen=True)
 class NonTerminal:
     """A labeled constituent with at least one child."""
@@ -135,12 +151,15 @@ Node = Union[NonTerminal, Token]
 
 
 def iter_token_leaves(node: Node) -> Iterator[Token]:
-    """In-order terminals below ``node``."""
-    if isinstance(node, Token):
-        yield node
-    else:
-        for child in node.children:
-            yield from iter_token_leaves(child)
+    """In-order terminals below ``node``, from one generator with an
+    explicit stack rather than one generator per level."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Token):
+            yield node
+        else:
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)
@@ -157,7 +176,7 @@ class Tree:
     def __post_init__(self):
         if not isinstance(self.root, NonTerminal):
             raise ValueError("tree root must be a non-terminal")
-        leaves = tuple(t.text for t in iter_token_leaves(self.root))
+        leaves = tuple([t.text for t in iter_token_leaves(self.root)])
         if self.tokens is None:
             object.__setattr__(self, "tokens", leaves)
         else:
@@ -251,7 +270,7 @@ def _parse_nonterminal(text: str, i: int, depth: int):
     i = _scan_word(text, i)
     raw_label = text[label_start:i]
     try:
-        label = Label.parse(raw_label)
+        label = shared_label(raw_label)
     except ValueError:
         raise BadLabelPrefix(f"bad non-terminal label {raw_label!r}", label_start) from None
     children = []
@@ -271,7 +290,7 @@ def _parse_nonterminal(text: str, i: int, depth: int):
         else:
             start = i
             i = _scan_word(text, i)
-            children.append(Token(text[start:i]))
+            children.append(shared_token(text[start:i]))
 
 
 def serialize(obj: "Tree | Node") -> str:
@@ -302,7 +321,7 @@ def validate(tree: Tree) -> list:
     if not root.label.is_intent:
         violations.append(Violation(ROOT_NOT_INTENT, (), f"root label is {root.label}"))
     _validate_node(root, (), violations)
-    leaves = tuple(t.text for t in iter_token_leaves(root))
+    leaves = tuple([t.text for t in iter_token_leaves(root)])
     if leaves != tree.tokens:
         violations.append(Violation(TOKEN_MISMATCH, (), "tokens do not match tree yield"))
     return violations

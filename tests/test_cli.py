@@ -94,6 +94,25 @@ def test_stats_missing_file(tmp_path):
     assert main(["stats", str(tmp_path / "nope.tsv")]) == 3
 
 
+@pytest.mark.parametrize("command", ["validate", "stats", "eval"])
+def test_undecodable_input_exits_three(tmp_path, capsys, command):
+    """A byte that is not UTF-8 is refused input (exit 3), not a failed check."""
+    trees_path = tmp_path / "trees.txt"
+    trees_path.write_bytes(b"[IN:X a ]\n[IN:X \xff ]\n")
+    tsv_path = tmp_path / "c.tsv"
+    tsv_path.write_bytes(b"a\ta\t[IN:X a ]\n\xff\tb\t[IN:X b ]\n")
+    args = {
+        "validate": ["validate", str(trees_path)],
+        "stats": ["stats", str(tsv_path), "--lenient"],
+        "eval": ["eval", str(trees_path), str(trees_path)],
+    }[command]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err and "Traceback" not in err
+    if command == "stats":
+        assert "line 2" in err
+
+
 def test_oracle_minimal(tmp_path, capsys):
     path = write_lines(tmp_path / "trees.txt", ["[IN:X hello ]"])
     assert main(["oracle", path]) == 0
@@ -119,6 +138,16 @@ def test_oracle_verify_random_trees(tmp_path, capsys):
     out_path = tmp_path / "actions.txt"
     assert main(["oracle", path, "--verify", "-o", str(out_path)]) == 0
     assert len(out_path.read_text().splitlines()) == 300
+
+
+def test_oracle_verify_deepest_parsable_tree(tmp_path, capsys):
+    """A valid tree nested 100 deep (the parser's limit) passes --verify."""
+    labels = ["IN:A" if level % 2 == 0 else "SL:B" for level in range(100)]
+    deep = "".join(f"[{label} " for label in labels) + "w" + " ]" * 100
+    path = write_lines(tmp_path / "trees.txt", [deep])
+    assert main(["validate", path]) == 0
+    assert main(["oracle", path, "--verify"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split().count("REDUCE") == 100
 
 
 def test_oracle_invalid_tree(tmp_path):

@@ -1,3 +1,6 @@
+import gc
+
+import numpy as np
 import pytest
 
 import synth
@@ -92,6 +95,43 @@ def test_lenient_mode_skips_and_reports(tmp_path):
     assert [issue.kind for issue in corpus.skipped] == ["bad-column-count", "constraint-violation"]
     with pytest.raises(IngestError):
         load_tsv(path, strict=True)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_load_undecodable_file_is_refused_with_its_line(tmp_path, strict):
+    """Invalid UTF-8 refuses the whole file, even in lenient mode, and names
+    the first bad line although the reader decodes in chunks."""
+    good = "a\ta\t[IN:X a ]\n".encode("utf-8")
+    path = tmp_path / "c.tsv"
+    path.write_bytes(good * 3 + b"b\xff\tb\t[IN:X b ]\r\n" + good)
+    with pytest.raises(IngestError) as err:
+        load_tsv(path, strict=strict)
+    assert err.value.kind == "encoding" and err.value.line == 4
+    assert "UTF-8" in str(err.value)
+    path.write_bytes(good * 2 + b"\r" + good + b"\xe2\x82")  # lone \r ends a line, as in text mode
+    with pytest.raises(IngestError) as err:
+        load_tsv(path, strict=strict)
+    assert err.value.kind == "encoding" and err.value.line == 5
+
+
+def test_loaded_trees_keep_few_gc_tracked_objects(tmp_path):
+    """Tokens and labels are shared, not one object per occurrence, so a
+    loaded tree keeps few objects for the cyclic collector to rescan (about
+    20 per tree when every word and label was its own object)."""
+    rng = np.random.default_rng(12)
+    corpus = Corpus([
+        Example(" ".join(tree.tokens), tree.tokens, tree)
+        for tree in (synth.random_valid_tree(rng) for _ in range(300))
+    ])
+    path = tmp_path / "synth.tsv"
+    synth.write_tsv(path, corpus)
+    load_tsv(path)  # the shared symbols of this vocabulary now exist
+    gc.collect()
+    before = len(gc.get_objects())
+    loaded = load_tsv(path)
+    gc.collect()
+    per_tree = (len(gc.get_objects()) - before) / len(loaded)
+    assert len(loaded) == 300 and per_tree <= 10
 
 
 def test_load_reserialize_fixed_point(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 import oracles
 import synth
 from frameparse.transitions import (
+    DEFAULT_MAX_OPEN_NTS,
     Action,
     ActionKind,
     ConstraintViolation,
@@ -22,6 +23,9 @@ from frameparse.transitions import (
     valid_actions,
 )
 from frameparse.trees import (
+    INTENT,
+    MAX_DEPTH,
+    SLOT,
     Tree,
     count_nonterminals,
     intent,
@@ -195,6 +199,64 @@ def test_oracle_actions_always_valid():
             assert kind_of(action) in valid_actions(state)
             state = apply(state, action)
         assert state.is_terminal and valid_actions(state) == frozenset()
+
+
+def reference_valid_actions(state, max_open_nts):
+    """The action mask as a set built from the rules on every call; the
+    prebuilt masks that ``valid_actions`` returns must equal it."""
+    if state.is_terminal:
+        return set()
+    buffer_empty = not state.buffer
+    if state.open_count == 0:
+        return set() if buffer_empty else {ActionKind.NT_INTENT}
+    if buffer_empty:
+        return {ActionKind.REDUCE}
+    kinds = set()
+    top = state.open_stack[-1]
+    if not (top.label.kind == SLOT and top.has_nt_child):
+        kinds.add(ActionKind.SHIFT)
+    if state.open_count < max_open_nts:
+        if top.label.kind == INTENT:
+            kinds.add(ActionKind.NT_SLOT)
+        elif not top.children:
+            kinds.add(ActionKind.NT_INTENT)
+    if top.children and state.open_count > 1:
+        kinds.add(ActionKind.REDUCE)
+    return kinds
+
+
+def test_valid_actions_equals_the_set_building_reference():
+    """On every state of random derivations (each step a random permitted
+    action), under tight and default caps on open non-terminals."""
+    rng = np.random.default_rng(8)
+    concrete = {
+        ActionKind.SHIFT: [SHIFT],
+        ActionKind.REDUCE: [REDUCE],
+        ActionKind.NT_INTENT: [nt("IN:X"), nt("IN:Z")],
+        ActionKind.NT_SLOT: [nt("SL:Y")],
+    }
+    for walk in range(600):
+        cap = (2, 3, 5, DEFAULT_MAX_OPEN_NTS)[walk % 4]
+        state = initial_state(tuple(f"w{i}" for i in range(int(rng.integers(1, 9)))))
+        while True:
+            kinds = valid_actions(state, cap)
+            assert isinstance(kinds, frozenset)
+            assert kinds == reference_valid_actions(state, cap)
+            if not kinds:
+                break
+            kind = sorted(kinds, key=lambda k: k.value)[int(rng.integers(len(kinds)))]
+            options = concrete[kind]
+            state = apply(state, options[int(rng.integers(len(options)))], cap)
+        assert state.is_terminal and validate(Tree(state.root)) == []
+
+
+def test_execute_derives_the_deepest_parsable_tree():
+    """The executor's default limit on open non-terminals is the parser's
+    nesting limit, so a valid tree MAX_DEPTH deep replays from its oracle."""
+    labels = ["IN:A" if level % 2 == 0 else "SL:B" for level in range(MAX_DEPTH)]
+    tree = parse_bracketed("".join(f"[{label} " for label in labels) + "w" + " ]" * MAX_DEPTH)
+    assert DEFAULT_MAX_OPEN_NTS == MAX_DEPTH and validate(tree) == []
+    assert execute(oracle(tree), tree.tokens) == tree
 
 
 def _all_completions(tokens, intents, slots, max_len):

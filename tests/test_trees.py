@@ -1,11 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 
 import oracles
 import synth
+from frameparse import trees
 from frameparse.metrics import evaluate, read_gold_file
-from frameparse.transitions import oracle
+from frameparse.transitions import execute, oracle
 from frameparse.trees import (
+    LABEL_CACHE_SIZE,
+    TOKEN_CACHE_SIZE,
     BadLabelPrefix,
     EmptyNonTerminal,
     Label,
@@ -23,6 +28,8 @@ from frameparse.trees import (
     labeled_spans,
     parse_bracketed,
     serialize,
+    shared_label,
+    shared_token,
     slot,
     validate,
     yield_tokens,
@@ -144,6 +151,62 @@ def test_label_invariants():
         Token("a]b")
     with pytest.raises(ValueError):
         NonTerminal(intent("X"), ())
+
+
+def test_symbol_check_matches_the_per_character_rule():
+    """The one-regex search refuses exactly the code points that the rule
+    ``ch.isspace() or ch in "[]"`` refuses, over all of Unicode."""
+    bad = trees._BAD_SYMBOL_CHAR
+    mismatched = [
+        hex(cp) for cp in range(sys.maxunicode + 1)
+        if (bad.search(chr(cp)) is not None) != (chr(cp).isspace() or chr(cp) in "[]")
+    ]
+    assert mismatched == []
+    with pytest.raises(ValueError):
+        Token("a\x1cb")  # a Unicode separator, whitespace to str.isspace
+    assert Token("a:b").text == "a:b"
+
+
+def test_parsed_tokens_and_labels_are_shared_yet_compare_by_value():
+    a = parse_bracketed("[IN:X turn [SL:Y the lights ] ]")
+    b = parse_bracketed("[IN:X  turn\t[SL:Y the   lights ] ]")
+    assert a.root.label is b.root.label
+    assert a.root.children[0] is b.root.children[0]
+    slot_a, slot_b = a.root.children[1], b.root.children[1]
+    assert slot_a.label is slot_b.label
+    assert all(x is y for x, y in zip(slot_a.children, slot_b.children))
+    assert execute(oracle(a), a.tokens).root.children[0] is a.root.children[0]
+    fresh = Tree(NonTerminal(intent("X"), (
+        Token("turn"), NonTerminal(slot("Y"), (Token("the"), Token("lights"))),
+    )))
+    assert fresh.root.children[0] is not a.root.children[0]
+    assert a == b == fresh and hash(a) == hash(b) == hash(fresh)
+    assert Token("turn") == a.root.children[0] and hash(Token("turn")) == hash(a.root.children[0])
+    assert {Label.parse("SL:Y"), slot_a.label} == {slot("Y")}
+
+
+def test_invalid_symbols_raise_on_every_call():
+    """Text that fails validation is never cached, so it raises each time."""
+    token_hits = shared_token.cache_info().hits
+    label_hits = shared_label.cache_info().hits
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            Token("a b")
+        with pytest.raises(ValueError):
+            shared_token("a b")
+        with pytest.raises(ValueError):
+            Label.parse("XX:y")
+        with pytest.raises(ValueError):
+            shared_label("XX:y")
+        with pytest.raises(BadLabelPrefix):
+            parse_bracketed("[XX:y a ]")
+    assert shared_token.cache_info().hits == token_hits
+    assert shared_label.cache_info().hits == label_hits
+
+
+def test_share_caches_are_bounded_by_fixed_constants():
+    assert shared_token.cache_info().maxsize == TOKEN_CACHE_SIZE == 1 << 16
+    assert shared_label.cache_info().maxsize == LABEL_CACHE_SIZE == 1 << 12
 
 
 def test_tree_token_agreement_enforced():
