@@ -2,7 +2,8 @@
 
 Commands: validate, stats, oracle, train, parse, eval, gradcheck.
 Exit codes: 0 success, 1 validation or metric failure, 2 usage, 3 I/O or
-refused input (including text that is not valid UTF-8).
+refused input (including text that is not valid UTF-8 and malformed
+embeddings files).
 Hyperparameters resolve as flag > config file (key=value lines) > default,
 and every JSON artifact echoes the fully resolved configuration.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from . import dataset, metrics, rnng, transitions, trees
 from .neural import gradcheck as gradcheck_mod
 from .neural.params import CheckpointError
-from .preprocess import TokenNormalizer, load_embeddings
+from .preprocess import RaggedDimensions, TokenNormalizer, load_embeddings
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -283,6 +284,12 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frameparse",
@@ -338,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("utterances")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--beam", type=int, default=None)
+    p.add_argument("--beam", type=_positive_int, default=None)
     p.set_defaults(handler=cmd_parse)
 
     p = sub.add_parser("eval", help="score a prediction file against gold trees")
@@ -370,7 +377,8 @@ def main(argv=None) -> int:
         # Caught before ValueError, its base: undecodable text is refused input.
         print(f"error: input is not valid UTF-8: {err}", file=sys.stderr)
         return EXIT_IO
-    except (dataset.IngestError, CheckpointError, trees.FormatError, OSError) as err:
+    except (dataset.IngestError, CheckpointError, trees.FormatError, RaggedDimensions,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     except (metrics.LengthMismatch, transitions.TransitionError, ValueError) as err:

@@ -86,7 +86,8 @@ def _parse_line(line: str, lineno: int) -> Example:
             f"tokenized column {list(tokens)} does not match tree yield {list(tree.tokens)}",
             lineno,
         )
-    return Example(raw_utterance=raw, tokens=tokens, tree=tree)
+    # The tree's own tuple, equal to the column: one copy of the words.
+    return Example(raw_utterance=raw, tokens=tree.tokens, tree=tree)
 
 
 def load_tsv(path, split: Split = Split.UNSPLIT, strict: bool = True) -> Corpus:

@@ -9,8 +9,8 @@ forward-only, on plain arrays, one row per hypothesis.
 
 Weight gradients are deferred: a closure of ``linear`` or ``lstm_cell``
 returns its rows ``(weight, dz, x)`` instead of adding ``outer(dz, x)``,
-and ``backward`` adds one ``dZ^T @ X`` per weight once every closure has
-run.  ``backward`` consumes the tape: it drops each closure once it has
+and ``backward`` adds one ``(X^T @ dZ)^T`` per weight once every closure
+has run.  ``backward`` consumes the tape: it drops each closure once it has
 run, so a tape serves one backward pass and holds nothing afterwards.
 """
 
@@ -89,7 +89,9 @@ class Tape:
                     pending[0].append(dz)
                     pending[1].append(x)
         for weight, (dzs, xs) in rows.items():
-            weight.add_grad(np.stack(dzs).T @ np.stack(xs))
+            # X^T dZ, transposed: an (out, in) view that is F-contiguous,
+            # the memory order of the product weights' gradients.
+            weight.add_grad((np.stack(xs).T @ np.stack(dzs)).T)
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -290,14 +292,16 @@ def lstm_cell(tape, weight: Var, bias: Var, x: Var, h: Var, c: Var):
 
 def linear_rows(x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Forward-only :func:`linear` over the rows of ``x`` (B, in), given the
-    weight as its contiguous transpose ``weight_t`` (in, out).
+    weight as its transpose ``weight_t`` (in, out): ``weight.value.T`` of a
+    column-major parameter, which is C-contiguous.
 
     The product runs as a stack of B vector-matrix products over
     ``x[:, None, :]``, so row i is bitwise equal to ``x[i] @ weight_t``
-    whatever B is.  A plain ``x @ weight_t`` switches to a matrix-matrix
-    kernel whose rounding depends on B once B > 1 (for B = 1 it is the
-    same vector-matrix product, minus the stacking overhead), and
-    ``x @ weight.T`` to a much slower one.
+    whatever B is, and so to what :func:`linear` computes as
+    ``weight @ x[i]`` on the same memory.  A plain ``x @ weight_t``
+    switches to a matrix-matrix kernel whose rounding depends on B once
+    B > 1 (for B = 1 it is the same vector-matrix product, minus the
+    stacking overhead).
     """
     if len(x) == 1:
         y = x @ weight_t
@@ -310,7 +314,8 @@ def linear_rows(x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray) -> np.nda
 def lstm_rows(weight_t: np.ndarray, bias: np.ndarray, x: np.ndarray, h: np.ndarray,
               c: np.ndarray, h_out: np.ndarray, c_out: np.ndarray) -> None:
     """Forward-only :func:`lstm_cell` over rows: ``x`` (B, in), ``h`` and
-    ``c`` (B, H), ``weight_t`` the contiguous transpose of the cell weight.
+    ``c`` (B, H), ``weight_t`` the cell weight's transpose, as in
+    :func:`linear_rows`.
     Writes h' and c' into ``h_out`` and ``c_out``; row i is bitwise what
     row i alone would give."""
     z = linear_rows(np.concatenate([x, h], axis=1), weight_t, bias)

@@ -87,34 +87,30 @@ def grad_check(loss_fn, store: ParamStore, tolerance: float = 1e-4, step: float 
     checks = []
     for name in store:
         param = store[name]
-        flat_value = param.value.reshape(-1)
-        flat_analytic = analytic[name].reshape(-1)
-        size = flat_value.shape[0]
+        # Coordinates are flat indices in row-major order; each probe writes
+        # through its multi-index, so it perturbs the parameter itself in
+        # either memory order.
+        size = param.value.size
         if max_coords_per_param is not None and size > max_coords_per_param:
             coords = rng.choice(size, size=max_coords_per_param, replace=False)
         else:
             coords = range(size)
-        worst = ParamCheck(name, 0.0, (0,), float(flat_analytic[0]), 0.0, 0)
+        worst = ParamCheck(name, 0.0, (0,), float(analytic[name].flat[0]), 0.0, 0)
         n_checked = 0
         for coord in coords:
-            original = flat_value[coord]
-            flat_value[coord] = original + step
+            index = tuple(int(i) for i in np.unravel_index(coord, param.value.shape))
+            original = param.value[index]
+            param.value[index] = original + step
             loss_plus = float(loss_fn(Tape()).value)
-            flat_value[coord] = original - step
+            param.value[index] = original - step
             loss_minus = float(loss_fn(Tape()).value)
-            flat_value[coord] = original
+            param.value[index] = original
             numeric = (loss_plus - loss_minus) / (2.0 * step)
-            rel = _relative_error(float(flat_analytic[coord]), numeric, floor)
+            rel = _relative_error(float(analytic[name][index]), numeric, floor)
             n_checked += 1
             if rel >= worst.max_rel_err:
-                worst = ParamCheck(
-                    name,
-                    rel,
-                    tuple(np.unravel_index(coord, param.value.shape)),
-                    float(flat_analytic[coord]),
-                    numeric,
-                    n_checked,
-                )
+                worst = ParamCheck(name, rel, index, float(analytic[name][index]), numeric,
+                                   n_checked)
         worst.n_checked = n_checked
         checks.append(worst)
     return GradCheckReport(checks=checks, tolerance=tolerance)

@@ -27,10 +27,13 @@ def embedding_lookup(tape, table: Var, index: int) -> Var:
 class Lstm:
     """A stack of LSTM layers driven one step at a time.
 
-    States are immutable tuples of per-layer (h, c) Vars, so a state can be
-    kept, branched, or popped back to at any time; that is what makes the
-    persistent stack encoder work.  ``forget_bias`` pre-loads the forget
-    gate, a standard stabilizer.
+    On the tape, states are immutable tuples of per-layer (h, c) Vars, so a
+    state can be kept, branched, or popped back to at any time; that is what
+    makes the persistent stack encoder work.  The forward-only ``*_rows``
+    methods step many rows at once on plain arrays: a state is one array of
+    shape (layers, 2, hidden) holding each layer's (h, c), and a batch of
+    states stacks them to (B, layers, 2, hidden).  ``forget_bias`` pre-loads
+    the forget gate, a standard stabilizer.
     """
 
     def __init__(self, store, prefix: str, input_dim: int, hidden_dim: int,
@@ -38,10 +41,12 @@ class Lstm:
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.num_layers = num_layers
+        self.dtype = store.dtype
         self.layers = []
         for layer in range(num_layers):
             in_dim = input_dim if layer == 0 else hidden_dim
-            weight = store.add(f"{prefix}.l{layer}.weight", (4 * hidden_dim, in_dim + hidden_dim))
+            weight = store.add(f"{prefix}.l{layer}.weight", (4 * hidden_dim, in_dim + hidden_dim),
+                               order="F")
             bias = store.add(f"{prefix}.l{layer}.bias", (4 * hidden_dim,),
                              init=lambda value: value[hidden_dim : 2 * hidden_dim].fill(forget_bias))
             h0 = store.add(f"{prefix}.l{layer}.h0", (hidden_dim,))
@@ -75,59 +80,49 @@ class Lstm:
             states.append(state)
         return states
 
+    def initial_rows(self, n: int) -> np.ndarray:
+        """``n`` copies of the learned empty-sequence state."""
+        state = np.empty((n, self.num_layers, 2, self.hidden_dim), dtype=self.dtype)
+        for layer, (_, _, h0, c0) in enumerate(self.layers):
+            state[:, layer, 0] = h0.value
+            state[:, layer, 1] = c0.value
+        return state
 
-class LstmRows:
-    """A forward-only copy of an :class:`Lstm` that steps many rows at once.
-
-    Each layer keeps its weight as a contiguous transpose (what
-    :func:`core.lstm_rows` takes) and a reference to its bias.  A state is
-    one array of shape (layers, 2, hidden) holding each layer's (h, c); a
-    batch of states stacks them to (B, layers, 2, hidden).  The copy is only
-    valid for the parameter values it was made from.
-    """
-
-    def __init__(self, lstm: Lstm):
-        self.layers = [
-            (np.ascontiguousarray(weight.value.T), bias.value)
-            for weight, bias, _, _ in lstm.layers
-        ]
-        self.initial = np.stack([np.stack([h0.value, c0.value]) for _, _, h0, c0 in lstm.layers])
-
-    def step(self, x: np.ndarray, state: np.ndarray) -> np.ndarray:
+    def step_rows(self, x: np.ndarray, state: np.ndarray) -> np.ndarray:
         """Feed row i of ``x`` to state i; returns the new states."""
         new = np.empty_like(state)
         inp = x
-        for layer, (weight_t, bias) in enumerate(self.layers):
+        for layer, (weight, bias, _, _) in enumerate(self.layers):
             h = new[:, layer, 0]
-            core.lstm_rows(weight_t, bias, inp, state[:, layer, 0], state[:, layer, 1],
-                           h, new[:, layer, 1])
+            core.lstm_rows(weight.value.T, bias.value, inp, state[:, layer, 0],
+                           state[:, layer, 1], h, new[:, layer, 1])
             inp = h
         return new
 
-    def outputs(self, inputs: np.ndarray) -> np.ndarray:
+    def output_rows(self, inputs: np.ndarray) -> np.ndarray:
         """Top-layer hidden state after each row of one sequence."""
-        out = np.empty((len(inputs), self.initial.shape[-1]), dtype=self.initial.dtype)
-        state = self.initial[None]
+        out = np.empty((len(inputs), self.hidden_dim), dtype=self.dtype)
+        state = self.initial_rows(1)
         for t in range(len(inputs)):
-            state = self.step(inputs[t : t + 1], state)
+            state = self.step_rows(inputs[t : t + 1], state)
             out[t] = state[0, -1, 0]
         return out
 
-    def finals(self, sequences) -> np.ndarray:
+    def final_rows(self, sequences) -> np.ndarray:
         """Top-layer hidden state at the end of each sequence (a list of
         non-empty lists of vectors), stepping all of them in lockstep."""
         order = sorted(range(len(sequences)), key=lambda i: -len(sequences[i]))
         ordered = [sequences[i] for i in order]
-        state = np.repeat(self.initial[None], len(ordered), axis=0)
+        state = self.initial_rows(len(ordered))
         active = len(ordered)
         for t in range(len(ordered[0])):
             while len(ordered[active - 1]) <= t:
                 active -= 1  # the longest sequences come first
             x = np.array([seq[t] for seq in ordered[:active]])
             if active == len(ordered):
-                state = self.step(x, state)
+                state = self.step_rows(x, state)
             else:
-                state[:active] = self.step(x, state[:active])
+                state[:active] = self.step_rows(x, state[:active])
         out = np.empty_like(state[:, -1, 0])
         out[order] = state[:, -1, 0]
         return out
@@ -141,7 +136,8 @@ class BiLstmEncoder:
                  output_dim: int, num_layers: int = 1):
         self.fwd = Lstm(store, f"{prefix}.fwd", input_dim, hidden_dim, num_layers)
         self.bwd = Lstm(store, f"{prefix}.bwd", input_dim, hidden_dim, num_layers)
-        self.proj_weight = store.add(f"{prefix}.proj.weight", (output_dim, 2 * hidden_dim))
+        self.proj_weight = store.add(f"{prefix}.proj.weight", (output_dim, 2 * hidden_dim),
+                                     order="F")
         self.proj_bias = store.add(f"{prefix}.proj.bias", (output_dim,))
         self.output_dim = output_dim
 
@@ -153,20 +149,10 @@ class BiLstmEncoder:
         h_bwd = self.bwd.output(self.bwd.run(tape, reversed(inputs))[-1])
         return core.linear(tape, self.proj_weight, self.proj_bias, core.concat(tape, [h_fwd, h_bwd]))
 
-
-class BiLstmRows:
-    """A forward-only copy of a :class:`BiLstmEncoder` that encodes many
-    sequences at once; only valid for the parameter values it was made
-    from."""
-
-    def __init__(self, encoder: BiLstmEncoder):
-        self.fwd = LstmRows(encoder.fwd)
-        self.bwd = LstmRows(encoder.bwd)
-        self.proj = (np.ascontiguousarray(encoder.proj_weight.value.T), encoder.proj_bias.value)
-
-    def encode(self, sequences) -> np.ndarray:
-        """One summary row per sequence (a list of non-empty lists of
-        vectors)."""
-        h_fwd = self.fwd.finals(sequences)
-        h_bwd = self.bwd.finals([seq[::-1] for seq in sequences])
-        return core.linear_rows(np.concatenate([h_fwd, h_bwd], axis=1), *self.proj)
+    def encode_rows(self, sequences) -> np.ndarray:
+        """Forward-only :meth:`encode` of many sequences (a list of
+        non-empty lists of vectors), one summary row each."""
+        h_fwd = self.fwd.final_rows(sequences)
+        h_bwd = self.bwd.final_rows([seq[::-1] for seq in sequences])
+        return core.linear_rows(np.concatenate([h_fwd, h_bwd], axis=1), self.proj_weight.value.T,
+                                self.proj_bias.value)

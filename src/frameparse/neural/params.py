@@ -5,6 +5,13 @@ A :class:`ParamStore` keeps all parameters in one arena: four flat buffers,
 at its exact size.  Every :class:`Param` holds reshaped views into them, so
 Adam and ``zero_grad`` run over four arrays instead of one set per
 parameter.
+
+A matrix that feeds matrix products is stored column-major (``order="F"``,
+set by the layer that owns it), so ``value.T`` is a free C-contiguous
+(in, out) view: the operand of a vector-matrix product, which training and
+decoding both compute (see ``core.linear_rows``).  Tables read by row stay
+row-major.  The memory order changes no name, shape, initial value or
+checkpoint byte.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import re
 import weakref
 from typing import Optional
 
@@ -42,12 +51,13 @@ class Param(Var):
     ``init`` fills the value at allocation: ``"glorot"``, ``"zeros"``, or a
     callable that writes into the zeroed value.  ``frozen_rows`` (a boolean
     mask over the first axis) excludes rows from optimizer updates; used for
-    pretrained embedding rows.  Assign a new mask to change it.
+    pretrained embedding rows.  Assign a new mask to change it.  ``order``
+    is the memory order of the views, ``"C"`` or ``"F"``.
     """
 
-    __slots__ = ("name", "shape", "init", "m", "v", "_store", "_frozen_rows")
+    __slots__ = ("name", "shape", "init", "order", "m", "v", "_store", "_frozen_rows")
 
-    def __init__(self, store: "ParamStore", name: str, shape: tuple, init):
+    def __init__(self, store: "ParamStore", name: str, shape: tuple, init, order: str):
         # No Var.__init__: the views stay unset until the store allocates.
         # A weak reference, so that a store and its parameters form no
         # cycle and are freed as soon as the model is dropped.
@@ -55,6 +65,7 @@ class Param(Var):
         self.name = name
         self.shape = shape
         self.init = init
+        self.order = order
         self._frozen_rows = None
 
     @property
@@ -99,10 +110,6 @@ class ParamStore:
         self.dtype = np.dtype(dtype)
         self.params: dict = {}
         self.t = 0  # shared Adam timestep
-        # Bumped by adam_step and load_values, so copies derived from the
-        # values know when they are stale; code that writes values directly
-        # must bump it too.
-        self.version = 0
         # The arena's flat buffers, set by allocate().
         self.value = self.grad = self.m = self.v = None
         # Adam's work list (see _adam_chunks), made by the first step and
@@ -110,7 +117,7 @@ class ParamStore:
         # so one thread steps a store at a time.
         self._chunks = None
 
-    def add(self, name: str, shape, init="auto") -> Param:
+    def add(self, name: str, shape, init="auto", order: str = "C") -> Param:
         if self.value is not None:
             raise RuntimeError(f"cannot add {name!r}: the parameter arena is already allocated")
         if name in self.params:
@@ -120,16 +127,19 @@ class ParamStore:
             init = "glorot" if len(shape) == 2 else "zeros"
         if not (callable(init) or init in ("zeros", "glorot")):
             raise ValueError(f"unknown init {init!r}")
-        param = _PendingParam(self, name, shape, init)
+        param = _PendingParam(self, name, shape, init, order)
         self.params[name] = param
         return param
 
-    def _spans(self):
-        """(param, start, stop) of every parameter's slice of the arena."""
+    def _views(self, *flats):
+        """(param, view of each of ``flats``) per parameter, where every flat
+        buffer is arena-sized and each view is the parameter's slice of it,
+        in its shape and memory order."""
         start = 0
         for param in self.params.values():
             stop = start + math.prod(param.shape)
-            yield param, start, stop
+            yield param, *(flat[start:stop].reshape(param.shape, order=param.order)
+                           for flat in flats)
             start = stop
 
     def allocate(self) -> None:
@@ -140,12 +150,9 @@ class ParamStore:
             return
         size = self.num_values()
         self.value, self.grad, self.m, self.v = (np.zeros(size, self.dtype) for _ in _VIEWS)
-        for param, start, stop in self._spans():
+        for param, *views in self._views(self.value, self.grad, self.m, self.v):
             param.__class__ = Param
-            param.value, param.grad, param.m, param.v = (
-                flat[start:stop].reshape(param.shape)
-                for flat in (self.value, self.grad, self.m, self.v)
-            )
+            param.value, param.grad, param.m, param.v = views
             if param.init == "glorot":
                 scale = np.sqrt(6.0 / sum(param.shape))
                 param.value[...] = self.rng.uniform(-scale, scale, param.shape)
@@ -177,9 +184,9 @@ class ParamStore:
         frozen elements (None if it has none)."""
         if self._chunks is None:
             frozen = np.zeros(self.value.size, dtype=bool)
-            for param, start, stop in self._spans():
+            for param, mask in self._views(frozen):
                 if param.frozen_rows is not None:
-                    frozen[start:stop].reshape(param.shape)[param.frozen_rows] = True
+                    mask[param.frozen_rows] = True
             scratch = np.empty((2, min(ADAM_CHUNK, self.value.size)), dtype=self.dtype)
             self._chunks = []
             for start in range(0, self.value.size, ADAM_CHUNK):
@@ -205,7 +212,6 @@ class ParamStore:
         """
         self.allocate()
         self.t += 1
-        self.version += 1
         decay = bool(weight_decay)
         # The constants as 0-d arrays of the store's dtype: the values numpy
         # would convert the Python floats to, at half the cost per call.
@@ -255,7 +261,6 @@ class ParamStore:
                 raise CheckpointError(
                     f"parameter {name!r}: checkpoint shape {shape} != model shape {param.shape}"
                 )
-        self.version += 1
         for name, param in self.params.items():
             param.value[...] = arrays[name].astype(self.dtype, copy=False)
 
@@ -287,6 +292,9 @@ def save_checkpoint(path, arrays: dict, meta: dict) -> None:
 
 
 _ENTRY_KEYS = ("name", "dtype", "shape", "nbytes")
+# The dtype strings a checkpoint may name: bool, integer and float, as
+# ``dtype.str`` spells them (``"<f4"``, ``"|u1"``).
+_DTYPE = re.compile(r"[<>|=]?[biuf][1-9][0-9]?")
 
 
 def _array_entry(path, entry) -> tuple:
@@ -298,12 +306,13 @@ def _array_entry(path, entry) -> tuple:
     name, shape, nbytes = entry["name"], entry["shape"], entry["nbytes"]
     if not isinstance(name, str):
         raise CheckpointError(f"{path}: array name {name!r} is not a string")
+    text = entry["dtype"]
     try:
-        dtype = np.dtype(entry["dtype"])
-    except (TypeError, ValueError):
-        raise CheckpointError(f"{path}: array {name!r} has bad dtype {entry['dtype']!r}") from None
-    if dtype.hasobject or dtype.itemsize == 0:
-        raise CheckpointError(f"{path}: array {name!r} has unsupported dtype {dtype}")
+        dtype = np.dtype(text) if isinstance(text, str) and _DTYPE.fullmatch(text) else None
+    except TypeError:
+        dtype = None
+    if dtype is None:
+        raise CheckpointError(f"{path}: array {name!r} has unsupported dtype {text!r}")
     if not isinstance(shape, list) or not all(type(dim) is int and dim >= 0 for dim in shape):
         raise CheckpointError(f"{path}: array {name!r} has bad shape {shape!r}")
     expected = math.prod(shape) * dtype.itemsize
@@ -319,14 +328,16 @@ def load_checkpoint(path):
     """Read a container written by :func:`save_checkpoint`; returns
     (arrays, meta).  Any malformed, truncated or overlong content, or a
     payload that does not match the header's sha256, raises
-    ``CheckpointError``.  A header without a sha256 loads unchecked."""
+    ``CheckpointError``; an array table that declares more bytes than the
+    file holds does so before any array is read.  A header without a
+    sha256 loads unchecked."""
     with open(path, "rb") as handle:
         magic = handle.readline().rstrip(b"\n")
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a frameparse checkpoint")
         try:
             header = json.loads(handle.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
             raise CheckpointError(f"{path}: corrupt checkpoint header: {err}") from None
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
@@ -340,10 +351,17 @@ def load_checkpoint(path):
             raise CheckpointError(
                 f"{path}: checkpoint header needs an 'arrays' list and a 'meta' object"
             )
+        entries = [_array_entry(path, entry) for entry in table]
+        declared = sum(nbytes for *_, nbytes in entries)
+        available = os.fstat(handle.fileno()).st_size - handle.tell()
+        if declared > available:
+            raise CheckpointError(
+                f"{path}: truncated checkpoint: the array table declares {declared} bytes, "
+                f"but {available} follow the header"
+            )
         arrays = {}
         digest = hashlib.sha256()
-        for entry in table:
-            name, dtype, shape, nbytes = _array_entry(path, entry)
+        for name, dtype, shape, nbytes in entries:
             if name in arrays:
                 raise CheckpointError(f"{path}: array {name!r} appears twice")
             blob = handle.read(nbytes)

@@ -108,7 +108,9 @@ def load_embeddings(path, vocab, seed: int = 0, init_scale: float = 0.1) -> Embe
     keeping only words in ``vocab``.
 
     Vocabulary words absent from the file get a seeded uniform random
-    vector and are reported in the table's ``missing`` field.
+    vector and are reported in the table's ``missing`` field.  A line with
+    the wrong number of values, or a kept word with a value that is not a
+    finite number, raises ``RaggedDimensions`` naming the line.
     """
     wanted = set(vocab)
     vectors: dict = {}
@@ -128,9 +130,12 @@ def load_embeddings(path, vocab, seed: int = 0, init_scale: float = 0.1) -> Embe
             if word not in wanted:
                 continue
             try:
-                vectors[word] = np.asarray([float(v) for v in values], dtype=np.float64)
+                vector = np.asarray([float(v) for v in values], dtype=np.float64)
             except ValueError:
                 raise RaggedDimensions(lineno, "non-numeric embedding value") from None
+            if not np.isfinite(vector).all():
+                raise RaggedDimensions(lineno, f"non-finite embedding value for {word!r}")
+            vectors[word] = vector
     if dim is None:
         raise RaggedDimensions(0, "embedding file is empty")
     rng = np.random.default_rng(seed)

@@ -17,7 +17,8 @@ prefixes, forward-only: every live hypothesis is one row of each matrix
 product, so beam search scores and advances all of them at once.  Both
 step a :class:`Hypothesis` with the same :func:`advance`, which does the
 bookkeeping and queues the encoder inputs; each executor runs the queue
-its own way.
+its own way, on the same parameters and the same vector-matrix products,
+so the taped and the decoded logits of a step are bitwise equal.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class Model:
         self.word_emb = store.add("word_emb", (len(token_vocab), cfg.word_dim))
         self.label_emb = store.add("label_emb", (max(len(self.labels), 1), cfg.label_dim))
         self.action_emb = store.add("action_emb", (len(self.actions), cfg.action_dim))
-        self.label_proj_w = store.add("label_proj.weight", (elem, cfg.label_dim))
+        self.label_proj_w = store.add("label_proj.weight", (elem, cfg.label_dim), order="F")
         self.label_proj_b = store.add("label_proj.bias", (elem,))
         self.compose = layers.BiLstmEncoder(store, "compose", elem, cfg.lstm_units, elem)
         self.stack_lstm = (
@@ -169,16 +170,15 @@ class Model:
             else None
         )
         summary_dim = cfg.lstm_units * len(cfg.enabled_encoders)
-        self.ff_w = store.add("ff.weight", (cfg.lstm_units, summary_dim))
+        self.ff_w = store.add("ff.weight", (cfg.lstm_units, summary_dim), order="F")
         self.ff_b = store.add("ff.bias", (cfg.lstm_units,))
-        self.out_w = store.add("scorer.weight", (len(self.actions), cfg.lstm_units))
+        self.out_w = store.add("scorer.weight", (len(self.actions), cfg.lstm_units), order="F")
         self.out_b = store.add("scorer.bias", (len(self.actions),))
         store.allocate()
 
         if embeddings is not None:
             self._load_pretrained(embeddings)
         self._indices_by_kinds = {}
-        self._decode_weights = None
 
     def _load_pretrained(self, table) -> None:
         if table.dim != self.config.word_dim:
@@ -210,43 +210,12 @@ class Model:
             self._indices_by_kinds[kinds] = indices
         return indices
 
-    def decode_weights(self) -> "DecodeWeights":
-        """The forward-only copies decoding reads, rebuilt whenever the
-        parameter values have changed (``ParamStore.version``)."""
-        cached = self._decode_weights
-        if cached is None or cached.version != self.store.version:
-            cached = self._decode_weights = DecodeWeights(self)
-        return cached
-
     def token_ids(self, tokens) -> list:
         unk = self.token_vocab.index(UNK_TOKEN) if UNK_TOKEN in self.token_vocab else 0
         return [
             self.token_vocab.get(sym, unk)
             for sym in self.normalizer.normalize_sequence(tokens)
         ]
-
-
-class DecodeWeights:
-    """What decoding reads, for one version of the parameter values: every
-    weight as a contiguous transpose (see ``core.linear_rows``), each LSTM's
-    learned initial state, and the stack vector of every label."""
-
-    def __init__(self, model: Model):
-        cfg = model.config
-        self.version = model.store.version
-        self.stack = layers.LstmRows(model.stack_lstm) if cfg.use_stack else None
-        self.buffer = layers.LstmRows(model.buffer_lstm) if cfg.use_buffer else None
-        self.actions = layers.LstmRows(model.action_lstm) if cfg.use_actions else None
-        self.compose = layers.BiLstmRows(model.compose) if cfg.use_stack else None
-        self.ff = (np.ascontiguousarray(model.ff_w.value.T), model.ff_b.value)
-        self.scorer = (np.ascontiguousarray(model.out_w.value.T), model.out_b.value)
-        self.labels = None
-        if cfg.use_stack:
-            self.labels = core.linear_rows(
-                model.label_emb.value,
-                np.ascontiguousarray(model.label_proj_w.value.T),
-                model.label_proj_b.value,
-            )
 
 
 class Hypothesis:
@@ -258,7 +227,7 @@ class Hypothesis:
     precomputed buffer states.
 
     Training keeps the states as tape ``Var``s, decoding as plain arrays
-    (see ``layers.LstmRows``).  :func:`advance` only queues the encoder
+    (see ``layers.Lstm``).  :func:`advance` only queues the encoder
     inputs of an action: ``push`` holds a word vector (SHIFT), a label index
     (NT) or the symbols a REDUCE composes, and ``action`` an action index.
     They wait there until a runner takes them: :func:`encode_state` on the
@@ -451,7 +420,7 @@ def train(model: Model, corpus: Corpus, epochs: Optional[int] = None, rng=None,
     return trace
 
 
-def _start_branch(model: Model, weights: DecodeWeights, tokens: tuple) -> Hypothesis:
+def _start_branch(model: Model, tokens: tuple) -> Hypothesis:
     state = initial_state(tokens)
     cfg = model.config
     word_vecs = buffer_outputs = None
@@ -460,41 +429,46 @@ def _start_branch(model: Model, weights: DecodeWeights, tokens: tuple) -> Hypoth
     if cfg.use_buffer:
         # Encoded right to left: entry [pos] reflects the next token to
         # shift; entry [n] is the learned empty-buffer state.
-        outputs = weights.buffer.outputs(word_vecs[::-1])
-        buffer_outputs = np.concatenate([outputs[::-1], weights.buffer.initial[None, -1, 0]])
+        outputs = model.buffer_lstm.output_rows(word_vecs[::-1])
+        empty = model.buffer_lstm.initial_rows(1)[:, -1, 0]
+        buffer_outputs = np.concatenate([outputs[::-1], empty])
     return Hypothesis(
         state,
         0.0,
-        [weights.stack.initial] if cfg.use_stack else None,
+        [model.stack_lstm.initial_rows(1)[0]] if cfg.use_stack else None,
         [] if cfg.use_stack else None,
         [] if cfg.use_stack else None,
-        weights.actions.initial if cfg.use_actions else None,
+        model.action_lstm.initial_rows(1)[0] if cfg.use_actions else None,
         word_vecs,
         buffer_outputs,
     )
 
 
-def _run_queued(model: Model, weights: DecodeWeights, branches: list) -> None:
+def _run_queued(model: Model, branches: list) -> None:
     """Run the encoder inputs the hypotheses have queued, one row each: the
-    REDUCEs compose together, then one stack-LSTM and one action-LSTM
-    product per layer.  (``np.array`` of a list stacks like ``np.stack``, at
-    a third of the cost for a few small rows.)"""
+    REDUCEs compose together and the pushed labels project together, then
+    one stack-LSTM and one action-LSTM product per layer.  (``np.array`` of
+    a list stacks like ``np.stack``, at a third of the cost for a few small
+    rows.)"""
     queued = [b for b in branches if b.action is not None]
     if not queued:
         return
     cfg = model.config
     if cfg.use_stack:
         composed = [b.push for b in queued if isinstance(b.push, list)]
-        subtrees = iter(weights.compose.encode(composed)) if composed else None
+        subtrees = iter(model.compose.encode_rows(composed)) if composed else None
+        opened = [b.push for b in queued if isinstance(b.push, int)]
+        labels = iter(core.linear_rows(model.label_emb.value[opened], model.label_proj_w.value.T,
+                                       model.label_proj_b.value)) if opened else None
         pushed = []
         for b in queued:
             if isinstance(b.push, list):
                 pushed.append(next(subtrees))
             elif isinstance(b.push, int):
-                pushed.append(weights.labels[b.push])
+                pushed.append(next(labels))
             else:
                 pushed.append(b.push)
-        states = weights.stack.step(
+        states = model.stack_lstm.step_rows(
             np.array(pushed), np.array([b.stack_states[-1] for b in queued])
         )
         for branch, vec, state in zip(queued, pushed, states):
@@ -502,7 +476,7 @@ def _run_queued(model: Model, weights: DecodeWeights, branches: list) -> None:
             branch.stack_states.append(state)
             branch.push = None
     if cfg.use_actions:
-        states = weights.actions.step(
+        states = model.action_lstm.step_rows(
             model.action_emb.value[[b.action for b in queued]],
             np.array([b.action_state for b in queued]),
         )
@@ -512,14 +486,14 @@ def _run_queued(model: Model, weights: DecodeWeights, branches: list) -> None:
         branch.action = None
 
 
-def _branch_logits(model: Model, weights: DecodeWeights, branches: list) -> np.ndarray:
+def _branch_logits(model: Model, branches: list) -> np.ndarray:
     """Action logits over the full inventory, one row per hypothesis: one
     feed-forward and one scorer product for all of them.  A hypothesis that
     reached a terminal state is never scored again, so its last queued
     inputs never run."""
-    _run_queued(model, weights, branches)
+    _run_queued(model, branches)
     cfg = model.config
-    summary = np.empty((len(branches), weights.ff[0].shape[0]), dtype=model.store.dtype)
+    summary = np.empty((len(branches), model.ff_w.shape[1]), dtype=model.store.dtype)
     for row, b in zip(summary, branches):
         parts = []
         if cfg.use_stack:
@@ -529,8 +503,8 @@ def _branch_logits(model: Model, weights: DecodeWeights, branches: list) -> np.n
         if cfg.use_actions:
             parts.append(b.action_state[-1, 0])
         np.concatenate(parts, out=row)
-    hidden = np.maximum(core.linear_rows(summary, *weights.ff), 0)
-    return core.linear_rows(hidden, *weights.scorer)
+    hidden = np.maximum(core.linear_rows(summary, model.ff_w.value.T, model.ff_b.value), 0)
+    return core.linear_rows(hidden, model.out_w.value.T, model.out_b.value)
 
 
 def _valid_indices(model: Model, state) -> np.ndarray:
@@ -551,13 +525,12 @@ def parse_greedy(model: Model, tokens) -> tuple:
     tokens = tuple(tokens)
     if not tokens:
         raise EmptyUtterance("cannot parse an empty utterance")
-    weights = model.decode_weights()
-    branch = _start_branch(model, weights, tokens)
+    branch = _start_branch(model, tokens)
     for _ in range(_decode_guard(len(tokens), model.config.max_open_nts)):
         if branch.state.is_terminal:
             break
         indices = _valid_indices(model, branch.state)
-        logps = core.masked_log_probs(_branch_logits(model, weights, [branch])[0], indices)
+        logps = core.masked_log_probs(_branch_logits(model, [branch])[0], indices)
         best = int(np.argmax(logps))
         advance(model, branch, model.actions[indices[best]], float(logps[best]))
     else:
@@ -580,13 +553,12 @@ def parse_beam(model: Model, tokens, k: int) -> list:
         raise EmptyUtterance("cannot parse an empty utterance")
     if k < 1:
         raise ValueError("beam size must be at least 1")
-    weights = model.decode_weights()
-    live = [_start_branch(model, weights, tokens)]
+    live = [_start_branch(model, tokens)]
     completed: list = []
     for _ in range(_decode_guard(len(tokens), model.config.max_open_nts)):
         if not live:
             break
-        logits = _branch_logits(model, weights, live)
+        logits = _branch_logits(model, live)
         totals, sources, actions, steps = [], [], [], []
         for src, branch in enumerate(live):
             indices = _valid_indices(model, branch.state)
@@ -624,15 +596,14 @@ def score_actions(model: Model, tokens, actions) -> float:
     sequence under the model (evaluation mode); equal to the score a
     decoder reports for the same derivation."""
     tokens = tuple(tokens)
-    weights = model.decode_weights()
-    branch = _start_branch(model, weights, tokens)
+    branch = _start_branch(model, tokens)
     total = 0.0
     for action in actions:
         indices = _valid_indices(model, branch.state)
         position = np.nonzero(indices == model.action_index[action])[0]
         if position.size == 0:
             raise ValueError(f"action {action} is masked out at this step")
-        logps = core.masked_log_probs(_branch_logits(model, weights, [branch])[0], indices)
+        logps = core.masked_log_probs(_branch_logits(model, [branch])[0], indices)
         total = total + float(logps[int(position[0])])
         advance(model, branch, action, 0.0)
     return total

@@ -244,6 +244,48 @@ def test_parse_malformed_checkpoint_exits_three(tmp_path, capsys, header):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_parse_checkpoint_declaring_more_than_the_file_exits_three(tmp_path, capsys):
+    # 4 TiB declared, 8 bytes present: refused before any array is read.
+    header = {"version": 1, "meta": {}, "arrays": [{"name": "w", "dtype": "<f4",
+                                                     "shape": [1 << 40], "nbytes": 4 << 40}]}
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(b"FRAMEPARSE-CKPT\n" + json.dumps(header).encode() + b"\n" + bytes(8))
+    utterances = write_lines(tmp_path / "utts.txt", ["show the weather"])
+    assert main(["parse", str(ckpt), utterances]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "declares 4398046511104 bytes, but 8" in err
+
+
+@pytest.mark.parametrize("beam", ["0", "-1", "two"])
+def test_parse_non_positive_beam_is_a_usage_error(tmp_path, capsys, beam):
+    # Refused by the argument parser, before the checkpoint (which does not
+    # exist here) is opened or the output file is created.
+    utterances = write_lines(tmp_path / "utts.txt", ["show the weather"])
+    pred = tmp_path / "pred.txt"
+    with pytest.raises(SystemExit) as err:
+        main(["parse", str(tmp_path / "missing.ckpt"), utterances, "-o", str(pred),
+              "--beam", beam])
+    assert err.value.code == 2
+    assert "--beam: expected a positive integer" in capsys.readouterr().err
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize(
+    "line", ["{word} 0.5 0.5", "{word} 0.5 nan 0.5", "{word} 0.5 inf 0.5", "{word} 0.5 x 0.5"],
+    ids=["ragged", "nan", "inf", "non-numeric"],
+)
+def test_train_bad_embeddings_exit_three(tmp_path, capsys, corpus_tsv, line):
+    tsv, corpus = corpus_tsv
+    word = corpus.examples[0].tokens[0]
+    embeddings = write_lines(tmp_path / "vectors.txt", [f"{word} 0.1 0.2 0.3",
+                                                        line.format(word=word)])
+    ckpt = tmp_path / "model.ckpt"
+    flags = ["--embeddings", embeddings, "--word-dim", "3", "--epochs", "0"]
+    assert main(["train", tsv, "-o", str(ckpt)] + flags) == 3
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+    assert not ckpt.exists()
+
+
 def _set(key, value):
     def edit(meta):
         meta[key] = value

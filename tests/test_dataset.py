@@ -39,6 +39,7 @@ def test_load_single_line(tmp_path):
     example = corpus.examples[0]
     assert example.raw_utterance == UTTERANCE
     assert example.tokens == tuple(UTTERANCE.split())
+    assert example.tokens is example.tree.tokens  # one copy of the words per example
     assert serialize(example.tree) == NESTED
 
 

@@ -409,6 +409,7 @@ def _assert_views_tile_arena(store):
         for view in ("value", "grad", "m", "v"):
             array, flat = getattr(param, view), getattr(store, view)
             assert array.shape == param.shape, (param.name, view)
+            assert array.flags[f"{param.order}_CONTIGUOUS"], (param.name, view)
             assert np.shares_memory(array, flat), (param.name, view)
             assert array.ctypes.data == flat[offset:].ctypes.data, (param.name, view)
         offset += size
@@ -552,12 +553,12 @@ def test_load_values_checks_everything_before_writing(edit):
     store.add("a", (2, 2))
     store.add("b", (2,))
     store.allocate()
-    before, version = store.value.copy(), store.version
+    before = store.value.copy()
     arrays = {"a": np.full((2, 2), 7.0), "b": np.full(2, 7.0)}
     edit(arrays)
     with pytest.raises(CheckpointError):
         store.load_values(arrays)
-    assert np.array_equal(store.value, before) and store.version == version
+    assert np.array_equal(store.value, before)
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +718,12 @@ _GOOD_ENTRY = {"name": "w", "dtype": "<f4", "shape": [2, 3], "nbytes": 24}
         pytest.param({"version": 1, "meta": {},
                       "arrays": [{k: v for k, v in _GOOD_ENTRY.items() if k != "dtype"}]},
                      id="entry-missing-key"),
+        pytest.param({"version": 1, "meta": {},
+                      "arrays": [dict(_GOOD_ENTRY, dtype="(2,)f4", shape=[3])]},
+                     id="subarray-dtype"),
+        pytest.param({"version": 1, "meta": {},
+                      "arrays": [dict(_GOOD_ENTRY, dtype="<U3", shape=[2])]},
+                     id="string-dtype"),
     ],
 )
 def test_checkpoint_rejects_malformed_header(tmp_path, header):

@@ -113,6 +113,14 @@ def test_load_embeddings_non_numeric(tmp_path):
         load_embeddings(path, ["alpha"])
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
+def test_load_embeddings_rejects_non_finite_values(tmp_path, value):
+    path = _write(tmp_path, f"alpha 1 2 3\nbeta 0.1 {value} 0.3\n")
+    with pytest.raises(RaggedDimensions) as err:
+        load_embeddings(path, ["alpha", "beta"])
+    assert err.value.line == 2 and "non-finite" in str(err.value)
+
+
 def test_load_embeddings_empty(tmp_path):
     path = _write(tmp_path, "")
     with pytest.raises(RaggedDimensions):

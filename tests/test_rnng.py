@@ -302,16 +302,17 @@ def test_row_products_are_bitwise_row_invariant(precision):
     from frameparse.neural import core
 
     model = _default_model(precision)
-    weights = model.decode_weights()
-    lstms = [weights.stack, weights.buffer, weights.actions, weights.compose.fwd,
-             weights.compose.bwd]
-    products = [layer for lstm in lstms for layer in lstm.layers]
-    products += [weights.compose.proj, weights.ff, weights.scorer,
-                 (np.ascontiguousarray(model.label_proj_w.value.T), model.label_proj_b.value)]
+    lstms = [model.stack_lstm, model.buffer_lstm, model.action_lstm, model.compose.fwd,
+             model.compose.bwd]
+    products = [(weight, bias) for lstm in lstms for weight, bias, _, _ in lstm.layers]
+    products += [(model.compose.proj_weight, model.compose.proj_bias), (model.ff_w, model.ff_b),
+                 (model.out_w, model.out_b), (model.label_proj_w, model.label_proj_b)]
     assert len({w.shape for w, _ in products}) == 7  # every decode shape of the default config
     rng = np.random.default_rng(0)
     dtype = model.config.dtype
-    for weight_t, bias in products:
+    for weight, bias in products:
+        weight_t, bias = weight.value.T, bias.value
+        assert weight_t.flags.c_contiguous, weight.name
         x = rng.normal(size=(5, weight_t.shape[0])).astype(dtype)
         alone = [core.linear_rows(x[i : i + 1], weight_t, bias)[0] for i in range(5)]
         assert np.array_equal(alone[0], x[0] @ weight_t + bias)
@@ -320,12 +321,11 @@ def test_row_products_are_bitwise_row_invariant(precision):
             for i in range(batch):
                 assert np.array_equal(rows[i], alone[i]), (weight_t.shape, batch, i)
     for lstm in lstms:
-        hidden = lstm.initial.shape[-1]
-        x = rng.normal(size=(5, lstm.layers[0][0].shape[0] - hidden)).astype(dtype)
-        state = rng.normal(size=(5,) + lstm.initial.shape).astype(dtype)
-        alone = [lstm.step(x[i : i + 1], state[i : i + 1])[0] for i in range(5)]
+        x = rng.normal(size=(5, lstm.input_dim)).astype(dtype)
+        state = rng.normal(size=lstm.initial_rows(5).shape).astype(dtype)
+        alone = [lstm.step_rows(x[i : i + 1], state[i : i + 1])[0] for i in range(5)]
         for batch in range(1, 6):
-            new = lstm.step(x[:batch], state[:batch])
+            new = lstm.step_rows(x[:batch], state[:batch])
             for i in range(batch):
                 assert np.array_equal(new[i], alone[i])
 
@@ -337,7 +337,7 @@ def _refreshed(model):
     return fresh
 
 
-def test_decode_weights_follow_parameter_updates():
+def test_decoding_follows_parameter_updates():
     model = tiny_model(seed=32, precision="f32", lr=0.05)
     example = example_of("[IN:SET turn [SL:WHAT the lights ] off ]")
     tokens = example.tokens
@@ -353,6 +353,68 @@ def test_decode_weights_follow_parameter_updates():
     assert parse_greedy(model, tokens) == parse_greedy(other, tokens)
     assert score_actions(model, tokens, oracle(example.tree)) == score_actions(
         other, tokens, oracle(example.tree))
+
+
+@pytest.mark.parametrize(
+    "weight", ["scorer.weight", "ff.weight", "label_proj.weight", "compose.proj.weight",
+               "stack.l1.weight", "actions.l0.weight", "buffer.l0.weight"]
+)
+def test_decoding_reads_directly_written_weights(weight):
+    # Decoding reads the parameters themselves, so a write that goes around
+    # adam_step and load_values is seen by the next parse.
+    model = tiny_model(seed=34, precision="f32")
+    tokens = ("turn", "the", "lights", "off")
+    before = parse_beam(model, tokens, 3)
+    model.store[weight].value[...] = np.random.default_rng(35).normal(
+        size=model.store[weight].shape)
+    after = parse_beam(model, tokens, 3)
+    assert after == parse_beam(_refreshed(model), tokens, 3)
+    assert after != before
+    assert parse_greedy(model, tokens) == parse_greedy(_refreshed(model), tokens)
+
+
+@pytest.mark.parametrize("dims", [TINY, {}], ids=["tiny", "default"])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_taped_and_decode_logits_are_bitwise_equal(precision, dims):
+    # Training (encode_state on a tape) and decoding (_branch_logits over
+    # rows) compute every product on the same column-major weights, so the
+    # logits along an oracle derivation agree bit for bit.
+    corpus = synth.learnable_corpus(seed=36, size=12)
+    vocab, intents, slots = build_vocabs(corpus)
+    for seed in (36, 37):
+        config = RnngConfig(seed=seed, precision=precision, **dims)
+        model = Model(config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)))
+        steps = 0
+        for example in corpus.examples:
+            tape = Tape()
+            hyp = start_hypothesis(model, example.tokens, tape)
+            branch = rnng._start_branch(model, example.tokens)
+            for action in oracle(example.tree):
+                taped = encode_state(model, hyp, tape).value
+                rows = rnng._branch_logits(model, [branch])
+                assert np.array_equal(taped, rows[0]), (seed, example.raw_utterance, steps)
+                rnng.advance(model, hyp, action, 0.0)
+                rnng.advance(model, branch, action, 0.0)
+                steps += 1
+        assert steps > 100
+
+
+# sha256 of save_model's bytes for tiny_model(seed=38) in each precision;
+# recorded before product weights were stored column-major, which must
+# change no checkpoint byte.
+CHECKPOINT_SHA256 = {
+    "f32": "916df6180dc7528d21730fb582f7ad158be856a3fff94551a5c201aa07ee3899",
+    "f64": "8a718244d838b3113ff9ee97eed87ee2dc9a47c1162a038e63a40509c91e75ba",
+}
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_checkpoint_bytes_are_pinned(tmp_path, precision):
+    import hashlib
+
+    path = tmp_path / "model.ckpt"
+    save_model(tiny_model(seed=38, precision=precision), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[precision]
 
 
 def test_beam_matches_golden_fixture():
