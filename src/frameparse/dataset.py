@@ -27,13 +27,17 @@ class Split(Enum):
 class IngestError(Exception):
     """Problem reading a corpus file. ``kind`` is one of io, encoding,
     bad-column-count, tree-format, constraint-violation, token-mismatch,
-    empty-corpus."""
+    empty-corpus.  ``load_tsv`` names the file in ``path`` and, for a
+    problem with one line, its number in ``line``."""
 
-    def __init__(self, kind: str, message: str, line: Optional[int] = None):
+    def __init__(self, kind: str, message: str, line: Optional[int] = None, path=None):
+        where = f"{path}: " if path is not None else ""
         at = f"line {line}: " if line is not None else ""
-        super().__init__(f"{at}{message}")
+        super().__init__(f"{where}{at}{message}")
         self.kind = kind
+        self.message = message
         self.line = line
+        self.path = path
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ def load_tsv(path, split: Split = Split.UNSPLIT, strict: bool = True) -> Corpus:
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as err:
-        raise IngestError("io", str(err)) from None
+        raise IngestError("io", err.strerror or str(err), path=path) from None
     with handle:
         try:
             for lineno, line in enumerate(handle, start=1):
@@ -113,14 +117,14 @@ def load_tsv(path, split: Split = Split.UNSPLIT, strict: bool = True) -> Corpus:
                     examples.append(_parse_line(line, lineno))
                 except IngestError as err:
                     if strict:
-                        raise
+                        raise IngestError(err.kind, err.message, lineno, path) from None
                     skipped.append(LineIssue(line=lineno, kind=err.kind, message=str(err)))
         except UnicodeDecodeError as err:
             raise IngestError(
-                "encoding", f"not valid UTF-8 ({err.reason})", _undecodable_line(path)
+                "encoding", f"not valid UTF-8 ({err.reason})", _undecodable_line(path), path
             ) from None
     if not examples:
-        raise IngestError("empty-corpus", f"no usable examples in {path}")
+        raise IngestError("empty-corpus", "no usable examples", path=path)
     return Corpus(examples=examples, split=split, skipped=tuple(skipped))
 
 

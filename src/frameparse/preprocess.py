@@ -82,9 +82,15 @@ class TokenNormalizer:
 
 
 class RaggedDimensions(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    """A malformed embeddings file: ``path`` names it and ``line`` the bad
+    line (0 when the file is empty)."""
+
+    def __init__(self, line: int, message: str, path=None):
+        where = f"{path}: " if path is not None else ""
+        at = f"line {line}: " if line else ""
+        super().__init__(f"{where}{at}{message}")
         self.line = line
+        self.path = path
 
 
 @dataclass
@@ -119,25 +125,25 @@ def load_embeddings(path, vocab, seed: int = 0, init_scale: float = 0.1) -> Embe
         for lineno, line in enumerate(handle, start=1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:
-                raise RaggedDimensions(lineno, "expected a word followed by values")
+                raise RaggedDimensions(lineno, "expected a word followed by values", path)
             word, values = parts[0], parts[1:]
             if dim is None:
                 dim = len(values)
             elif len(values) != dim:
                 raise RaggedDimensions(
-                    lineno, f"expected {dim} values, found {len(values)}"
+                    lineno, f"expected {dim} values, found {len(values)}", path
                 )
             if word not in wanted:
                 continue
             try:
                 vector = np.asarray([float(v) for v in values], dtype=np.float64)
             except ValueError:
-                raise RaggedDimensions(lineno, "non-numeric embedding value") from None
+                raise RaggedDimensions(lineno, "non-numeric embedding value", path) from None
             if not np.isfinite(vector).all():
-                raise RaggedDimensions(lineno, f"non-finite embedding value for {word!r}")
+                raise RaggedDimensions(lineno, f"non-finite embedding value for {word!r}", path)
             vectors[word] = vector
     if dim is None:
-        raise RaggedDimensions(0, "embedding file is empty")
+        raise RaggedDimensions(0, "embedding file is empty", path)
     rng = np.random.default_rng(seed)
     missing = sorted(wanted - set(vectors))
     for word in missing:

@@ -19,6 +19,13 @@ step a :class:`Hypothesis` with the same :func:`advance`, which does the
 bookkeeping and queues the encoder inputs; each executor runs the queue
 its own way, on the same parameters and the same vector-matrix products,
 so the taped and the decoded logits of a step are bitwise equal.
+
+Once a hypothesis has shifted its last token, the mask allows only REDUCE
+until the tree closes.  The decoders take that forced tail through the
+same :func:`advance` with log-probability exactly log 1 = 0, and neither
+encode nor score it: for finite logits this is the score the masked
+softmax gives, and with non-finite logits a forced step adds 0 where the
+softmax would give NaN.
 """
 
 from __future__ import annotations
@@ -232,7 +239,10 @@ class Hypothesis:
     (NT) or the symbols a REDUCE composes, and ``action`` an action index.
     They wait there until a runner takes them: :func:`encode_state` on the
     tape, or :func:`_run_queued` for all live hypotheses of a decode step at
-    once.  Clone a hypothesis only while nothing is queued.
+    once.  Clone a hypothesis only while nothing is queued, except a forced
+    one (see :func:`_forced`): nothing reads its encoders again, so its
+    queued inputs are dropped unrun, and the stack bookkeeping of its
+    REDUCEs works on stale lists that nothing reads either.
     """
 
     __slots__ = (
@@ -488,9 +498,10 @@ def _run_queued(model: Model, branches: list) -> None:
 
 def _branch_logits(model: Model, branches: list) -> np.ndarray:
     """Action logits over the full inventory, one row per hypothesis: one
-    feed-forward and one scorer product for all of them.  A hypothesis that
-    reached a terminal state is never scored again, so its last queued
-    inputs never run."""
+    feed-forward and one scorer product for all of them.  The decoders only
+    pass hypotheses with a token left to shift (see :func:`_step_log_probs`),
+    so the queued inputs of the last SHIFT and of every REDUCE after it
+    never run."""
     _run_queued(model, branches)
     cfg = model.config
     summary = np.empty((len(branches), model.ff_w.shape[1]), dtype=model.store.dtype)
@@ -511,6 +522,28 @@ def _valid_indices(model: Model, state) -> np.ndarray:
     return model.action_indices(valid_actions(state, model.config.max_open_nts))
 
 
+def _forced(branch: Hypothesis) -> bool:
+    """Whether the hypothesis has shifted its last token but not closed its
+    root: the mask then allows only REDUCE, now and at every step left."""
+    state = branch.state
+    return state.pos == len(state.tokens) and state.root is None
+
+
+def _step_log_probs(model: Model, branches: list, masks: list) -> list:
+    """Per hypothesis, the log-probabilities of the action indices in its
+    mask.  The unforced ones are scored as rows of one
+    :func:`_branch_logits` call; a forced one gets log 1 = 0 for its only
+    action, REDUCE, and is neither encoded nor scored."""
+    forced = [_forced(b) for b in branches]
+    scored = [b for b, f in zip(branches, forced) if not f]
+    rows = iter(_branch_logits(model, scored)) if scored else None
+    return [
+        np.zeros(1, dtype=model.store.dtype) if f
+        else core.masked_log_probs(next(rows), indices)
+        for f, indices in zip(forced, masks)
+    ]
+
+
 def _decode_guard(n_tokens: int, max_open: int) -> int:
     return (n_tokens + 2) * (2 * max_open + 2) + 16
 
@@ -520,7 +553,8 @@ def parse_greedy(model: Model, tokens) -> tuple:
 
     Ties break toward the lowest action index (SHIFT < REDUCE < NT in
     inventory order).  The mask plus the open-non-terminal cap guarantee
-    termination with a well-formed tree for any parameter values.
+    termination with a well-formed tree for any parameter values.  The
+    forced REDUCEs after the last SHIFT each add exactly 0.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -530,7 +564,7 @@ def parse_greedy(model: Model, tokens) -> tuple:
         if branch.state.is_terminal:
             break
         indices = _valid_indices(model, branch.state)
-        logps = core.masked_log_probs(_branch_logits(model, [branch])[0], indices)
+        (logps,) = _step_log_probs(model, [branch], [indices])
         best = int(np.argmax(logps))
         advance(model, branch, model.actions[indices[best]], float(logps[best]))
     else:
@@ -547,6 +581,8 @@ def parse_beam(model: Model, tokens, k: int) -> list:
     Hypotheses completing early are set aside and compete for the final
     ranking; the search stops once no live hypothesis can beat the k-th
     completed score.  With ``k=1`` this reproduces greedy decoding exactly.
+    A forced branch (buffer empty) keeps its slot: its one expansion,
+    REDUCE with step log-probability 0, ranks like any other.
     """
     tokens = tuple(tokens)
     if not tokens:
@@ -558,11 +594,12 @@ def parse_beam(model: Model, tokens, k: int) -> list:
     for _ in range(_decode_guard(len(tokens), model.config.max_open_nts)):
         if not live:
             break
-        logits = _branch_logits(model, live)
+        masks = [_valid_indices(model, branch.state) for branch in live]
         totals, sources, actions, steps = [], [], [], []
-        for src, branch in enumerate(live):
-            indices = _valid_indices(model, branch.state)
-            logps = core.masked_log_probs(logits[src], indices).astype(np.float64)
+        for src, (branch, indices, logps) in enumerate(
+            zip(live, masks, _step_log_probs(model, live, masks))
+        ):
+            logps = logps.astype(np.float64)
             totals.append(branch.score + logps)
             sources.append(np.full(len(indices), src))
             actions.append(indices)
@@ -594,7 +631,7 @@ def parse_beam(model: Model, tokens, k: int) -> list:
 def score_actions(model: Model, tokens, actions) -> float:
     """Recompute the cumulative masked log-probability of an action
     sequence under the model (evaluation mode); equal to the score a
-    decoder reports for the same derivation."""
+    decoder reports for the same derivation, forced REDUCEs included."""
     tokens = tuple(tokens)
     branch = _start_branch(model, tokens)
     total = 0.0
@@ -603,7 +640,7 @@ def score_actions(model: Model, tokens, actions) -> float:
         position = np.nonzero(indices == model.action_index[action])[0]
         if position.size == 0:
             raise ValueError(f"action {action} is masked out at this step")
-        logps = core.masked_log_probs(_branch_logits(model, [branch])[0], indices)
+        (logps,) = _step_log_probs(model, [branch], [indices])
         total = total + float(logps[int(position[0])])
         advance(model, branch, action, 0.0)
     return total

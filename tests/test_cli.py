@@ -282,7 +282,21 @@ def test_train_bad_embeddings_exit_three(tmp_path, capsys, corpus_tsv, line):
     ckpt = tmp_path / "model.ckpt"
     flags = ["--embeddings", embeddings, "--word-dim", "3", "--epochs", "0"]
     assert main(["train", tsv, "-o", str(ckpt)] + flags) == 3
-    assert capsys.readouterr().err.startswith("error: line 2: ")
+    assert capsys.readouterr().err.startswith(f"error: {embeddings}: line 2: ")
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("bad", ["train", "valid"])
+def test_train_bad_tsv_error_names_the_file(tmp_path, capsys, corpus_tsv, bad):
+    """With a training and a validation corpus, the error says which is bad."""
+    tsv, _ = corpus_tsv
+    broken = write_lines(tmp_path / "broken.tsv", ["a\ta\t[IN:X a ]", "two\tcolumns"])
+    train, valid = (broken, tsv) if bad == "train" else (tsv, broken)
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", train, "--valid", valid, "-o", str(ckpt), "--epochs", "0"]
+                + TINY_FLAGS) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {broken}: line 2: expected 3 tab-separated columns, found 2\n"
     assert not ckpt.exists()
 
 

@@ -61,6 +61,7 @@ def test_load_bad_column_count(tmp_path):
     with pytest.raises(IngestError) as err:
         load_tsv(path)
     assert err.value.kind == "bad-column-count" and err.value.line == 1
+    assert str(err.value) == f"{path}: line 1: expected 3 tab-separated columns, found 1"
 
 
 def test_load_tree_format_error(tmp_path):
@@ -107,8 +108,8 @@ def test_load_undecodable_file_is_refused_with_its_line(tmp_path, strict):
     path.write_bytes(good * 3 + b"b\xff\tb\t[IN:X b ]\r\n" + good)
     with pytest.raises(IngestError) as err:
         load_tsv(path, strict=strict)
-    assert err.value.kind == "encoding" and err.value.line == 4
-    assert "UTF-8" in str(err.value)
+    assert err.value.kind == "encoding" and err.value.line == 4 and err.value.path == path
+    assert str(err.value).startswith(f"{path}: line 4: not valid UTF-8")
     path.write_bytes(good * 2 + b"\r" + good + b"\xe2\x82")  # lone \r ends a line, as in text mode
     with pytest.raises(IngestError) as err:
         load_tsv(path, strict=strict)

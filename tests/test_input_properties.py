@@ -1,8 +1,9 @@
-"""Property tests of the checkpoint and embedding readers.
+"""Property tests of the checkpoint, embedding and corpus readers.
 
 Whatever bytes they are given, ``load_checkpoint`` and ``load_embeddings``
 return a well-formed result or raise their own typed error, or
-``UnicodeDecodeError``, which the command line reports as refused input.
+``UnicodeDecodeError``, which the command line reports as refused input;
+``load_tsv`` returns a corpus of valid examples or raises ``IngestError``.
 Seeded and bounded (``derandomize=True``, a fixed ``max_examples``), so a
 run is deterministic and takes a few seconds.
 """
@@ -15,6 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from frameparse.dataset import IngestError, load_tsv  # noqa: E402
 from frameparse.neural.params import (  # noqa: E402
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -22,6 +24,7 @@ from frameparse.neural.params import (  # noqa: E402
     save_checkpoint,
 )
 from frameparse.preprocess import RaggedDimensions, load_embeddings  # noqa: E402
+from frameparse.trees import validate  # noqa: E402
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -159,3 +162,90 @@ def test_embedding_text_loads_finite_vectors_or_raises(workdir, text):
 @given(st.binary(max_size=120))
 def test_embedding_bytes_load_finite_vectors_or_raise(workdir, blob):
     _check_embeddings(workdir, blob)
+
+
+# Pieces of corpus lines: brackets, label prefixes, words, tabs, ASCII and
+# Unicode whitespace (str.split and the tree reader both split at \x0c,
+# \x1c, \x85, \xa0, \u2028 and \u3000, the text reader at none of them),
+# NUL, carriage returns and line feeds; and bytes that are not UTF-8,
+# which refuse the whole file.
+TSV_PIECES = ("[", "]", "IN:", "SL:", "A", "a", "b", " ", "\t", "\x0c", "\x1c", "\x85", "\xa0",
+              "\u2028", "\u3000", "\x00", "\r", "\r\n", "\n")
+NOT_UTF8 = (b"\xff", b"\xe2\x82", b"\xc3")
+LINE_KINDS = {"bad-column-count", "tree-format", "constraint-violation", "token-mismatch"}
+FILE_KINDS = {"io", "encoding", "empty-corpus"}
+TSV_WORDS = st.sampled_from(("a", "b", "7", "\u00e9t\u00e9"))
+INTENT_MOSTLY = st.sampled_from(("IN", "IN", "IN", "SL"))
+SLOT_MOSTLY = st.sampled_from(("SL", "SL", "SL", "IN"))
+
+
+@st.composite
+def tsv_line(draw) -> bytes:
+    """A line of pieces, or a corpus line (a non-terminal over words and
+    non-terminals, with a tokenized column that may differ from its words)
+    with up to two pieces inserted; rarely, a byte that is not UTF-8."""
+    if draw(st.integers(0, 2)) == 0:
+        line = "".join(draw(st.lists(st.sampled_from(TSV_PIECES), max_size=12)))
+    else:
+        tokens, children = [], []
+        for _ in range(draw(st.integers(1, 3))):
+            words = draw(st.lists(TSV_WORDS, min_size=1, max_size=2))
+            tokens += words
+            children.append(" ".join(words) if draw(st.booleans())
+                            else f"[{draw(SLOT_MOSTLY)}:X {' '.join(words)} ]")
+        column = draw(st.sampled_from((tokens,) * 6 + (tokens[1:], tokens[::-1])))
+        line = f"{' '.join(tokens)}\t{' '.join(column)}\t[{draw(INTENT_MOSTLY)}:P {' '.join(children)} ]"
+        for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+            cut = draw(st.integers(0, len(line)))
+            line = line[:cut] + draw(st.sampled_from(TSV_PIECES)) + line[cut:]
+    raw = line.encode("utf-8")
+    if draw(st.sampled_from((False,) * 19 + (True,))):
+        cut = draw(st.integers(0, len(raw)))
+        raw = raw[:cut] + draw(st.sampled_from(NOT_UTF8)) + raw[cut:]
+    return raw
+
+
+def _nonblank_lines(blob: bytes) -> int:
+    """Lines as the text reader splits them (at \\n, \\r\\n or \\r),
+    not counting empty ones."""
+    text = blob.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return sum(1 for line in text.split("\n") if line)
+
+
+def _check_examples(corpus) -> None:
+    for example in corpus:
+        assert example.tokens == example.tree.tokens
+        assert validate(example.tree) == []
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(st.lists(tsv_line(), max_size=6))
+def test_tsv_bytes_load_valid_examples_or_raise_an_ingest_error(workdir, lines):
+    blob = b"\n".join(lines)
+    path = workdir / "corpus.tsv"
+    path.write_bytes(blob)
+    try:
+        strict = load_tsv(path)
+    except IngestError as err:
+        assert err.kind in LINE_KINDS | FILE_KINDS and err.path == path
+        strict = err
+    else:
+        _check_examples(strict)
+        assert strict.skipped == ()
+    try:
+        lenient = load_tsv(path, strict=False)
+    except IngestError as err:
+        assert err.kind in FILE_KINDS and err.path == path
+        if err.kind == "encoding":
+            assert isinstance(strict, IngestError) and strict.kind == "encoding"
+            assert strict.line == err.line is not None
+        return
+    _check_examples(lenient)
+    skipped = lenient.skipped
+    assert all(bad.kind in LINE_KINDS for bad in skipped)
+    assert [bad.line for bad in skipped] == sorted({bad.line for bad in skipped})
+    assert len(lenient) + len(skipped) == _nonblank_lines(blob)
+    if skipped:  # strict mode stops at the first bad line
+        assert (strict.kind, strict.line) == (skipped[0].kind, skipped[0].line)
+    else:
+        assert strict.examples == lenient.examples

@@ -118,7 +118,8 @@ def test_load_embeddings_rejects_non_finite_values(tmp_path, value):
     path = _write(tmp_path, f"alpha 1 2 3\nbeta 0.1 {value} 0.3\n")
     with pytest.raises(RaggedDimensions) as err:
         load_embeddings(path, ["alpha", "beta"])
-    assert err.value.line == 2 and "non-finite" in str(err.value)
+    assert err.value.line == 2 and err.value.path == path
+    assert str(err.value) == f"{path}: line 2: non-finite embedding value for 'beta'"
 
 
 def test_load_embeddings_empty(tmp_path):
