@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Commands: validate, stats, oracle, train, parse, eval, gradcheck.
-Exit codes: 0 success, 1 validation or metric failure, 2 usage, 3 I/O or
-refused input (including text that is not valid UTF-8 and malformed
-embeddings files).
+Exit codes: 0 success, 1 validation or metric failure (or a training loss
+that is not finite), 2 usage, 3 I/O or refused input (including text that
+is not valid UTF-8 and malformed embeddings files).
 Hyperparameters resolve as flag > config file (key=value lines) > default,
 and every JSON artifact echoes the fully resolved configuration.
 """
@@ -11,6 +11,7 @@ and every JSON artifact echoes the fully resolved configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -71,6 +72,19 @@ def resolve_train_config(args) -> rnng.RnngConfig:
         elif field.name in file_values:
             resolved[field.name] = _coerce(file_values[field.name], getattr(defaults, field.name))
     return rnng.RnngConfig(**resolved)
+
+
+@contextlib.contextmanager
+def _refuse_undecodable(path):
+    """Turn a ``UnicodeDecodeError`` raised while reading ``path`` into the
+    ``IngestError`` that ``dataset.load_tsv`` raises for a corpus, naming the
+    file and its first line that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise dataset.IngestError(
+            "encoding", f"not valid UTF-8 ({err.reason})", dataset._undecodable_line(path), path
+        ) from None
 
 
 def _write_json(path, payload: dict) -> None:
@@ -162,7 +176,8 @@ def cmd_train(args) -> int:
     normalizer = TokenNormalizer(frozenset(vocab.symbols))
     embeddings = None
     if args.embeddings:
-        embeddings = load_embeddings(args.embeddings, vocab.symbols, seed=config.seed)
+        with _refuse_undecodable(args.embeddings):
+            embeddings = load_embeddings(args.embeddings, vocab.symbols, seed=config.seed)
     model = rnng.Model(config, vocab, intents, slots, normalizer, embeddings=embeddings)
 
     log_entries = []
@@ -197,7 +212,8 @@ def cmd_train(args) -> int:
 def cmd_parse(args) -> int:
     # Every line is checked before any output is written, so a bad input
     # leaves no partial prediction file behind.
-    with open(args.utterances, "r", encoding="utf-8") as handle:
+    with (_refuse_undecodable(args.utterances),
+          open(args.utterances, "r", encoding="utf-8") as handle):
         utterances = [line.split() for line in handle]
     empty = [lineno for lineno, tokens in enumerate(utterances, start=1) if not tokens]
     for lineno in empty:

@@ -2,10 +2,12 @@
 
 A ``Tape`` records one backward closure per operation in execution order;
 calling ``backward`` seeds the output gradient and replays the closures in
-reverse.  Operations work on ``Var`` wrappers around 1-d (or 0-d) float
-arrays, which is all the parser needs.  Every taped operation needs a
-tape and records on it.  Decoding uses the ``*_rows`` functions instead:
-forward-only, on plain arrays, one row per hypothesis.
+reverse.  On a tape, operations work on ``Var`` wrappers around 1-d (or
+0-d) float arrays and record one closure each.  Given ``tape=None``, the
+same operations run forward-only on plain arrays, over one vector or over
+rows (B, d), and record nothing: that is how decoding scores all live
+hypotheses at once.  Both compute the same products on the same memory
+(see :func:`_product`), so a row is bitwise what the taped op gives.
 
 Weight gradients are deferred: a closure of ``linear`` or ``lstm_cell``
 returns its rows ``(weight, dz, x)`` instead of adding ``outer(dz, x)``,
@@ -114,15 +116,36 @@ def _gate_affine(hidden: int, dtype) -> tuple:
     return affine
 
 
-def linear(tape, weight: Var, bias, x: Var) -> Var:
+def _product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``weight @ x`` for a column-major ``weight`` (out, in) and one vector
+    ``x``, or the same product for each row of ``x`` (B, in).
+
+    Rows run as a stack of B vector-matrix products over ``x[:, None, :]``
+    and the C-contiguous (in, out) view ``weight.T``, so row i is bitwise
+    equal to ``weight @ x[i]`` whatever B is.  A plain ``x @ weight.T``
+    switches to a matrix-matrix kernel whose rounding depends on B once
+    B > 1 (for B = 1 it is the same vector-matrix product, minus the
+    stacking overhead).
+    """
+    if x.ndim == 1:
+        return weight @ x
+    if len(x) == 1:
+        return x @ weight.T
+    return np.matmul(x[:, None, :], weight.T)[:, 0, :]
+
+
+def linear(tape, weight: Var, bias, x):
     """y = W x + b (bias optional)."""
-    if weight.value.shape[1] != x.value.shape[0]:
+    value = x if tape is None else x.value
+    if weight.value.shape[1] != value.shape[-1]:
         raise DimensionMismatch(
-            f"linear: weight {weight.value.shape} does not accept input {x.value.shape}"
+            f"linear: weight {weight.value.shape} does not accept input {value.shape}"
         )
-    y = weight.value @ x.value
+    y = _product(weight.value, value)
     if bias is not None:
-        y = y + bias.value
+        y += bias.value
+    if tape is None:
+        return y
     out = Var(y)
 
     def backward():
@@ -138,7 +161,9 @@ def linear(tape, weight: Var, bias, x: Var) -> Var:
     return out
 
 
-def relu(tape, x: Var) -> Var:
+def relu(tape, x):
+    if tape is None:
+        return np.maximum(x, 0)
     out = Var(np.maximum(x.value, 0))
 
     def backward():
@@ -149,12 +174,15 @@ def relu(tape, x: Var) -> Var:
     return out
 
 
-def concat(tape, parts) -> Var:
+def concat(tape, parts):
+    """Join along the last axis."""
     parts = list(parts)
     if not parts:
         raise EmptySequence("concat of zero vectors")
     if len(parts) == 1:
         return parts[0]
+    if tape is None:
+        return np.concatenate(parts, axis=-1)
     out = Var(np.concatenate([p.value for p in parts]))
     sizes = [p.value.shape[0] for p in parts]
 
@@ -191,7 +219,7 @@ def add_n(tape, terms) -> Var:
     return out
 
 
-def dropout(tape, x: Var, rate: float, rng) -> Var:
+def dropout(tape, x, rate: float, rng):
     """Inverted dropout: zero with probability ``rate``, scale survivors by
     1/(1-rate) so the expectation is preserved.  Callers skip this entirely
     in evaluation mode."""
@@ -199,10 +227,13 @@ def dropout(tape, x: Var, rate: float, rng) -> Var:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    keep = (rng.random(x.value.shape) >= rate).astype(x.value.dtype)
-    scale = np.asarray(1.0 / (1.0 - rate), dtype=x.value.dtype)
+    value = x if tape is None else x.value
+    keep = (rng.random(value.shape) >= rate).astype(value.dtype)
+    scale = np.asarray(1.0 / (1.0 - rate), dtype=value.dtype)
     mask = keep * scale
-    out = Var(x.value * mask)
+    if tape is None:
+        return value * mask
+    out = Var(value * mask)
 
     def backward():
         if out.grad is not None:
@@ -213,7 +244,7 @@ def dropout(tape, x: Var, rate: float, rng) -> Var:
 
 
 def _lstm_gates(z, c, scale, offset, h_out=None, c_out=None):
-    """The gate math shared by :func:`lstm_cell` and :func:`lstm_rows`.
+    """The gate math of :func:`lstm_cell`, on the tape and off it.
 
     ``z`` holds the pre-activations (last axis 4H, overwritten with their
     tanh), ``c`` the cell state (last axis H) and ``scale``/``offset`` come
@@ -239,22 +270,35 @@ def _lstm_gates(z, c, scale, offset, h_out=None, c_out=None):
     return act, split, c_new, tanh_c, np.multiply(go, tanh_c, h_out)
 
 
-def lstm_cell(tape, weight: Var, bias: Var, x: Var, h: Var, c: Var):
+def lstm_cell(tape, weight: Var, bias: Var, x, h, c, out=None):
     """One LSTM step.  Gate layout along the 4H axis is [input, forget,
     candidate, output]; returns (h', c').  All four gates come from one tanh
     over the pre-activations, with sigmoid(z) = 0.5 + 0.5 * tanh(z / 2),
-    which cannot overflow and so needs no clipping."""
-    hidden = c.value.shape[0]
-    xh = np.concatenate([x.value, h.value])
-    if weight.value.shape[1] != xh.shape[0]:
+    which cannot overflow and so needs no clipping.
+
+    Without a tape, ``x``, ``h`` and ``c`` are plain arrays, one vector each
+    or B rows, and h' and c' are written into ``out[..., 0, :]`` and
+    ``out[..., 1, :]`` when ``out`` is given (the state layout of
+    ``layers.Lstm``)."""
+    if tape is None:
+        x_value, h_value, c_value = x, h, c
+    else:
+        x_value, h_value, c_value = x.value, h.value, c.value
+    hidden = c_value.shape[-1]
+    xh = np.concatenate([x_value, h_value], axis=-1)
+    if weight.value.shape[1] != xh.shape[-1]:
         raise DimensionMismatch(
             f"lstm_cell: weight {weight.value.shape} does not accept input+state "
-            f"of size {xh.shape[0]}"
+            f"of size {xh.shape[-1]}"
         )
-    z = weight.value @ xh
+    z = _product(weight.value, xh)
     z += bias.value
     scale, offset, slope = _gate_affine(hidden, z.dtype)
-    act, (gi, gf, gg, go), c_new, tanh_c, h_new = _lstm_gates(z, c.value, scale, offset)
+    if tape is None:
+        targets = () if out is None else (out[..., 0, :], out[..., 1, :])
+        _, _, c_new, _, h_new = _lstm_gates(z, c_value, scale, offset, *targets)
+        return h_new, c_new
+    act, (gi, gf, gg, go), c_new, tanh_c, h_new = _lstm_gates(z, c_value, scale, offset)
     h_out = Var(h_new)
     c_out = Var(c_new)
     x_size = x.value.shape[0]
@@ -288,39 +332,6 @@ def lstm_cell(tape, weight: Var, bias: Var, x: Var, h: Var, c: Var):
 
     tape.record(backward)
     return h_out, c_out
-
-
-def linear_rows(x: np.ndarray, weight_t: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Forward-only :func:`linear` over the rows of ``x`` (B, in), given the
-    weight as its transpose ``weight_t`` (in, out): ``weight.value.T`` of a
-    column-major parameter, which is C-contiguous.
-
-    The product runs as a stack of B vector-matrix products over
-    ``x[:, None, :]``, so row i is bitwise equal to ``x[i] @ weight_t``
-    whatever B is, and so to what :func:`linear` computes as
-    ``weight @ x[i]`` on the same memory.  A plain ``x @ weight_t``
-    switches to a matrix-matrix kernel whose rounding depends on B once
-    B > 1 (for B = 1 it is the same vector-matrix product, minus the
-    stacking overhead).
-    """
-    if len(x) == 1:
-        y = x @ weight_t
-    else:
-        y = np.matmul(x[:, None, :], weight_t)[:, 0, :]
-    y += bias
-    return y
-
-
-def lstm_rows(weight_t: np.ndarray, bias: np.ndarray, x: np.ndarray, h: np.ndarray,
-              c: np.ndarray, h_out: np.ndarray, c_out: np.ndarray) -> None:
-    """Forward-only :func:`lstm_cell` over rows: ``x`` (B, in), ``h`` and
-    ``c`` (B, H), ``weight_t`` the cell weight's transpose, as in
-    :func:`linear_rows`.
-    Writes h' and c' into ``h_out`` and ``c_out``; row i is bitwise what
-    row i alone would give."""
-    z = linear_rows(np.concatenate([x, h], axis=1), weight_t, bias)
-    scale, offset, _ = _gate_affine(c.shape[-1], z.dtype)
-    _lstm_gates(z, c, scale, offset, h_out, c_out)
 
 
 def masked_log_probs(logits: np.ndarray, valid_indices) -> np.ndarray:

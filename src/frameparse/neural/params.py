@@ -9,7 +9,7 @@ parameter.
 A matrix that feeds matrix products is stored column-major (``order="F"``,
 set by the layer that owns it), so ``value.T`` is a free C-contiguous
 (in, out) view: the operand of a vector-matrix product, which training and
-decoding both compute (see ``core.linear_rows``).  Tables read by row stay
+decoding both compute (see ``core._product``).  Tables read by row stay
 row-major.  The memory order changes no name, shape, initial value or
 checkpoint byte.
 """

@@ -16,9 +16,12 @@ Adam updates, on a tape.  Inference is greedy or beam search over action
 prefixes, forward-only: every live hypothesis is one row of each matrix
 product, so beam search scores and advances all of them at once.  Both
 step a :class:`Hypothesis` with the same :func:`advance`, which does the
-bookkeeping and queues the encoder inputs; each executor runs the queue
-its own way, on the same parameters and the same vector-matrix products,
-so the taped and the decoded logits of a step are bitwise equal.
+bookkeeping and queues the encoder inputs, and both start, run the queue
+and score through the same :func:`start_hypothesis`, :func:`_run_queued`
+and :func:`encode_state`: on the tape with the one hypothesis being
+trained, or without a tape on all live hypotheses.  The products are the
+same vector-matrix products on the same parameters, so the taped and the
+decoded logits of a step are bitwise equal.
 
 Once a hypothesis has shifted its last token, the mask allows only REDUCE
 until the tree closes.  The decoders take that forced tail through the
@@ -63,6 +66,11 @@ ENCODERS = ("stack", "buffer", "actions")
 
 class AllEncodersDisabled(ValueError):
     pass
+
+
+class NonFiniteLoss(ValueError):
+    """A training loss that is NaN or infinite.  It is raised before the
+    backward pass, so the example that gave it changes no parameter."""
 
 
 @dataclass(frozen=True)
@@ -234,14 +242,14 @@ class Hypothesis:
     precomputed buffer states.
 
     Training keeps the states as tape ``Var``s, decoding as plain arrays
-    (see ``layers.Lstm``).  :func:`advance` only queues the encoder
-    inputs of an action: ``push`` holds a word vector (SHIFT), a label index
-    (NT) or the symbols a REDUCE composes, and ``action`` an action index.
-    They wait there until a runner takes them: :func:`encode_state` on the
-    tape, or :func:`_run_queued` for all live hypotheses of a decode step at
-    once.  Clone a hypothesis only while nothing is queued, except a forced
-    one (see :func:`_forced`): nothing reads its encoders again, so its
-    queued inputs are dropped unrun, and the stack bookkeeping of its
+    (see ``layers.Lstm``); :func:`start_hypothesis` picks by its ``tape``.
+    :func:`advance` only queues the encoder inputs of an action: ``push``
+    holds a word vector (SHIFT), a label index (NT) or the symbols a REDUCE
+    composes, and ``action`` an action index.  They wait there until
+    :func:`_run_queued` takes them, when :func:`encode_state` next scores
+    the hypothesis.  Clone a hypothesis only while nothing is queued, except
+    a forced one (see :func:`_forced`): nothing reads its encoders again, so
+    its queued inputs are dropped unrun, and the stack bookkeeping of its
     REDUCEs works on stale lists that nothing reads either.
     """
 
@@ -304,73 +312,117 @@ def advance(model: Model, hyp: Hypothesis, action: Action, step_logp: float) -> 
     hyp.score = hyp.score + step_logp
 
 
-def start_hypothesis(model: Model, tokens, tape, rng=None) -> Hypothesis:
-    """The hypothesis before the first action, for training on ``tape``.
-    Here and in :func:`encode_state` and :func:`example_loss`, dropout is
-    on exactly when ``rng`` is given."""
+def _rows(tape, items):
+    """One item per hypothesis, stacked into rows; on a tape the batch is
+    its one hypothesis, and the item itself is the row.  (``np.array`` of a
+    list stacks like ``np.stack``, at a third of the cost for a few small
+    rows.)"""
+    if tape is not None:
+        (item,) = items
+        return item
+    return np.array(items)
+
+
+def _split(tape, rows):
+    """The inverse of :func:`_rows`: one item per hypothesis."""
+    return rows if tape is None else (rows,)
+
+
+def start_hypothesis(model: Model, tokens, tape=None, rng=None) -> Hypothesis:
+    """The hypothesis before the first action: on ``tape`` for training,
+    or without one for decoding.  Here and in :func:`_run_queued`,
+    :func:`encode_state` and :func:`example_loss`, dropout is on exactly
+    when ``rng`` is given."""
     tokens = tuple(tokens)
     state = initial_state(tokens)
     cfg = model.config
     dropout = cfg.dropout if rng is not None else 0.0
-    needs_words = cfg.use_stack or cfg.use_buffer
-    word_vecs = None
-    if needs_words:
-        ids = model.token_ids(tokens)
-        word_vecs = [layers.embedding_lookup(tape, model.word_emb, i) for i in ids]
-    buffer_outputs = None
+    word_vecs = buffer_outputs = None
+    if cfg.use_stack or cfg.use_buffer:
+        word_vecs = [layers.embedding_lookup(tape, model.word_emb, i)
+                     for i in model.token_ids(tokens)]
     if cfg.use_buffer:
         # Encoded right to left: entry [pos] reflects the next token to
         # shift; entry [n] is the learned empty-buffer state.
-        states = model.buffer_lstm.run(tape, reversed(word_vecs), dropout, rng)
-        outputs = [model.buffer_lstm.output(s) for s in states]
-        outputs.reverse()
-        outputs.append(model.buffer_lstm.output(model.buffer_lstm.initial()))
-        buffer_outputs = outputs
-    stack_states = [model.stack_lstm.initial()] if cfg.use_stack else None
-    stack_elems = [] if cfg.use_stack else None
-    open_elem_pos = [] if cfg.use_stack else None
-    action_state = model.action_lstm.initial() if cfg.use_actions else None
+        lstm = model.buffer_lstm
+        states = lstm.run(tape, reversed(word_vecs), dropout, rng)
+        buffer_outputs = [lstm.output(s) for s in reversed(states)]
+        buffer_outputs.append(lstm.output(lstm.initial(tape)))
     return Hypothesis(
-        state, 0.0, stack_states, stack_elems, open_elem_pos, action_state, word_vecs,
+        state,
+        0.0,
+        [model.stack_lstm.initial(tape)] if cfg.use_stack else None,
+        [] if cfg.use_stack else None,
+        [] if cfg.use_stack else None,
+        model.action_lstm.initial(tape) if cfg.use_actions else None,
+        word_vecs,
         buffer_outputs,
     )
 
 
-def _run_taped(model: Model, hyp: Hypothesis, tape, rng) -> None:
-    """Run the encoder inputs :func:`advance` queued, on the tape."""
-    if hyp.action is None:
+def _run_queued(model: Model, branches: list, tape=None, rng=None) -> None:
+    """Run the encoder inputs :func:`advance` queued, one row per
+    hypothesis: the REDUCEs compose together and the pushed labels project
+    together, then one stack-LSTM and one action-LSTM step."""
+    queued = [b for b in branches if b.action is not None]
+    if not queued:
         return
     cfg = model.config
     dropout = cfg.dropout if rng is not None else 0.0
     if cfg.use_stack:
-        vec = hyp.push
-        if isinstance(vec, list):
-            vec = model.compose.encode(tape, vec)
-        elif isinstance(vec, int):
-            emb = layers.embedding_lookup(tape, model.label_emb, vec)
-            vec = core.linear(tape, model.label_proj_w, model.label_proj_b, emb)
-        hyp.stack_states.append(
-            model.stack_lstm.step(tape, vec, hyp.stack_states[-1], dropout, rng)
+        pushes = [b.push for b in queued]
+        composed = [p for p in pushes if isinstance(p, list)]
+        if composed:
+            subtrees = iter(_split(tape, model.compose.encode(tape, composed)))
+        opened = [p for p in pushes if isinstance(p, int)]
+        if opened:
+            emb = layers.embedding_lookup(tape, model.label_emb, _rows(tape, opened))
+            labels = iter(_split(tape, core.linear(tape, model.label_proj_w, model.label_proj_b,
+                                                   emb)))
+        pushed = []
+        for p in pushes:
+            if isinstance(p, list):
+                pushed.append(next(subtrees))
+            elif isinstance(p, int):
+                pushed.append(next(labels))
+            else:
+                pushed.append(p)
+        states = model.stack_lstm.step(
+            tape, _rows(tape, pushed), _rows(tape, [b.stack_states[-1] for b in queued]),
+            dropout, rng,
         )
-        hyp.stack_elems.append(vec)
-        hyp.push = None
+        for branch, vec, state in zip(queued, pushed, _split(tape, states)):
+            branch.stack_elems.append(vec)
+            branch.stack_states.append(state)
+            branch.push = None
     if cfg.use_actions:
-        emb = layers.embedding_lookup(tape, model.action_emb, hyp.action)
-        hyp.action_state = model.action_lstm.step(tape, emb, hyp.action_state, dropout, rng)
-    hyp.action = None
+        actions = _rows(tape, [b.action for b in queued])
+        emb = layers.embedding_lookup(tape, model.action_emb, actions)
+        states = model.action_lstm.step(
+            tape, emb, _rows(tape, [b.action_state for b in queued]), dropout, rng
+        )
+        for branch, state in zip(queued, _split(tape, states)):
+            branch.action_state = state
+    for branch in queued:
+        branch.action = None
 
 
-def encode_state(model: Model, hyp: Hypothesis, tape, rng=None):
-    """Action logits for the current state (over the full inventory)."""
-    _run_taped(model, hyp, tape, rng)
+def encode_state(model: Model, branches: list, tape=None, rng=None):
+    """Action logits over the full inventory, one row per hypothesis, after
+    running what they queued: one feed-forward and one scorer product for
+    all of them.  On a tape, ``branches`` is the one hypothesis being
+    trained and the logits are its Var.  The decoders only pass hypotheses
+    with a token left to shift (see :func:`_step_log_probs`), so the queued
+    inputs of the last SHIFT and of every REDUCE after it never run."""
+    _run_queued(model, branches, tape, rng)
     cfg = model.config
     parts = []
     if cfg.use_stack:
-        parts.append(model.stack_lstm.output(hyp.stack_states[-1]))
+        parts.append(_rows(tape, [model.stack_lstm.output(b.stack_states[-1]) for b in branches]))
     if cfg.use_buffer:
-        parts.append(hyp.buffer_outputs[hyp.state.pos])
+        parts.append(_rows(tape, [b.buffer_outputs[b.state.pos] for b in branches]))
     if cfg.use_actions:
-        parts.append(model.action_lstm.output(hyp.action_state))
+        parts.append(_rows(tape, [model.action_lstm.output(b.action_state) for b in branches]))
     summary = core.concat(tape, parts)
     if rng is not None and cfg.dropout > 0.0:
         summary = core.dropout(tape, summary, cfg.dropout, rng)
@@ -385,20 +437,23 @@ def example_loss(model: Model, tokens, gold_actions, tape, rng=None):
     for action in gold_actions:
         kinds = valid_actions(hyp.state, model.config.max_open_nts)
         indices = model.action_indices(kinds)
-        logits = encode_state(model, hyp, tape, rng)
+        logits = encode_state(model, [hyp], tape, rng)
         losses.append(core.masked_nll(tape, logits, model.action_index[action], indices))
         advance(model, hyp, action, 0.0)
     # Nothing reads the last action's encoder states, but running them keeps
     # the dropout masks of every later example where they were.
-    _run_taped(model, hyp, tape, rng)
+    _run_queued(model, [hyp], tape, rng)
     return core.add_n(tape, losses)
 
 
 def train_example(model: Model, example, rng) -> float:
-    """One forward/backward/update step on a single example."""
+    """One forward/backward/update step on a single example; a loss that is
+    not finite raises ``NonFiniteLoss`` before any update."""
     gold_actions = oracle(example.tree)
     tape = core.Tape()
     loss = example_loss(model, example.tokens, gold_actions, tape, rng)
+    if not np.isfinite(loss.value):
+        raise NonFiniteLoss(f"loss is {loss.value} on example {example.raw_utterance!r}")
     model.store.zero_grad()
     tape.backward(loss)
     model.store.adam_step(model.config.lr, model.config.weight_decay)
@@ -411,7 +466,9 @@ def train(model: Model, corpus: Corpus, epochs: Optional[int] = None, rng=None,
 
     Examples are reshuffled every epoch from the model seed (pass ``rng``
     to continue an existing stream), so a seed fixes the result bit for
-    bit.  Returns the per-epoch mean example loss.
+    bit.  Returns the per-epoch mean example loss.  A non-finite example
+    loss raises ``NonFiniteLoss`` naming the epoch and the example (its
+    1-based position in ``corpus``), with the model as that example found it.
     """
     if epochs is None:
         epochs = model.config.epochs
@@ -423,99 +480,14 @@ def train(model: Model, corpus: Corpus, epochs: Optional[int] = None, rng=None,
         rng.shuffle(order)
         total = 0.0
         for idx in order:
-            total += train_example(model, corpus.examples[idx], rng)
+            try:
+                total += train_example(model, corpus.examples[idx], rng)
+            except NonFiniteLoss as err:
+                raise NonFiniteLoss(f"epoch {epoch + 1}, example {idx + 1}: {err}") from None
         trace.append(total / len(corpus.examples))
         if epoch_callback is not None:
             epoch_callback(epoch, trace[-1])
     return trace
-
-
-def _start_branch(model: Model, tokens: tuple) -> Hypothesis:
-    state = initial_state(tokens)
-    cfg = model.config
-    word_vecs = buffer_outputs = None
-    if cfg.use_stack or cfg.use_buffer:
-        word_vecs = model.word_emb.value[model.token_ids(tokens)]
-    if cfg.use_buffer:
-        # Encoded right to left: entry [pos] reflects the next token to
-        # shift; entry [n] is the learned empty-buffer state.
-        outputs = model.buffer_lstm.output_rows(word_vecs[::-1])
-        empty = model.buffer_lstm.initial_rows(1)[:, -1, 0]
-        buffer_outputs = np.concatenate([outputs[::-1], empty])
-    return Hypothesis(
-        state,
-        0.0,
-        [model.stack_lstm.initial_rows(1)[0]] if cfg.use_stack else None,
-        [] if cfg.use_stack else None,
-        [] if cfg.use_stack else None,
-        model.action_lstm.initial_rows(1)[0] if cfg.use_actions else None,
-        word_vecs,
-        buffer_outputs,
-    )
-
-
-def _run_queued(model: Model, branches: list) -> None:
-    """Run the encoder inputs the hypotheses have queued, one row each: the
-    REDUCEs compose together and the pushed labels project together, then
-    one stack-LSTM and one action-LSTM product per layer.  (``np.array`` of
-    a list stacks like ``np.stack``, at a third of the cost for a few small
-    rows.)"""
-    queued = [b for b in branches if b.action is not None]
-    if not queued:
-        return
-    cfg = model.config
-    if cfg.use_stack:
-        composed = [b.push for b in queued if isinstance(b.push, list)]
-        subtrees = iter(model.compose.encode_rows(composed)) if composed else None
-        opened = [b.push for b in queued if isinstance(b.push, int)]
-        labels = iter(core.linear_rows(model.label_emb.value[opened], model.label_proj_w.value.T,
-                                       model.label_proj_b.value)) if opened else None
-        pushed = []
-        for b in queued:
-            if isinstance(b.push, list):
-                pushed.append(next(subtrees))
-            elif isinstance(b.push, int):
-                pushed.append(next(labels))
-            else:
-                pushed.append(b.push)
-        states = model.stack_lstm.step_rows(
-            np.array(pushed), np.array([b.stack_states[-1] for b in queued])
-        )
-        for branch, vec, state in zip(queued, pushed, states):
-            branch.stack_elems.append(vec)
-            branch.stack_states.append(state)
-            branch.push = None
-    if cfg.use_actions:
-        states = model.action_lstm.step_rows(
-            model.action_emb.value[[b.action for b in queued]],
-            np.array([b.action_state for b in queued]),
-        )
-        for branch, state in zip(queued, states):
-            branch.action_state = state
-    for branch in queued:
-        branch.action = None
-
-
-def _branch_logits(model: Model, branches: list) -> np.ndarray:
-    """Action logits over the full inventory, one row per hypothesis: one
-    feed-forward and one scorer product for all of them.  The decoders only
-    pass hypotheses with a token left to shift (see :func:`_step_log_probs`),
-    so the queued inputs of the last SHIFT and of every REDUCE after it
-    never run."""
-    _run_queued(model, branches)
-    cfg = model.config
-    summary = np.empty((len(branches), model.ff_w.shape[1]), dtype=model.store.dtype)
-    for row, b in zip(summary, branches):
-        parts = []
-        if cfg.use_stack:
-            parts.append(b.stack_states[-1][-1, 0])
-        if cfg.use_buffer:
-            parts.append(b.buffer_outputs[b.state.pos])
-        if cfg.use_actions:
-            parts.append(b.action_state[-1, 0])
-        np.concatenate(parts, out=row)
-    hidden = np.maximum(core.linear_rows(summary, model.ff_w.value.T, model.ff_b.value), 0)
-    return core.linear_rows(hidden, model.out_w.value.T, model.out_b.value)
 
 
 def _valid_indices(model: Model, state) -> np.ndarray:
@@ -532,11 +504,11 @@ def _forced(branch: Hypothesis) -> bool:
 def _step_log_probs(model: Model, branches: list, masks: list) -> list:
     """Per hypothesis, the log-probabilities of the action indices in its
     mask.  The unforced ones are scored as rows of one
-    :func:`_branch_logits` call; a forced one gets log 1 = 0 for its only
+    :func:`encode_state` call; a forced one gets log 1 = 0 for its only
     action, REDUCE, and is neither encoded nor scored."""
     forced = [_forced(b) for b in branches]
     scored = [b for b, f in zip(branches, forced) if not f]
-    rows = iter(_branch_logits(model, scored)) if scored else None
+    rows = iter(encode_state(model, scored)) if scored else None
     return [
         np.zeros(1, dtype=model.store.dtype) if f
         else core.masked_log_probs(next(rows), indices)
@@ -559,7 +531,7 @@ def parse_greedy(model: Model, tokens) -> tuple:
     tokens = tuple(tokens)
     if not tokens:
         raise EmptyUtterance("cannot parse an empty utterance")
-    branch = _start_branch(model, tokens)
+    branch = start_hypothesis(model, tokens)
     for _ in range(_decode_guard(len(tokens), model.config.max_open_nts)):
         if branch.state.is_terminal:
             break
@@ -589,7 +561,7 @@ def parse_beam(model: Model, tokens, k: int) -> list:
         raise EmptyUtterance("cannot parse an empty utterance")
     if k < 1:
         raise ValueError("beam size must be at least 1")
-    live = [_start_branch(model, tokens)]
+    live = [start_hypothesis(model, tokens)]
     completed: list = []
     for _ in range(_decode_guard(len(tokens), model.config.max_open_nts)):
         if not live:
@@ -633,7 +605,7 @@ def score_actions(model: Model, tokens, actions) -> float:
     sequence under the model (evaluation mode); equal to the score a
     decoder reports for the same derivation, forced REDUCEs included."""
     tokens = tuple(tokens)
-    branch = _start_branch(model, tokens)
+    branch = start_hypothesis(model, tokens)
     total = 0.0
     for action in actions:
         indices = _valid_indices(model, branch.state)

@@ -225,7 +225,8 @@ def _bilstm_builder(store, rng):
     xs = rng.normal(size=(steps, d_in))
 
     def loss_fn(tape):
-        return masked_nll(tape, enc.encode(tape, [Var(v.copy()) for v in xs]), 0, list(range(out)))
+        summary = enc.encode(tape, [[Var(v.copy()) for v in xs]])
+        return masked_nll(tape, summary, 0, list(range(out)))
 
     return loss_fn
 

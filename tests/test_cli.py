@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -94,23 +98,34 @@ def test_stats_missing_file(tmp_path):
     assert main(["stats", str(tmp_path / "nope.tsv")]) == 3
 
 
-@pytest.mark.parametrize("command", ["validate", "stats", "eval"])
+@pytest.mark.parametrize("command", ["validate", "stats", "eval", "train-embeddings", "parse"])
 def test_undecodable_input_exits_three(tmp_path, capsys, command):
     """A byte that is not UTF-8 is refused input (exit 3), not a failed check."""
     trees_path = tmp_path / "trees.txt"
     trees_path.write_bytes(b"[IN:X a ]\n[IN:X \xff ]\n")
     tsv_path = tmp_path / "c.tsv"
     tsv_path.write_bytes(b"a\ta\t[IN:X a ]\n\xff\tb\t[IN:X b ]\n")
-    args = {
-        "validate": ["validate", str(trees_path)],
-        "stats": ["stats", str(tsv_path), "--lenient"],
-        "eval": ["eval", str(trees_path), str(trees_path)],
+    good_tsv = write_lines(tmp_path / "good.tsv", ["a\ta\t[IN:X a ]"])
+    vectors_path = tmp_path / "vectors.txt"
+    vectors_path.write_bytes(b"a 0.1 0.2 0.3\n\xff 0.1 0.2 0.3\n")
+    utterances_path = tmp_path / "utts.txt"
+    utterances_path.write_bytes(b"show the weather\nshow \xff\n")
+    args, named = {
+        "validate": (["validate", str(trees_path)], None),
+        "stats": (["stats", str(tsv_path), "--lenient"], tsv_path),
+        "eval": (["eval", str(trees_path), str(trees_path)], None),
+        "train-embeddings": (["train", good_tsv, "-o", str(tmp_path / "m.ckpt"), "--embeddings",
+                              str(vectors_path), "--word-dim", "3", "--epochs", "0"],
+                             vectors_path),
+        # The utterances are read before the checkpoint, which does not exist.
+        "parse": (["parse", str(tmp_path / "missing.ckpt"), str(utterances_path)],
+                  utterances_path),
     }[command]
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "UTF-8" in err and "Traceback" not in err
-    if command == "stats":
-        assert "line 2" in err
+    if named is not None:
+        assert err.startswith(f"error: {named}: line 2: not valid UTF-8 (")
 
 
 def test_oracle_minimal(tmp_path, capsys):
@@ -284,6 +299,28 @@ def test_train_bad_embeddings_exit_three(tmp_path, capsys, corpus_tsv, line):
     assert main(["train", tsv, "-o", str(ckpt)] + flags) == 3
     assert capsys.readouterr().err.startswith(f"error: {embeddings}: line 2: ")
     assert not ckpt.exists()
+
+
+def test_train_refuses_a_non_finite_loss(tmp_path, corpus_tsv):
+    """A learning rate that blows the parameters up turns the loss NaN:
+    training stops with exit 1 and writes no checkpoint and no log.  It runs
+    in a subprocess because numpy warns about the overflow on the way, and
+    the test suite turns warnings into errors."""
+    tsv, _ = corpus_tsv
+    ckpt = tmp_path / "model.ckpt"
+    result = subprocess.run(
+        [sys.executable, "-m", "frameparse.cli", "train", tsv, "-o", str(ckpt), "--epochs", "3",
+         "--lr", "1e30"] + TINY_FLAGS,
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 1, result.stderr
+    assert re.search(r"^error: epoch 1, example \d+: loss is (nan|-?inf) on example '",
+                     result.stderr, re.MULTILINE), result.stderr
+    assert "Traceback" not in result.stderr
+    assert "NaN" not in result.stdout
+    assert not ckpt.exists()
+    assert not (tmp_path / "model.ckpt.log.json").exists()
 
 
 @pytest.mark.parametrize("bad", ["train", "valid"])

@@ -72,10 +72,10 @@ def test_decoders_agree_on_random_models(seed, scale, precision, tokens):
 
 def reference_greedy(model: Model, tokens) -> tuple:
     tokens = tuple(tokens)
-    branch = rnng._start_branch(model, tokens)
+    branch = rnng.start_hypothesis(model, tokens)
     while not branch.state.is_terminal:
         indices = rnng._valid_indices(model, branch.state)
-        logps = core.masked_log_probs(rnng._branch_logits(model, [branch])[0], indices)
+        logps = core.masked_log_probs(rnng.encode_state(model, [branch])[0], indices)
         best = int(np.argmax(logps))
         rnng.advance(model, branch, model.actions[indices[best]], float(logps[best]))
     return Tree(branch.state.root, tokens), branch.score
@@ -83,10 +83,10 @@ def reference_greedy(model: Model, tokens) -> tuple:
 
 def reference_beam(model: Model, tokens, k: int) -> list:
     tokens = tuple(tokens)
-    live = [rnng._start_branch(model, tokens)]
+    live = [rnng.start_hypothesis(model, tokens)]
     completed: list = []
     while live:
-        logits = rnng._branch_logits(model, live)
+        logits = rnng.encode_state(model, live)
         totals, sources, actions, steps = [], [], [], []
         for src, branch in enumerate(live):
             indices = rnng._valid_indices(model, branch.state)
@@ -113,12 +113,12 @@ def reference_beam(model: Model, tokens, k: int) -> list:
 
 
 def reference_score_actions(model: Model, tokens, actions) -> float:
-    branch = rnng._start_branch(model, tuple(tokens))
+    branch = rnng.start_hypothesis(model, tuple(tokens))
     total = 0.0
     for action in actions:
         indices = rnng._valid_indices(model, branch.state)
         (position,) = np.nonzero(indices == model.action_index[action])[0]
-        logps = core.masked_log_probs(rnng._branch_logits(model, [branch])[0], indices)
+        logps = core.masked_log_probs(rnng.encode_state(model, [branch])[0], indices)
         total = total + float(logps[int(position)])
         rnng.advance(model, branch, action, 0.0)
     return total
@@ -154,18 +154,18 @@ def test_no_hypothesis_with_an_empty_buffer_is_scored(monkeypatch):
     logits, in any decoder, and their queued encoder inputs never run."""
     model = random_model(seed=5, scale=1.0, precision="f32")
     tokens = ("turn", "the", "lights", "off")
-    branch_logits, run_queued = rnng._branch_logits, rnng._run_queued
+    encode_state, run_queued = rnng.encode_state, rnng._run_queued
     scored, run = [], []
 
-    def checked_logits(model, branches):
+    def checked_logits(model, branches, tape=None, rng=None):
         scored.extend(b.state.pos == len(b.state.tokens) for b in branches)
-        return branch_logits(model, branches)
+        return encode_state(model, branches, tape, rng)
 
-    def checked_run(model, branches):
+    def checked_run(model, branches, tape=None, rng=None):
         run.extend(b.state.pos == len(b.state.tokens) for b in branches if b.action is not None)
-        return run_queued(model, branches)
+        return run_queued(model, branches, tape, rng)
 
-    monkeypatch.setattr(rnng, "_branch_logits", checked_logits)
+    monkeypatch.setattr(rnng, "encode_state", checked_logits)
     monkeypatch.setattr(rnng, "_run_queued", checked_run)
     parse_greedy(model, tokens)
     for k in (1, 5):

@@ -23,6 +23,7 @@ from frameparse.neural import (
     add_n,
     concat,
     dropout,
+    embedding_lookup,
     grad_check,
     linear,
     load_checkpoint,
@@ -61,7 +62,8 @@ def test_lstm_scalar_step_hand_computed():
     # Gate rows: input, forget, candidate, output; columns: [x, h].
     weight.value[...] = np.array([[0.5, 0.1], [0.3, 0.2], [1.0, -0.5], [0.25, 0.4]])
     bias.value[...] = np.array([0.1, 0.2, -0.2, 0.05])
-    state = lstm.step(Tape(), Var(np.array([1.0])), lstm.initial())
+    tape = Tape()
+    state = lstm.step(tape, Var(np.array([1.0])), lstm.initial(tape))
     sig = lambda z: 1.0 / (1.0 + math.exp(-z))
     gate_in = sig(0.5 * 1.0 + 0.1 * 0.0 + 0.1)
     gate_fg = sig(0.3 * 1.0 + 0.2 * 0.0 + 0.2)
@@ -85,7 +87,8 @@ def test_lstm_dimension_mismatch():
     store = f64_store()
     lstm = Lstm(store, "lstm", 3, 4, 1)
     with pytest.raises(DimensionMismatch):
-        lstm.step(Tape(), Var(np.zeros(5)), lstm.initial())
+        tape = Tape()
+        lstm.step(tape, Var(np.zeros(5)), lstm.initial(tape))
 
 
 def test_lstm_cell_gradients_match_finite_differences():
@@ -210,8 +213,8 @@ def test_bilstm_reversal_symmetry():
     enc_b.proj_bias.value[...] = enc_a.proj_bias.value
     rng = np.random.default_rng(1)
     xs = [Var(rng.normal(size=3)) for _ in range(5)]
-    summary_a = enc_a.encode(Tape(), xs)
-    summary_b = enc_b.encode(Tape(), list(reversed(xs)))
+    summary_a = enc_a.encode(Tape(), [xs])
+    summary_b = enc_b.encode(Tape(), [list(reversed(xs))])
     assert np.allclose(summary_a.value, summary_b.value)
 
 
@@ -220,7 +223,7 @@ def test_bilstm_zero_params_zero_summary():
     enc = BiLstmEncoder(store, "enc", 3, 4, 6)
     for name in store:
         store[name].value[...] = 0.0
-    out = enc.encode(Tape(), [Var(np.random.default_rng(2).normal(size=3)) for _ in range(3)])
+    out = enc.encode(Tape(), [[Var(np.random.default_rng(2).normal(size=3)) for _ in range(3)]])
     assert np.allclose(out.value, 0.0)
 
 
@@ -228,7 +231,9 @@ def test_bilstm_empty_sequence():
     store = f64_store()
     enc = BiLstmEncoder(store, "enc", 3, 4, 6)
     with pytest.raises(EmptySequence):
-        enc.encode(Tape(), [])
+        enc.encode(Tape(), [[]])
+    with pytest.raises(EmptySequence):
+        enc.encode(None, [[np.zeros(3)], []])
 
 
 def test_bilstm_gradients():
@@ -238,7 +243,7 @@ def test_bilstm_gradients():
     values = rng.normal(size=(4, 3))
 
     def loss_fn(tape):
-        out = enc.encode(tape, [Var(v.copy()) for v in values])
+        out = enc.encode(tape, [[Var(v.copy()) for v in values]])
         return masked_nll(tape, out, 2, [0, 1, 2, 3, 4])
 
     report = grad_check(loss_fn, store)
@@ -652,6 +657,61 @@ def test_concat_and_relu_and_add_n_gradients():
 
     report = grad_check(loss_fn, store, tolerance=1e-6)
     assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_untaped_ops_match_the_taped_ops_bitwise(monkeypatch, dtype):
+    """Without a tape every op runs forward-only on plain arrays, over one
+    vector or B rows, records nothing, and gives for each row bitwise what
+    the taped op gives for that row alone."""
+    store = ParamStore(seed=50, dtype=dtype)
+    w = store.add("w", (6, 5), order="F")
+    b = store.add("b", (6,))
+    cell_w = store.add("cell.weight", (4 * 3, 5 + 3), order="F")
+    cell_b = store.add("cell.bias", (4 * 3,))
+    table = store.add("table", (7, 5))
+    store.allocate()
+    drop = {}
+    ops = {  # name -> (op, widths of its inputs)
+        "linear": (lambda tape, x: linear(tape, w, b, x), [5]),
+        "linear without bias": (lambda tape, x: linear(tape, w, None, x), [5]),
+        "relu": (relu, [5]),
+        "concat": (lambda tape, x, y: concat(tape, [x, y]), [5, 3]),
+        "dropout": (lambda tape, x: dropout(tape, x, 0.3, drop["rng"]), [5]),
+        "lstm_cell": (lambda tape, x, h, c: lstm_cell(tape, cell_w, cell_b, x, h, c), [5, 3, 3]),
+        "embedding_lookup": (lambda tape, i: embedding_lookup(tape, table, i), [None]),
+    }
+    records = []
+    monkeypatch.setattr(Tape, "record", lambda tape, fn: records.append(fn))
+    rng = np.random.default_rng(50)
+
+    def outputs(result):
+        return result if isinstance(result, tuple) else (result,)
+
+    def taped(op, widths, inputs):
+        tape = Tape()
+        wrapped = [x if width is None else Var(x) for x, width in zip(inputs, widths)]
+        return [out.value for out in outputs(op(tape, *wrapped))]
+
+    for name, (op, widths) in ops.items():
+        for batch in range(1, 6):
+            rows = [rng.integers(0, 7, size=batch) if width is None
+                    else rng.normal(size=(batch, width)).astype(dtype) for width in widths]
+            for inputs in ([r[0] for r in rows], rows):
+                drop["rng"] = np.random.default_rng(batch)
+                before = len(records)
+                untaped = outputs(op(None, *inputs))
+                assert len(records) == before, name
+                assert all(type(out) is np.ndarray for out in untaped), name
+                drop["rng"] = np.random.default_rng(batch)
+                if inputs is rows:
+                    for i in range(batch):
+                        expected = taped(op, widths, [r[i] for r in rows])
+                        for out, want in zip(untaped, expected):
+                            assert np.array_equal(out[i], want), (name, batch, i)
+                else:
+                    for out, want in zip(untaped, taped(op, widths, inputs)):
+                        assert np.array_equal(out, want), (name, batch)
 
 
 def test_determinism_of_initialization():

@@ -3,7 +3,7 @@ import pytest
 
 import synth
 from frameparse import rnng
-from frameparse.dataset import Corpus, Example, Vocab, build_vocabs
+from frameparse.dataset import Corpus, Example, Split, Vocab, build_vocabs
 from frameparse.neural import Tape, Var, grad_check
 from frameparse.preprocess import TokenNormalizer
 from frameparse.rnng import (
@@ -91,7 +91,7 @@ def test_encode_state_initial_shapes():
     model = tiny_model()
     tape = Tape()
     hyp = start_hypothesis(model, ("turn", "the", "lights", "off"), tape)
-    logits = encode_state(model, hyp, tape)
+    logits = encode_state(model, [hyp], tape)
     assert logits.value.shape == (len(model.actions),)
     assert np.all(np.isfinite(logits.value))
 
@@ -105,8 +105,8 @@ def test_ablated_buffer_ignores_remaining_tokens():
         rnng.advance(model, hyp, model.actions[3], 0.0)  # NT(IN:SET)
         rnng.advance(model, hyp, model.actions[0], 0.0)  # SHIFT "turn"
     # Same consumed prefix and actions, different remaining tokens.
-    a = encode_state(model, h1, tape).value
-    b = encode_state(model, h2, tape).value
+    a = encode_state(model, [h1], tape).value
+    b = encode_state(model, [h2], tape).value
     assert np.array_equal(a, b)
 
 
@@ -117,8 +117,8 @@ def test_full_model_sees_remaining_tokens():
     h2 = start_hypothesis(model, ("turn", "up", "down"), tape)
     for hyp in (h1, h2):
         rnng.advance(model, hyp, model.actions[3], 0.0)
-    a = encode_state(model, h1, tape).value
-    assert not np.array_equal(a, encode_state(model, h2, tape).value)
+    a = encode_state(model, [h1], tape).value
+    assert not np.array_equal(a, encode_state(model, [h2], tape).value)
 
 
 # ---------------------------------------------------------------------------
@@ -133,21 +133,21 @@ def test_compose_width_independent_of_child_count():
     model = tiny_model()
     rng = np.random.default_rng(0)
     for n in (1, 2, 5):
-        out = model.compose.encode(Tape(), stack_symbols(model, rng, 1 + n))
+        out = model.compose.encode(Tape(), [stack_symbols(model, rng, 1 + n)])
         assert out.value.shape == (model.config.word_dim,)
 
 
 def test_compose_single_token_child():
     model = tiny_model()
-    out = model.compose.encode(Tape(), stack_symbols(model, np.random.default_rng(1), 2))
+    out = model.compose.encode(Tape(), [stack_symbols(model, np.random.default_rng(1), 2)])
     assert np.all(np.isfinite(out.value))
 
 
 def test_compose_is_order_sensitive():
     model = tiny_model()
     label, a, b = stack_symbols(model, np.random.default_rng(2), 3)
-    fwd = model.compose.encode(Tape(), [label, a, b])
-    rev = model.compose.encode(Tape(), [label, b, a])
+    fwd = model.compose.encode(Tape(), [[label, a, b]])
+    rev = model.compose.encode(Tape(), [[label, b, a]])
     assert not np.allclose(fwd.value, rev.value)
 
 
@@ -175,6 +175,20 @@ def test_zero_learning_rate_changes_nothing():
     for name in model.store:
         assert np.array_equal(model.store[name].value, before[name])
     assert trace[0] == pytest.approx(trace[1]) and trace[1] == pytest.approx(trace[2])
+
+
+def test_non_finite_loss_is_refused_before_any_update():
+    model = tiny_model(seed=38)
+    model.store["scorer.bias"].value[0] = np.nan  # the SHIFT logit
+    before = {name: value.copy() for name, value in model.store.value_arrays().items()}
+    example = example_of("[IN:SET turn [SL:WHAT the lights ] off ]")
+    with pytest.raises(rnng.NonFiniteLoss, match="loss is nan on example 'turn the lights off'"):
+        train_example(model, example, np.random.default_rng(0))
+    for name, value in model.store.value_arrays().items():
+        assert np.array_equal(value, before[name], equal_nan=True), name
+    corpus = Corpus([example_of("[IN:GET up ]"), example], Split.TRAIN)
+    with pytest.raises(rnng.NonFiniteLoss, match=r"^epoch 1, example [12]: loss is nan"):
+        train(model, corpus, epochs=1)
 
 
 def test_training_reduces_loss():
@@ -311,21 +325,20 @@ def test_row_products_are_bitwise_row_invariant(precision):
     rng = np.random.default_rng(0)
     dtype = model.config.dtype
     for weight, bias in products:
-        weight_t, bias = weight.value.T, bias.value
-        assert weight_t.flags.c_contiguous, weight.name
-        x = rng.normal(size=(5, weight_t.shape[0])).astype(dtype)
-        alone = [core.linear_rows(x[i : i + 1], weight_t, bias)[0] for i in range(5)]
-        assert np.array_equal(alone[0], x[0] @ weight_t + bias)
+        assert weight.value.T.flags.c_contiguous, weight.name
+        x = rng.normal(size=(5, weight.shape[1])).astype(dtype)
+        alone = [core.linear(None, weight, bias, x[i]) for i in range(5)]
+        assert np.array_equal(alone[0], (x[:1] @ weight.value.T)[0] + bias.value)
         for batch in range(1, 6):
-            rows = core.linear_rows(x[:batch], weight_t, bias)
+            rows = core.linear(None, weight, bias, x[:batch])
             for i in range(batch):
-                assert np.array_equal(rows[i], alone[i]), (weight_t.shape, batch, i)
+                assert np.array_equal(rows[i], alone[i]), (weight.shape, batch, i)
     for lstm in lstms:
         x = rng.normal(size=(5, lstm.input_dim)).astype(dtype)
-        state = rng.normal(size=lstm.initial_rows(5).shape).astype(dtype)
-        alone = [lstm.step_rows(x[i : i + 1], state[i : i + 1])[0] for i in range(5)]
+        state = rng.normal(size=(5,) + lstm.initial(None).shape).astype(dtype)
+        alone = [lstm.step(None, x[i], state[i]) for i in range(5)]
         for batch in range(1, 6):
-            new = lstm.step_rows(x[:batch], state[:batch])
+            new = lstm.step(None, x[:batch], state[:batch])
             for i in range(batch):
                 assert np.array_equal(new[i], alone[i])
 
@@ -376,9 +389,9 @@ def test_decoding_reads_directly_written_weights(weight):
 @pytest.mark.parametrize("dims", [TINY, {}], ids=["tiny", "default"])
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_taped_and_decode_logits_are_bitwise_equal(precision, dims):
-    # Training (encode_state on a tape) and decoding (_branch_logits over
-    # rows) compute every product on the same column-major weights, so the
-    # logits along an oracle derivation agree bit for bit.
+    # Training (encode_state on a tape) and decoding (encode_state without
+    # one, over rows) compute every product on the same column-major
+    # weights, so the logits along an oracle derivation agree bit for bit.
     corpus = synth.learnable_corpus(seed=36, size=12)
     vocab, intents, slots = build_vocabs(corpus)
     for seed in (36, 37):
@@ -388,10 +401,10 @@ def test_taped_and_decode_logits_are_bitwise_equal(precision, dims):
         for example in corpus.examples:
             tape = Tape()
             hyp = start_hypothesis(model, example.tokens, tape)
-            branch = rnng._start_branch(model, example.tokens)
+            branch = start_hypothesis(model, example.tokens)
             for action in oracle(example.tree):
-                taped = encode_state(model, hyp, tape).value
-                rows = rnng._branch_logits(model, [branch])
+                taped = encode_state(model, [hyp], tape).value
+                rows = encode_state(model, [branch])
                 assert np.array_equal(taped, rows[0]), (seed, example.raw_utterance, steps)
                 rnng.advance(model, hyp, action, 0.0)
                 rnng.advance(model, branch, action, 0.0)
