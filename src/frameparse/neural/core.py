@@ -1,13 +1,14 @@
 """Minimal reverse-mode differentiation on numpy arrays.
 
 A ``Tape`` records one backward closure per operation in execution order;
-calling ``backward`` seeds the output gradient and replays the closures in
-reverse.  On a tape, operations work on ``Var`` wrappers around 1-d (or
-0-d) float arrays and record one closure each.  Given ``tape=None``, the
-same operations run forward-only on plain arrays, over one vector or over
-rows (B, d), and record nothing: that is how decoding scores all live
-hypotheses at once.  Both compute the same products on the same memory
-(see :func:`_product`), so a row is bitwise what the taped op gives.
+calling ``backward`` seeds the output gradient with 1 and replays the
+closures in reverse.  On a tape, operations work on ``Var`` wrappers
+around 1-d (or 0-d) float arrays and record one closure each.  Given
+``tape=None``, the same operations run forward-only on plain arrays, over
+one vector or over rows (B, d), and record nothing: that is how decoding
+scores all live hypotheses at once.  Both compute the same products on the
+same memory (see :func:`_product`), so a row is bitwise what the taped op
+gives.
 
 Weight gradients are deferred: a closure of ``linear`` or ``lstm_cell``
 returns its rows ``(weight, dz, x)`` instead of adding ``outer(dz, x)``,
@@ -73,10 +74,10 @@ class Tape:
     def record(self, backward_fn) -> None:
         self._steps.append(backward_fn)
 
-    def backward(self, output: Var, seed=1.0) -> None:
-        """Replay and drop every closure, then add each weight's deferred
-        rows with one matrix product."""
-        output.add_grad(np.asarray(seed, dtype=output.value.dtype))
+    def backward(self, output: Var) -> None:
+        """Seed ``output``'s gradient with 1, replay and drop every closure,
+        then add each weight's deferred rows with one matrix product."""
+        output.add_grad(np.asarray(1.0, dtype=output.value.dtype))
         steps = self._steps
         self._steps = []
         rows = {}  # weight -> ([dz, ...], [x, ...])

@@ -37,11 +37,11 @@ class Lstm:
     array of shape (layers, 2, hidden) holding each layer's (h, c), and a
     step takes B rows of input with B states stacked to (B, layers, 2,
     hidden).  Either way ``state[-1][0]`` is the top layer's output.
-    ``forget_bias`` pre-loads the forget gate, a standard stabilizer.
+    The forget gate's bias starts at 1, a standard stabilizer.
     """
 
     def __init__(self, store, prefix: str, input_dim: int, hidden_dim: int,
-                 num_layers: int, forget_bias: float = 1.0):
+                 num_layers: int):
         self.input_dim = input_dim
         self.layers = []
         for layer in range(num_layers):
@@ -49,7 +49,7 @@ class Lstm:
             weight = store.add(f"{prefix}.l{layer}.weight", (4 * hidden_dim, in_dim + hidden_dim),
                                order="F")
             bias = store.add(f"{prefix}.l{layer}.bias", (4 * hidden_dim,),
-                             init=lambda value: value[hidden_dim : 2 * hidden_dim].fill(forget_bias))
+                             init=lambda value: value[hidden_dim : 2 * hidden_dim].fill(1.0))
             h0 = store.add(f"{prefix}.l{layer}.h0", (hidden_dim,))
             c0 = store.add(f"{prefix}.l{layer}.c0", (hidden_dim,))
             self.layers.append((weight, bias, h0, c0))
@@ -119,13 +119,13 @@ class Lstm:
 
 
 class BiLstmEncoder:
-    """Reads a sequence both ways and projects the two final hidden states
-    to a fixed-width summary."""
+    """Reads a sequence both ways with one-layer LSTMs and projects the two
+    final hidden states to a fixed-width summary."""
 
     def __init__(self, store, prefix: str, input_dim: int, hidden_dim: int,
-                 output_dim: int, num_layers: int = 1):
-        self.fwd = Lstm(store, f"{prefix}.fwd", input_dim, hidden_dim, num_layers)
-        self.bwd = Lstm(store, f"{prefix}.bwd", input_dim, hidden_dim, num_layers)
+                 output_dim: int):
+        self.fwd = Lstm(store, f"{prefix}.fwd", input_dim, hidden_dim, 1)
+        self.bwd = Lstm(store, f"{prefix}.bwd", input_dim, hidden_dim, 1)
         self.proj_weight = store.add(f"{prefix}.proj.weight", (output_dim, 2 * hidden_dim),
                                      order="F")
         self.proj_bias = store.add(f"{prefix}.proj.bias", (output_dim,))

@@ -109,14 +109,15 @@ class EmbeddingTable:
         return self.vectors[word]
 
 
-def load_embeddings(path, vocab, seed: int = 0, init_scale: float = 0.1) -> EmbeddingTable:
+def load_embeddings(path, vocab, seed: int = 0) -> EmbeddingTable:
     """Load the text format ``word v1 v2 ... vd`` (one word per line),
     keeping only words in ``vocab``.
 
     Vocabulary words absent from the file get a seeded uniform random
-    vector and are reported in the table's ``missing`` field.  A line with
-    the wrong number of values, or a kept word with a value that is not a
-    finite number, raises ``RaggedDimensions`` naming the line.
+    vector in [-0.1, 0.1) and are reported in the table's ``missing``
+    field.  A line with the wrong number of values, or a kept word with a
+    value that is not a finite number, raises ``RaggedDimensions`` naming
+    the line.
     """
     wanted = set(vocab)
     vectors: dict = {}
@@ -147,5 +148,5 @@ def load_embeddings(path, vocab, seed: int = 0, init_scale: float = 0.1) -> Embe
     rng = np.random.default_rng(seed)
     missing = sorted(wanted - set(vectors))
     for word in missing:
-        vectors[word] = rng.uniform(-init_scale, init_scale, dim)
+        vectors[word] = rng.uniform(-0.1, 0.1, dim)
     return EmbeddingTable(vectors=vectors, dim=dim, missing=tuple(missing))

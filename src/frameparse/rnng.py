@@ -44,14 +44,15 @@ from .neural.params import CheckpointError, ParamStore, load_checkpoint, save_ch
 from .preprocess import TokenNormalizer, UNK_TOKEN
 from .transitions import (
     DEFAULT_MAX_OPEN_NTS,
+    MASKS,
     Action,
-    ActionKind,
     EmptyUtterance,
     REDUCE,
     SHIFT,
     apply,  # noqa: F401 - kept importable as rnng.apply
     apply_unchecked,
     initial_state,
+    kind_of,
     nt,
     oracle,
     valid_actions,
@@ -149,15 +150,14 @@ class Model:
         self.actions = (SHIFT, REDUCE) + tuple(nt(label) for label in self.labels)
         self.action_index = {action: i for i, action in enumerate(self.actions)}
         self.normalizer = normalizer
-
-        n_intents = len(self.intent_labels)
-        n_slots = len(self.slot_labels)
-        self._kind_indices = {
-            ActionKind.SHIFT: [0],
-            ActionKind.REDUCE: [1],
-            ActionKind.NT_INTENT: list(range(2, 2 + n_intents)),
-            ActionKind.NT_SLOT: list(range(2 + n_intents, 2 + n_intents + n_slots)),
-        }
+        # Every mask valid_actions can return -> the ascending, read-only
+        # indices of the actions it allows.
+        kinds = [kind_of(action) for action in self.actions]
+        self.mask_indices = {}
+        for mask in MASKS:
+            indices = np.array([i for i, kind in enumerate(kinds) if kind in mask], dtype=np.intp)
+            indices.flags.writeable = False
+            self.mask_indices[mask] = indices
 
         cfg = config
         store = ParamStore(seed=[cfg.seed, 0], dtype=cfg.dtype)
@@ -193,7 +193,6 @@ class Model:
 
         if embeddings is not None:
             self._load_pretrained(embeddings)
-        self._indices_by_kinds = {}
 
     def _load_pretrained(self, table) -> None:
         if table.dim != self.config.word_dim:
@@ -209,21 +208,6 @@ class Model:
                 frozen[i] = word not in missing
         if not self.config.finetune_embeddings:
             self.word_emb.frozen_rows = frozen
-
-    def action_indices(self, kinds: frozenset) -> np.ndarray:
-        """Ascending action indices permitted by a set of ActionKinds
-        (read-only; one array per distinct set)."""
-        indices = self._indices_by_kinds.get(kinds)
-        if indices is None:
-            out = []
-            for kind in (ActionKind.SHIFT, ActionKind.REDUCE, ActionKind.NT_INTENT,
-                         ActionKind.NT_SLOT):
-                if kind in kinds:
-                    out.extend(self._kind_indices[kind])
-            indices = np.asarray(out, dtype=np.intp)
-            indices.flags.writeable = False
-            self._indices_by_kinds[kinds] = indices
-        return indices
 
     def token_ids(self, tokens) -> list:
         unk = self.token_vocab.index(UNK_TOKEN) if UNK_TOKEN in self.token_vocab else 0
@@ -430,13 +414,16 @@ def encode_state(model: Model, branches: list, tape=None, rng=None):
     return core.linear(tape, model.out_w, model.out_b, hidden)
 
 
+def _valid_indices(model: Model, state) -> np.ndarray:
+    return model.mask_indices[valid_actions(state, model.config.max_open_nts)]
+
+
 def example_loss(model: Model, tokens, gold_actions, tape, rng=None):
     """Teacher-forced loss: the sum over steps of masked softmax NLL."""
     hyp = start_hypothesis(model, tokens, tape, rng)
     losses = []
     for action in gold_actions:
-        kinds = valid_actions(hyp.state, model.config.max_open_nts)
-        indices = model.action_indices(kinds)
+        indices = _valid_indices(model, hyp.state)
         logits = encode_state(model, [hyp], tape, rng)
         losses.append(core.masked_nll(tape, logits, model.action_index[action], indices))
         advance(model, hyp, action, 0.0)
@@ -488,10 +475,6 @@ def train(model: Model, corpus: Corpus, epochs: Optional[int] = None, rng=None,
         if epoch_callback is not None:
             epoch_callback(epoch, trace[-1])
     return trace
-
-
-def _valid_indices(model: Model, state) -> np.ndarray:
-    return model.action_indices(valid_actions(state, model.config.max_open_nts))
 
 
 def _forced(branch: Hypothesis) -> bool:
@@ -598,24 +581,6 @@ def parse_beam(model: Model, tokens, k: int) -> list:
     else:
         raise RuntimeError("beam decode failed to terminate")
     return [(Tree(h.state.root, tokens), h.score) for h in completed[:k]]
-
-
-def score_actions(model: Model, tokens, actions) -> float:
-    """Recompute the cumulative masked log-probability of an action
-    sequence under the model (evaluation mode); equal to the score a
-    decoder reports for the same derivation, forced REDUCEs included."""
-    tokens = tuple(tokens)
-    branch = start_hypothesis(model, tokens)
-    total = 0.0
-    for action in actions:
-        indices = _valid_indices(model, branch.state)
-        position = np.nonzero(indices == model.action_index[action])[0]
-        if position.size == 0:
-            raise ValueError(f"action {action} is masked out at this step")
-        (logps,) = _step_log_probs(model, [branch], [indices])
-        total = total + float(logps[int(position[0])])
-        advance(model, branch, action, 0.0)
-    return total
 
 
 def exact_match_rate(model: Model, examples) -> float:

@@ -158,7 +158,7 @@ def initial_state(tokens: Sequence[str]) -> ParserState:
 # ActionKind order: no call builds a set or hashes an ActionKind, and each
 # mask's hash is computed only once.
 _SHIFT, _REDUCE, _NT_INTENT, _NT_SLOT = 1, 2, 4, 8
-_MASKS = tuple(
+MASKS = tuple(
     frozenset(kind for bit, kind in enumerate(ActionKind) if bits >> bit & 1)
     for bits in range(16)
 )
@@ -173,14 +173,14 @@ def valid_actions(state: ParserState, max_open_nts: int = DEFAULT_MAX_OPEN_NTS) 
     the buffer is exhausted only REDUCE remains.
     """
     if state.root is not None:
-        return _MASKS[0]
+        return MASKS[0]
     buffer_empty = state.pos >= len(state.tokens)
     open_count = len(state.open_stack)
     if open_count == 0:
         # Nothing derived yet: the root non-terminal must be an intent.
-        return _MASKS[0] if buffer_empty else _MASKS[_NT_INTENT]
+        return MASKS[0] if buffer_empty else MASKS[_NT_INTENT]
     if buffer_empty:
-        return _MASKS[_REDUCE]
+        return MASKS[_REDUCE]
     bits = 0
     top = state.open_stack[-1]
     if not (top.label.kind == SLOT and top.has_nt_child):
@@ -192,7 +192,7 @@ def valid_actions(state: ParserState, max_open_nts: int = DEFAULT_MAX_OPEN_NTS) 
             bits |= _NT_INTENT
     if top.children and open_count > 1:
         bits |= _REDUCE
-    return _MASKS[bits]
+    return MASKS[bits]
 
 
 def apply(

@@ -2,11 +2,17 @@
 
 Everything here is deliberately written from the definitions, without
 reusing the package's own traversal or counting code, so the tests compare
-two genuinely different routes to the same answer.
+two genuinely different routes to the same answer.  The exception is
+:func:`reference_score_actions`, which shares the parser's encoder but not
+its decoders.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from frameparse import rnng
+from frameparse.neural import core
 from frameparse.trees import NonTerminal, Token, Tree
 
 
@@ -171,3 +177,20 @@ def enumerate_valid_trees(tokens, intent_labels, slot_labels, max_nts: int) -> s
     for node, used in gen_intents(0, len(tokens), max_nts):
         results.add(render(node))
     return results
+
+
+def reference_score_actions(model: rnng.Model, tokens, actions) -> float:
+    """The cumulative masked log-probability of an action sequence, with
+    every step scored through the masked softmax, the forced REDUCEs after
+    the last SHIFT included.  The decoders skip that tail and add log 1 = 0
+    instead, which is what the softmax gives for finite logits, so the score
+    a decoder reports for a derivation must equal this bit for bit."""
+    branch = rnng.start_hypothesis(model, tuple(tokens))
+    total = 0.0
+    for action in actions:
+        indices = rnng._valid_indices(model, branch.state)
+        (position,) = np.nonzero(indices == model.action_index[action])[0]
+        logps = core.masked_log_probs(rnng.encode_state(model, [branch])[0], indices)
+        total = total + float(logps[int(position)])
+        rnng.advance(model, branch, action, 0.0)
+    return total

@@ -406,7 +406,7 @@ def test_beam_coherence(learnability_run):
     for example in examples:
         results = rnng.parse_beam(trained, example.tokens, 5)
         for tree, score in results:
-            again = rnng.score_actions(trained, example.tokens, oracle(tree))
+            again = oracles.reference_score_actions(trained, example.tokens, oracle(tree))
             max_gap = max(max_gap, abs(again - score))
         beams.append([tree for tree, _ in results])
     assert max_gap <= 1e-6, f"score recompute gap {max_gap:.2e}"

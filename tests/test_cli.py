@@ -9,6 +9,7 @@ import pytest
 
 import synth
 from frameparse.cli import main
+from frameparse.neural import core
 
 NESTED = (
     "[IN:GET_DIRECTIONS Driving directions to "
@@ -91,14 +92,17 @@ def test_stats_strict_vs_lenient(tmp_path, capsys):
     assert main(["stats", tsv]) == 3
     capsys.readouterr()
     assert main(["stats", tsv, "--lenient"]) == 0
-    assert json.loads(capsys.readouterr().out)["count"] == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["count"] == 1
+    assert captured.err.startswith(f"warning: {tsv}: skipped line 2: ")
 
 
 def test_stats_missing_file(tmp_path):
     assert main(["stats", str(tmp_path / "nope.tsv")]) == 3
 
 
-@pytest.mark.parametrize("command", ["validate", "stats", "eval", "train-embeddings", "parse"])
+@pytest.mark.parametrize("command", ["validate", "stats", "oracle", "eval", "eval-pred",
+                                     "eval-topk", "train-config", "train-embeddings", "parse"])
 def test_undecodable_input_exits_three(tmp_path, capsys, command):
     """A byte that is not UTF-8 is refused input (exit 3), not a failed check."""
     trees_path = tmp_path / "trees.txt"
@@ -110,10 +114,18 @@ def test_undecodable_input_exits_three(tmp_path, capsys, command):
     vectors_path.write_bytes(b"a 0.1 0.2 0.3\n\xff 0.1 0.2 0.3\n")
     utterances_path = tmp_path / "utts.txt"
     utterances_path.write_bytes(b"show the weather\nshow \xff\n")
+    good_trees = write_lines(tmp_path / "good.txt", ["[IN:X a ]", "[IN:X b ]"])
+    config_path = tmp_path / "train.cfg"
+    config_path.write_bytes(b"epochs=0\nseed=\xff\n")
     args, named = {
-        "validate": (["validate", str(trees_path)], None),
+        "validate": (["validate", str(trees_path)], trees_path),
         "stats": (["stats", str(tsv_path), "--lenient"], tsv_path),
-        "eval": (["eval", str(trees_path), str(trees_path)], None),
+        "oracle": (["oracle", str(trees_path)], trees_path),
+        "eval": (["eval", str(trees_path), good_trees], trees_path),
+        "eval-pred": (["eval", good_trees, str(trees_path)], trees_path),
+        "eval-topk": (["eval", good_trees, str(trees_path), "--topk", "1"], trees_path),
+        "train-config": (["train", good_tsv, "-o", str(tmp_path / "m.ckpt"), "--config",
+                          str(config_path)], config_path),
         "train-embeddings": (["train", good_tsv, "-o", str(tmp_path / "m.ckpt"), "--embeddings",
                               str(vectors_path), "--word-dim", "3", "--epochs", "0"],
                              vectors_path),
@@ -123,9 +135,8 @@ def test_undecodable_input_exits_three(tmp_path, capsys, command):
     }[command]
     assert main(args) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "UTF-8" in err and "Traceback" not in err
-    if named is not None:
-        assert err.startswith(f"error: {named}: line 2: not valid UTF-8 (")
+    assert err.startswith(f"error: {named}: line 2: not valid UTF-8 (")
+    assert "Traceback" not in err
 
 
 def test_oracle_minimal(tmp_path, capsys):
@@ -303,9 +314,9 @@ def test_train_bad_embeddings_exit_three(tmp_path, capsys, corpus_tsv, line):
 
 def test_train_refuses_a_non_finite_loss(tmp_path, corpus_tsv):
     """A learning rate that blows the parameters up turns the loss NaN:
-    training stops with exit 1 and writes no checkpoint and no log.  It runs
-    in a subprocess because numpy warns about the overflow on the way, and
-    the test suite turns warnings into errors."""
+    training stops with exit 1, says so in one error line and writes no
+    checkpoint and no log.  It runs in a subprocess so that stderr is all a
+    user would see, numpy's overflow warnings included."""
     tsv, _ = corpus_tsv
     ckpt = tmp_path / "model.ckpt"
     result = subprocess.run(
@@ -315,12 +326,23 @@ def test_train_refuses_a_non_finite_loss(tmp_path, corpus_tsv):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert result.returncode == 1, result.stderr
-    assert re.search(r"^error: epoch 1, example \d+: loss is (nan|-?inf) on example '",
-                     result.stderr, re.MULTILINE), result.stderr
-    assert "Traceback" not in result.stderr
+    assert re.fullmatch(r"error: epoch \d+, example \d+: loss is (nan|-?inf) on example '[^\n]*'\n",
+                        result.stderr), result.stderr
     assert "NaN" not in result.stdout
     assert not ckpt.exists()
     assert not (tmp_path / "model.ckpt.log.json").exists()
+
+
+def test_train_lenient_warns_for_each_skipped_line(tmp_path, capsys):
+    train = write_lines(tmp_path / "train.tsv", ["a\ta\t[IN:X a ]", "broken line"])
+    valid = write_lines(tmp_path / "valid.tsv", ["a\ta\t[IN:X a ]", "b\tb\t[IN:X b ]",
+                                                 "two\tcolumns"])
+    args = ["train", train, "--valid", valid, "-o", str(tmp_path / "m.ckpt"), "--lenient",
+            "--epochs", "0"] + TINY_FLAGS
+    assert main(args) == 0
+    first, second = capsys.readouterr().err.splitlines()
+    assert first.startswith(f"warning: {train}: skipped line 2: ")
+    assert second.startswith(f"warning: {valid}: skipped line 3: ")
 
 
 @pytest.mark.parametrize("bad", ["train", "valid"])
@@ -487,10 +509,25 @@ def test_gradcheck_passes(capsys):
     assert "PASS" in out and "worst parameter" in out
 
 
-def test_gradcheck_corrupt_fails(capsys):
-    assert main(["gradcheck", "--max-coords", "4", "--corrupt", "scorer.bias"]) == 1
+def test_gradcheck_corrupt_fails(capsys, monkeypatch):
+    """A wrong backward in one op: the loss's gradient reaches the logits
+    doubled, so every parameter's check fails."""
+    masked_nll = core.masked_nll
+
+    def doubled_masked_nll(tape, logits, gold_index, valid_indices):
+        loss = masked_nll(tape, logits, gold_index, valid_indices)
+
+        def double():  # replayed before masked_nll's own backward
+            loss.grad *= 2.0
+
+        tape.record(double)
+        return loss
+
+    monkeypatch.setattr(core, "masked_nll", doubled_masked_nll)
+    assert main(["gradcheck", "--max-coords", "4"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "scorer.bias" in out
+    assert re.search(r"^FAIL scorer\.bias ", out, re.MULTILINE), out
+    assert out.splitlines()[-1].startswith("FAIL: ")
 
 
 def test_train_determinism_bitwise(tmp_path, corpus_tsv):

@@ -24,10 +24,10 @@ from frameparse.rnng import (  # noqa: E402
     RnngConfig,
     parse_beam,
     parse_greedy,
-    score_actions,
 )
-from frameparse.transitions import SHIFT, oracle  # noqa: E402
+from frameparse.transitions import oracle  # noqa: E402
 from frameparse.trees import Tree, intent, slot, validate  # noqa: E402
+from oracles import reference_score_actions  # noqa: E402
 
 WORDS = ("turn", "the", "lights", "off", "up", "7", "zzz")
 
@@ -64,7 +64,7 @@ def test_decoders_agree_on_random_models(seed, scale, precision, tokens):
         for tree, score in results:
             assert validate(tree) == []
             assert tree.tokens == tokens
-            assert score_actions(model, tokens, oracle(tree)) == score  # bitwise
+            assert reference_score_actions(model, tokens, oracle(tree)) == score  # bitwise
         if k == 1:
             assert results[0][0] == greedy_tree
             assert results[0][1] == greedy_score  # bitwise
@@ -112,18 +112,6 @@ def reference_beam(model: Model, tokens, k: int) -> list:
     return [(Tree(h.state.root, tokens), h.score) for h in completed[:k]]
 
 
-def reference_score_actions(model: Model, tokens, actions) -> float:
-    branch = rnng.start_hypothesis(model, tuple(tokens))
-    total = 0.0
-    for action in actions:
-        indices = rnng._valid_indices(model, branch.state)
-        (position,) = np.nonzero(indices == model.action_index[action])[0]
-        logps = core.masked_log_probs(rnng.encode_state(model, [branch])[0], indices)
-        total = total + float(logps[int(position)])
-        rnng.advance(model, branch, action, 0.0)
-    return total
-
-
 def bits(results) -> list:
     """(tree, score) pairs with each score as its exact bit pattern."""
     return [(tree, float(score).hex()) for tree, score in results]
@@ -142,11 +130,6 @@ def test_decoders_equal_the_score_every_step_reference(seed, scale, precision, t
     for k in range(1, 6):
         results = parse_beam(model, tokens, k)
         assert bits(results) == bits(reference_beam(model, tokens, k))  # trees, scores, order
-        for tree, _ in results:
-            gold = oracle(tree)
-            assert bits([(tree, score_actions(model, tokens, gold))]) == bits(
-                [(tree, reference_score_actions(model, tokens, gold))]
-            )
 
 
 def test_no_hypothesis_with_an_empty_buffer_is_scored(monkeypatch):
@@ -169,17 +152,7 @@ def test_no_hypothesis_with_an_empty_buffer_is_scored(monkeypatch):
     monkeypatch.setattr(rnng, "_run_queued", checked_run)
     parse_greedy(model, tokens)
     for k in (1, 5):
-        for tree, _ in parse_beam(model, tokens, k):
-            score_actions(model, tokens, oracle(tree))
+        parse_beam(model, tokens, k)
     assert scored and not any(scored)
     assert run and not any(run)
 
-
-def test_score_actions_still_masks_a_forced_step():
-    """Only REDUCE is valid once the buffer is empty; anything else is
-    refused as before, although the step is not scored."""
-    model = random_model(seed=3, scale=1.0, precision="f64")
-    tokens = ("turn", "off")
-    actions = oracle(parse_greedy(model, tokens)[0])
-    with pytest.raises(ValueError, match="masked out"):
-        score_actions(model, tokens, actions[:-1] + [SHIFT])

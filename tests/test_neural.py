@@ -47,7 +47,7 @@ def f64_store(seed=0):
 
 def test_lstm_zero_everything_gives_zero_hiddens():
     store = f64_store()
-    lstm = Lstm(store, "lstm", 3, 4, 2, forget_bias=1.0)
+    lstm = Lstm(store, "lstm", 3, 4, 2)
     inputs = [Var(np.zeros(3)) for _ in range(5)]
     outputs = [lstm.output(s) for s in lstm.run(Tape(), inputs)]
     assert len(outputs) == len(inputs)
@@ -57,7 +57,7 @@ def test_lstm_zero_everything_gives_zero_hiddens():
 
 def test_lstm_scalar_step_hand_computed():
     store = f64_store()
-    lstm = Lstm(store, "lstm", 1, 1, 1, forget_bias=0.0)
+    lstm = Lstm(store, "lstm", 1, 1, 1)
     weight, bias, _, _ = lstm.layers[0]
     # Gate rows: input, forget, candidate, output; columns: [x, h].
     weight.value[...] = np.array([[0.5, 0.1], [0.3, 0.2], [1.0, -0.5], [0.25, 0.4]])
@@ -598,14 +598,22 @@ def test_grad_check_linear_model_is_exact():
 
 
 def test_grad_check_detects_corruption():
+    """A loss whose recorded backward doubles the gradient must fail."""
     store = f64_store(13)
     w = store.add("w", (4, 3))
     x = np.random.default_rng(13).normal(size=3)
 
     def loss_fn(tape):
-        return masked_nll(tape, linear(tape, w, None, Var(x.copy())), 0, [0, 1, 2, 3])
+        loss = masked_nll(tape, linear(tape, w, None, Var(x.copy())), 0, [0, 1, 2, 3])
+        out = Var(loss.value.copy())  # the identity, forward
 
-    report = grad_check(loss_fn, store, corrupt_param="w")
+        def wrong_backward():
+            loss.add_grad(2.0 * out.grad)
+
+        tape.record(wrong_backward)
+        return out
+
+    report = grad_check(loss_fn, store)
     assert not report.passed
     assert report.worst.name == "w"
 

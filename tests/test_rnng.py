@@ -1,10 +1,17 @@
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import frameparse
 import synth
 from frameparse import rnng
 from frameparse.dataset import Corpus, Example, Split, Vocab, build_vocabs
 from frameparse.neural import Tape, Var, grad_check
+from frameparse.neural import core as neural_core, gradcheck as neural_gradcheck
+from frameparse.neural import layers as neural_layers, params as neural_params
 from frameparse.preprocess import TokenNormalizer
 from frameparse.rnng import (
     AllEncodersDisabled,
@@ -17,13 +24,13 @@ from frameparse.rnng import (
     parse_beam,
     parse_greedy,
     save_model,
-    score_actions,
     start_hypothesis,
     train,
     train_example,
 )
-from frameparse.transitions import EmptyUtterance, oracle
+from frameparse.transitions import MASKS, EmptyUtterance, kind_of, oracle
 from frameparse.trees import intent, parse_bracketed, slot, validate
+from oracles import reference_score_actions
 
 TINY = dict(word_dim=8, label_dim=6, action_dim=5, lstm_units=9, lstm_layers=2, dropout=0.0)
 
@@ -211,6 +218,22 @@ def test_gold_label_outside_inventory_fails_clearly():
 # Decoding
 
 
+def test_mask_indices_list_the_actions_each_mask_allows():
+    rng = np.random.default_rng(43)
+    vocab = Vocab(("<UNK>", "<NUM>", "turn"))
+    for _ in range(6):
+        intents = [intent(f"I{i}") for i in rng.choice(40, size=rng.integers(0, 5), replace=False)]
+        slots = [slot(f"S{i}") for i in rng.choice(40, size=rng.integers(0, 5), replace=False)]
+        model = Model(RnngConfig(**TINY), vocab, intents, slots,
+                      TokenNormalizer(frozenset(vocab.symbols)))
+        assert len(MASKS) == 16 and set(model.mask_indices) == set(MASKS)
+        for mask in MASKS:
+            indices = model.mask_indices[mask]
+            brute = [i for i, action in enumerate(model.actions) if kind_of(action) in mask]
+            assert indices.tolist() == brute  # ascending, like enumerate
+            assert indices.dtype == np.intp and not indices.flags.writeable
+
+
 def test_greedy_outputs_are_always_valid():
     rng = np.random.default_rng(20)
     model = tiny_model(seed=21)
@@ -284,7 +307,7 @@ def test_scores_recompute():
     tokens = ("turn", "the", "lights", "off")
     for k in (1, 3):
         for tree, score in parse_beam(model, tokens, k):
-            again = score_actions(model, tokens, oracle(tree))
+            again = reference_score_actions(model, tokens, oracle(tree))
             assert abs(again - score) < 1e-6
 
 
@@ -293,7 +316,8 @@ def test_example_loss_matches_score_of_gold():
     example = example_of("[IN:SET turn [SL:WHAT the lights ] off ]")
     actions = oracle(example.tree)
     loss = example_loss(model, example.tokens, actions, Tape())
-    assert float(loss.value) == pytest.approx(-score_actions(model, example.tokens, actions), rel=1e-9)
+    expected = -reference_score_actions(model, example.tokens, actions)
+    assert float(loss.value) == pytest.approx(expected, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +335,8 @@ def _default_model(precision):
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_row_products_are_bitwise_row_invariant(precision):
     # The decoders score B live hypotheses with one product per layer; every
-    # row must equal the product of that row alone, so greedy (B = 1), beam
-    # and rescoring agree bit for bit.
+    # row must equal the product of that row alone, so greedy (B = 1) and
+    # beam agree bit for bit.
     from frameparse.neural import core
 
     model = _default_model(precision)
@@ -364,8 +388,8 @@ def test_decoding_follows_parameter_updates():
     after_load = parse_beam(model, tokens, 3)
     assert after_load == parse_beam(_refreshed(other), tokens, 3)
     assert parse_greedy(model, tokens) == parse_greedy(other, tokens)
-    assert score_actions(model, tokens, oracle(example.tree)) == score_actions(
-        other, tokens, oracle(example.tree))
+    assert reference_score_actions(model, tokens, oracle(example.tree)) == (
+        reference_score_actions(other, tokens, oracle(example.tree)))
 
 
 @pytest.mark.parametrize(
@@ -590,3 +614,41 @@ def test_pretrained_embeddings_frozen_rows(tmp_path):
         ).word_emb.value[i])
         for i in trainable
     )
+
+
+# ---------------------------------------------------------------------------
+# No public helper that only the tests call
+
+
+def _referenced_names(root: Path, skip) -> set:
+    """Every name a .py file under ``root`` reads, as a variable or as an
+    attribute; imports and definitions alone do not count."""
+    names = set()
+    for path in root.rglob("*.py"):
+        if skip(path):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_parser_name_has_a_caller_outside_the_tests():
+    """Each public function and class of the parser and its neural layer is
+    used by the package or the benchmark, or is library API (re-exported
+    by ``frameparse/__init__.py``)."""
+    package = Path(frameparse.__file__).parent
+    used = _referenced_names(package, lambda path: path.name == "__init__.py")
+    used |= _referenced_names(Path(__file__).resolve().parents[1] / "perfbench",
+                              lambda path: "tests" in path.parts)
+    api = set(vars(frameparse))
+    unused = [
+        f"{module.__name__}.{name}"
+        for module in (rnng, neural_core, neural_layers, neural_params, neural_gradcheck)
+        for name, value in vars(module).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__ and name not in used and name not in api
+    ]
+    assert unused == []
