@@ -3,7 +3,8 @@
 Commands: validate, stats, oracle, train, parse, eval, gradcheck.
 Exit codes: 0 success, 1 validation or metric failure (or a training loss
 that is not finite), 2 usage, 3 I/O or refused input (including text that
-is not valid UTF-8 and malformed embeddings files).
+is not valid UTF-8, malformed embeddings files and config file lines that
+are not key=value or name no configuration field).
 Hyperparameters resolve as flag > config file (key=value lines) > default,
 and every JSON artifact echoes the fully resolved configuration.
 """
@@ -30,8 +31,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def load_config_file(path) -> dict:
-    """key=value lines; blank lines and #-comments ignored."""
+def load_config_file(path, known) -> dict:
+    """key=value lines; blank lines and #-comments ignored.  A line that is
+    not key=value, or whose key is not in ``known``, is refused input: it
+    raises ``IngestError`` naming the file and the line."""
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -39,9 +42,13 @@ def load_config_file(path) -> dict:
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
+            key = key.strip()
             if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            values[key.strip()] = value.strip()
+                raise dataset.IngestError("config", f"expected key=value, got {line!r}",
+                                          lineno, path)
+            if key not in known:
+                raise dataset.IngestError("config", f"unknown key {key!r}", lineno, path)
+            values[key] = value.strip()
     return values
 
 
@@ -63,12 +70,13 @@ def _coerce(value: str, like):
 def resolve_train_config(args) -> rnng.RnngConfig:
     """flag > config file > RnngConfig default, per field."""
     defaults = rnng.RnngConfig()
+    fields = dataclasses.fields(rnng.RnngConfig)
     file_values = {}
     if args.config:
         with _refuse_undecodable(args.config):
-            file_values = load_config_file(args.config)
+            file_values = load_config_file(args.config, {field.name for field in fields})
     resolved = {}
-    for field in dataclasses.fields(rnng.RnngConfig):
+    for field in fields:
         flag = getattr(args, field.name, None)
         if flag is not None:
             resolved[field.name] = flag
@@ -147,28 +155,33 @@ def cmd_stats(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    # The whole input is read and checked before the output is opened, so
+    # refused input leaves no output file behind.
+    sequences = []
     failures = 0
-    try:
-        with _refuse_undecodable(args.trees), open(args.trees, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    tree = trees.parse_bracketed(line)
-                    actions = transitions.oracle(tree)
-                except (trees.FormatError, transitions.ConstraintViolation) as err:
-                    print(f"{args.trees}:{lineno}: {err}", file=sys.stderr)
+    with _refuse_undecodable(args.trees), open(args.trees, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                tree = trees.parse_bracketed(line)
+                actions = transitions.oracle(tree)
+            except (trees.FormatError, transitions.ConstraintViolation) as err:
+                print(f"{args.trees}:{lineno}: {err}", file=sys.stderr)
+                failures += 1
+                continue
+            if args.verify:
+                rebuilt = transitions.execute(actions, tree.tokens)
+                if rebuilt != tree:
+                    print(f"{args.trees}:{lineno}: verify mismatch", file=sys.stderr)
                     failures += 1
                     continue
-                if args.verify:
-                    rebuilt = transitions.execute(actions, tree.tokens)
-                    if rebuilt != tree:
-                        print(f"{args.trees}:{lineno}: verify mismatch", file=sys.stderr)
-                        failures += 1
-                        continue
-                print(transitions.format_actions(actions), file=out)
+            sequences.append(transitions.format_actions(actions))
+    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    try:
+        for text in sequences:
+            print(text, file=out)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -260,11 +273,10 @@ def cmd_eval(args) -> int:
     with _refuse_undecodable(args.gold):
         gold = metrics.read_gold_file(args.gold)
     if args.topk:
-        ks = sorted({int(k) for k in args.topk.split(",")})
         with _refuse_undecodable(args.pred):
             beams, top_lines = metrics.read_beam_file(args.pred)
         pred = [beam[0] if beam else None for beam in beams]
-        report = metrics.evaluate(gold, pred, raw_lines=top_lines, beams=beams, top_ks=ks)
+        report = metrics.evaluate(gold, pred, raw_lines=top_lines, beams=beams, top_ks=args.topk)
     else:
         with _refuse_undecodable(args.pred):
             pred, raw = metrics.read_predictions_file(args.pred)
@@ -275,7 +287,7 @@ def cmd_eval(args) -> int:
         payload["config"] = {
             "gold": str(args.gold),
             "pred": str(args.pred),
-            "topk": args.topk or None,
+            "topk": args.topk,
         }
         _write_json(args.json, payload)
     return EXIT_OK
@@ -318,6 +330,17 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _positive_int_list(text: str) -> list:
+    """A comma list of positive integers, such as ``1,3,5``; returns them
+    sorted, without repeats."""
+    try:
+        return sorted({_positive_int(part) for part in text.split(",")})
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of positive integers, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a prediction file against gold trees")
     p.add_argument("gold")
     p.add_argument("pred")
-    p.add_argument("--topk", default=None,
+    p.add_argument("--topk", type=_positive_int_list, default=None,
                    help="treat pred as beam output and report these top-k accuracies, e.g. 1,3,5")
     p.add_argument("--json", default=None, help="also write the report as JSON")
     p.set_defaults(handler=cmd_eval)

@@ -27,8 +27,9 @@ class Split(Enum):
 class IngestError(Exception):
     """Problem reading a corpus file. ``kind`` is one of io, encoding,
     bad-column-count, tree-format, constraint-violation, token-mismatch,
-    empty-corpus.  ``load_tsv`` names the file in ``path`` and, for a
-    problem with one line, its number in ``line``."""
+    empty-corpus, and config for a ``train --config`` line the CLI refuses.
+    ``load_tsv`` names the file in ``path`` and, for a problem with one
+    line, its number in ``line``."""
 
     def __init__(self, kind: str, message: str, line: Optional[int] = None, path=None):
         where = f"{path}: " if path is not None else ""

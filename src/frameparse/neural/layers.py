@@ -43,6 +43,7 @@ class Lstm:
     def __init__(self, store, prefix: str, input_dim: int, hidden_dim: int,
                  num_layers: int):
         self.input_dim = input_dim
+        self.hidden_dim = hidden_dim
         self.layers = []
         for layer in range(num_layers):
             in_dim = input_dim if layer == 0 else hidden_dim
@@ -80,6 +81,11 @@ class Lstm:
             new_state.append((h, c))
             inp = h
         return tuple(new_state)
+
+    def dropout_draws(self, dropout: float) -> int:
+        """How many values one :meth:`step` at this rate draws from its
+        ``rng``: a mask over the input of every layer above the first."""
+        return (len(self.layers) - 1) * self.hidden_dim if dropout > 0.0 else 0
 
     def output(self, state):
         return state[-1][0]

@@ -24,11 +24,14 @@ same vector-matrix products on the same parameters, so the taped and the
 decoded logits of a step are bitwise equal.
 
 Once a hypothesis has shifted its last token, the mask allows only REDUCE
-until the tree closes.  The decoders take that forced tail through the
-same :func:`advance` with log-probability exactly log 1 = 0, and neither
-encode nor score it: for finite logits this is the score the masked
-softmax gives, and with non-finite logits a forced step adds 0 where the
-softmax would give NaN.
+until the tree closes.  Training and the decoders take that forced tail
+through the same :func:`advance` and neither encode nor score it: a
+decoder adds log-probability exactly log 1 = 0 per step, and training adds
+a loss of exactly 0 with no gradient.  For finite logits this is what the
+masked softmax gives; with non-finite logits a forced step adds 0 where the
+softmax would give NaN.  Training still draws the dropout values the
+skipped steps would have drawn, so its dropout stream, and with it every
+trained parameter, is bit for bit what scoring every step gives.
 """
 
 from __future__ import annotations
@@ -327,11 +330,11 @@ def start_hypothesis(model: Model, tokens, tape=None, rng=None) -> Hypothesis:
                      for i in model.token_ids(tokens)]
     if cfg.use_buffer:
         # Encoded right to left: entry [pos] reflects the next token to
-        # shift; entry [n] is the learned empty-buffer state.
+        # shift.  Only a forced hypothesis has pos == n, and nothing encodes
+        # it, so there is no entry for the empty buffer.
         lstm = model.buffer_lstm
         states = lstm.run(tape, reversed(word_vecs), dropout, rng)
         buffer_outputs = [lstm.output(s) for s in reversed(states)]
-        buffer_outputs.append(lstm.output(lstm.initial(tape)))
     return Hypothesis(
         state,
         0.0,
@@ -395,9 +398,9 @@ def encode_state(model: Model, branches: list, tape=None, rng=None):
     """Action logits over the full inventory, one row per hypothesis, after
     running what they queued: one feed-forward and one scorer product for
     all of them.  On a tape, ``branches`` is the one hypothesis being
-    trained and the logits are its Var.  The decoders only pass hypotheses
-    with a token left to shift (see :func:`_step_log_probs`), so the queued
-    inputs of the last SHIFT and of every REDUCE after it never run."""
+    trained and the logits are its Var.  Training and the decoders only
+    pass hypotheses with a token left to shift (see :func:`_forced`), so the
+    queued inputs of the last SHIFT and of every REDUCE after it never run."""
     _run_queued(model, branches, tape, rng)
     cfg = model.config
     parts = []
@@ -414,22 +417,58 @@ def encode_state(model: Model, branches: list, tape=None, rng=None):
     return core.linear(tape, model.out_w, model.out_b, hidden)
 
 
+def _skipped_draws(model: Model, skipped: int, rng) -> int:
+    """How many dropout values the encoder work :func:`example_loss` skips
+    would draw from ``rng``: per skipped step, one run of the queue (the
+    stack- and action-LSTM steps of :func:`_run_queued`) and the summary
+    mask of :func:`encode_state`, plus the run of the last action's queue.
+    0 when dropout is off."""
+    cfg = model.config
+    if rng is None or cfg.dropout == 0.0:
+        return 0
+    run = sum(lstm.dropout_draws(cfg.dropout)
+              for lstm in (model.stack_lstm, model.action_lstm) if lstm is not None)
+    summary = cfg.lstm_units * len(cfg.enabled_encoders)
+    return skipped * (run + summary) + run
+
+
+def _forced(branch: Hypothesis) -> bool:
+    """Whether the hypothesis has shifted its last token but not closed its
+    root: the mask then allows only REDUCE, now and at every step left."""
+    state = branch.state
+    return state.pos == len(state.tokens) and state.root is None
+
+
 def _valid_indices(model: Model, state) -> np.ndarray:
     return model.mask_indices[valid_actions(state, model.config.max_open_nts)]
 
 
 def example_loss(model: Model, tokens, gold_actions, tape, rng=None):
-    """Teacher-forced loss: the sum over steps of masked softmax NLL."""
+    """Teacher-forced loss: the sum over steps of masked softmax NLL.
+
+    A forced step (see :func:`_forced`) only goes through :func:`advance`:
+    its one valid action is REDUCE, so it adds exactly 0 with no gradient,
+    even where its logits would not be finite, and a gold action other
+    than REDUCE raises ``GoldMasked``.  Nor does the last action's queued
+    input run, since nothing reads it.  The dropout values that skipped
+    work would draw are drawn in one block, so ``rng`` ends where scoring
+    every step leaves it, and so do the masks of every later example."""
     hyp = start_hypothesis(model, tokens, tape, rng)
     losses = []
+    skipped = 0
     for action in gold_actions:
-        indices = _valid_indices(model, hyp.state)
-        logits = encode_state(model, [hyp], tape, rng)
-        losses.append(core.masked_nll(tape, logits, model.action_index[action], indices))
+        if _forced(hyp):
+            if action != REDUCE:
+                raise core.GoldMasked(f"gold action {action} is not the forced REDUCE")
+            skipped += 1
+        else:
+            indices = _valid_indices(model, hyp.state)
+            logits = encode_state(model, [hyp], tape, rng)
+            losses.append(core.masked_nll(tape, logits, model.action_index[action], indices))
         advance(model, hyp, action, 0.0)
-    # Nothing reads the last action's encoder states, but running them keeps
-    # the dropout masks of every later example where they were.
-    _run_queued(model, [hyp], tape, rng)
+    draws = _skipped_draws(model, skipped, rng)
+    if draws:
+        rng.random(draws)
     return core.add_n(tape, losses)
 
 
@@ -475,13 +514,6 @@ def train(model: Model, corpus: Corpus, epochs: Optional[int] = None, rng=None,
         if epoch_callback is not None:
             epoch_callback(epoch, trace[-1])
     return trace
-
-
-def _forced(branch: Hypothesis) -> bool:
-    """Whether the hypothesis has shifted its last token but not closed its
-    root: the mask then allows only REDUCE, now and at every step left."""
-    state = branch.state
-    return state.pos == len(state.tokens) and state.root is None
 
 
 def _step_log_probs(model: Model, branches: list, masks: list) -> list:

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from the definitions, without
 reusing the package's own traversal or counting code, so the tests compare
-two genuinely different routes to the same answer.  The exception is
-:func:`reference_score_actions`, which shares the parser's encoder but not
-its decoders.
+two genuinely different routes to the same answer.  The exceptions are
+:func:`reference_score_actions` and :func:`reference_example_loss`, which
+share the parser's encoder but not its decoders or its training loss.
 """
 
 from __future__ import annotations
@@ -179,13 +179,26 @@ def enumerate_valid_trees(tokens, intent_labels, slot_labels, max_nts: int) -> s
     return results
 
 
+def start_every_step_hypothesis(model: rnng.Model, tokens, tape=None, rng=None):
+    """``rnng.start_hypothesis`` plus the buffer entry at position n, the
+    buffer LSTM's learned empty-sequence output, which encoding a hypothesis
+    with an empty buffer reads.  The parser never encodes one (see
+    ``rnng._forced``), so it keeps no such entry; the references that score
+    every step do."""
+    hyp = rnng.start_hypothesis(model, tuple(tokens), tape, rng)
+    if model.config.use_buffer:
+        lstm = model.buffer_lstm
+        hyp.buffer_outputs.append(lstm.output(lstm.initial(tape)))
+    return hyp
+
+
 def reference_score_actions(model: rnng.Model, tokens, actions) -> float:
     """The cumulative masked log-probability of an action sequence, with
     every step scored through the masked softmax, the forced REDUCEs after
     the last SHIFT included.  The decoders skip that tail and add log 1 = 0
     instead, which is what the softmax gives for finite logits, so the score
     a decoder reports for a derivation must equal this bit for bit."""
-    branch = rnng.start_hypothesis(model, tuple(tokens))
+    branch = start_every_step_hypothesis(model, tokens)
     total = 0.0
     for action in actions:
         indices = rnng._valid_indices(model, branch.state)
@@ -194,3 +207,21 @@ def reference_score_actions(model: rnng.Model, tokens, actions) -> float:
         total = total + float(logps[int(position)])
         rnng.advance(model, branch, action, 0.0)
     return total
+
+
+def reference_example_loss(model: rnng.Model, tokens, gold_actions, tape, rng=None):
+    """``rnng.example_loss`` with every step encoded and scored through the
+    masked softmax, the forced REDUCEs after the last SHIFT included, and
+    the last action's queued encoder input run.  Each forced step adds a
+    loss of exactly 0 with a zero gradient, and ``example_loss`` draws the
+    dropout values of the work it skips, so training with either must give
+    the same losses, parameters and ``rng`` state bit for bit."""
+    hyp = start_every_step_hypothesis(model, tokens, tape, rng)
+    losses = []
+    for action in gold_actions:
+        indices = rnng._valid_indices(model, hyp.state)
+        logits = rnng.encode_state(model, [hyp], tape, rng)
+        losses.append(core.masked_nll(tape, logits, model.action_index[action], indices))
+        rnng.advance(model, hyp, action, 0.0)
+    rnng._run_queued(model, [hyp], tape, rng)
+    return core.add_n(tape, losses)

@@ -181,6 +181,15 @@ def test_oracle_invalid_tree(tmp_path):
     assert main(["oracle", path]) == 1
 
 
+def test_oracle_refused_input_creates_no_output(tmp_path, capsys):
+    trees_path = tmp_path / "trees.txt"
+    trees_path.write_bytes(b"[IN:X a ]\n[IN:X \xff ]\n")
+    out = tmp_path / "out.txt"
+    assert main(["oracle", str(trees_path), "-o", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {trees_path}: line 2: not valid UTF-8")
+    assert not out.exists()
+
+
 def test_train_parse_eval_pipeline(tmp_path, capsys, corpus_tsv):
     tsv, corpus = corpus_tsv
     ckpt = str(tmp_path / "model.ckpt")
@@ -280,6 +289,15 @@ def test_parse_checkpoint_declaring_more_than_the_file_exits_three(tmp_path, cap
     assert main(["parse", str(ckpt), utterances]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "declares 4398046511104 bytes, but 8" in err
+
+
+@pytest.mark.parametrize("topk", ["one", "0", "1,,3"])
+def test_eval_malformed_topk_is_a_usage_error(tmp_path, capsys, topk):
+    gold = write_lines(tmp_path / "gold.txt", ["[IN:X hello ]"])
+    with pytest.raises(SystemExit) as err:
+        main(["eval", gold, gold, "--topk", topk])
+    assert err.value.code == 2
+    assert "--topk: expected a comma list of positive integers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("beam", ["0", "-1", "two"])
@@ -468,6 +486,20 @@ def test_train_config_file_precedence(tmp_path, corpus_tsv):
     log = json.loads((tmp_path / "m.ckpt.log.json").read_text())
     assert log["config"]["lstm_units"] == 9
     assert log["config"]["epochs"] == 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lstm_unit=5", "unknown key 'lstm_unit'"),
+    ("lstm_units 5", "expected key=value, got 'lstm_units 5'"),
+], ids=["unknown-key", "no-equals"])
+def test_train_config_file_refuses_bad_line(tmp_path, capsys, corpus_tsv, line, message):
+    tsv, _ = corpus_tsv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"epochs=0\n{line}\n")
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", tsv, "-o", str(ckpt), "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: {message}\n"
+    assert not ckpt.exists()
 
 
 def test_eval_gold_vs_gold(tmp_path, capsys):

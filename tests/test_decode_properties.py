@@ -27,7 +27,7 @@ from frameparse.rnng import (  # noqa: E402
 )
 from frameparse.transitions import oracle  # noqa: E402
 from frameparse.trees import Tree, intent, slot, validate  # noqa: E402
-from oracles import reference_score_actions  # noqa: E402
+from oracles import reference_score_actions, start_every_step_hypothesis  # noqa: E402
 
 WORDS = ("turn", "the", "lights", "off", "up", "7", "zzz")
 
@@ -72,7 +72,7 @@ def test_decoders_agree_on_random_models(seed, scale, precision, tokens):
 
 def reference_greedy(model: Model, tokens) -> tuple:
     tokens = tuple(tokens)
-    branch = rnng.start_hypothesis(model, tokens)
+    branch = start_every_step_hypothesis(model, tokens)
     while not branch.state.is_terminal:
         indices = rnng._valid_indices(model, branch.state)
         logps = core.masked_log_probs(rnng.encode_state(model, [branch])[0], indices)
@@ -83,7 +83,7 @@ def reference_greedy(model: Model, tokens) -> tuple:
 
 def reference_beam(model: Model, tokens, k: int) -> list:
     tokens = tuple(tokens)
-    live = [rnng.start_hypothesis(model, tokens)]
+    live = [start_every_step_hypothesis(model, tokens)]
     completed: list = []
     while live:
         logits = rnng.encode_state(model, live)

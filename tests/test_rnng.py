@@ -28,9 +28,9 @@ from frameparse.rnng import (
     train,
     train_example,
 )
-from frameparse.transitions import MASKS, EmptyUtterance, kind_of, oracle
+from frameparse.transitions import MASKS, REDUCE, SHIFT, EmptyUtterance, kind_of, nt, oracle
 from frameparse.trees import intent, parse_bracketed, slot, validate
-from oracles import reference_score_actions
+from oracles import reference_example_loss, reference_score_actions, start_every_step_hypothesis
 
 TINY = dict(word_dim=8, label_dim=6, action_dim=5, lstm_units=9, lstm_layers=2, dropout=0.0)
 
@@ -424,8 +424,8 @@ def test_taped_and_decode_logits_are_bitwise_equal(precision, dims):
         steps = 0
         for example in corpus.examples:
             tape = Tape()
-            hyp = start_hypothesis(model, example.tokens, tape)
-            branch = start_hypothesis(model, example.tokens)
+            hyp = start_every_step_hypothesis(model, example.tokens, tape)
+            branch = start_every_step_hypothesis(model, example.tokens)
             for action in oracle(example.tree):
                 taped = encode_state(model, [hyp], tape).value
                 rows = encode_state(model, [branch])
@@ -488,6 +488,80 @@ def test_training_matches_golden_fixture():
     rng = np.random.default_rng(53)
     losses = [train_example(model, example, rng) for example in corpus.examples]
     assert losses == pytest.approx(golden["losses"], rel=1e-9, abs=0)
+
+
+# The forced tail: once the last token is shifted, training neither encodes
+# nor scores a step, yet draws the dropout values that work would draw.
+FORCED_TAIL_CONFIGS = {
+    "layers1": dict(lstm_layers=1),
+    "layers2": {},
+    "layers3": dict(lstm_layers=3),
+    "no-stack": dict(use_stack=False),
+    "no-buffer": dict(use_buffer=False),
+    "no-actions": dict(use_actions=False),
+    "buffer-only": dict(use_stack=False, use_actions=False),
+    "no-dropout": dict(dropout=0.0),
+}
+
+
+def _trained_epoch(overrides, precision, loss_fn, monkeypatch):
+    """One 24-example epoch of a tiny model with ``loss_fn`` as
+    ``rnng.example_loss``; returns the epoch loss, the parameters' bytes and
+    the next draw of the stream."""
+    corpus = synth.learnable_corpus(seed=61, size=24)
+    vocab, intents, slots = build_vocabs(corpus)
+    config = RnngConfig(seed=62, precision=precision, **{**TINY, "dropout": 0.3, **overrides})
+    model = Model(config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)))
+    rng = np.random.default_rng(63)
+    monkeypatch.setattr(rnng, "example_loss", loss_fn)
+    (loss,) = train(model, corpus, epochs=1, rng=rng)
+    monkeypatch.undo()
+    params = {name: model.store[name].value.tobytes() for name in model.store}
+    return loss, params, rng.random()
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("overrides", FORCED_TAIL_CONFIGS.values(), ids=FORCED_TAIL_CONFIGS)
+def test_training_equals_the_score_every_step_reference(overrides, precision, monkeypatch):
+    loss, params, draw = _trained_epoch(overrides, precision, example_loss, monkeypatch)
+    ref_loss, ref_params, ref_draw = _trained_epoch(overrides, precision,
+                                                    reference_example_loss, monkeypatch)
+    assert float(loss).hex() == float(ref_loss).hex()
+    assert draw == ref_draw
+    assert params.keys() == ref_params.keys()
+    for name in params:
+        assert params[name] == ref_params[name], name
+
+
+def test_training_never_encodes_a_forced_hypothesis(monkeypatch):
+    corpus = synth.learnable_corpus(seed=64, size=6)
+    vocab, intents, slots = build_vocabs(corpus)
+    config = RnngConfig(seed=65, precision="f32", **{**TINY, "dropout": 0.3})
+    model = Model(config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)))
+    encode, run_queued = rnng.encode_state, rnng._run_queued
+    encoded, run = [], []
+
+    def checked_encode(model, branches, tape=None, rng=None):
+        encoded.extend(rnng._forced(b) for b in branches)
+        return encode(model, branches, tape, rng)
+
+    def checked_run(model, branches, tape=None, rng=None):
+        run.extend(b.state.pos == len(b.state.tokens) for b in branches if b.action is not None)
+        return run_queued(model, branches, tape, rng)
+
+    monkeypatch.setattr(rnng, "encode_state", checked_encode)
+    monkeypatch.setattr(rnng, "_run_queued", checked_run)
+    train(model, corpus, epochs=1)
+    assert encoded and not any(encoded)
+    assert run and not any(run)
+
+
+@pytest.mark.parametrize("after_last_shift", [SHIFT, nt(slot("WHAT"))], ids=["shift", "nt"])
+def test_forced_step_with_a_gold_action_other_than_reduce_is_masked(after_last_shift):
+    model = tiny_model(seed=66, dropout=0.3)
+    actions = [nt(intent("SET")), SHIFT, SHIFT, after_last_shift, REDUCE]
+    with pytest.raises(neural_core.GoldMasked):
+        example_loss(model, ("turn", "off"), actions, Tape(), np.random.default_rng(67))
 
 
 # ---------------------------------------------------------------------------
