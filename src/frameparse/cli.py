@@ -3,8 +3,9 @@
 Commands: validate, stats, oracle, train, parse, eval, gradcheck.
 Exit codes: 0 success, 1 validation or metric failure (or a training loss
 that is not finite), 2 usage, 3 I/O or refused input (including text that
-is not valid UTF-8, malformed embeddings files and config file lines that
-are not key=value or name no configuration field).
+is not valid UTF-8, malformed embeddings files, and config files with a
+line that is not key=value, names no configuration field or holds a value
+the field refuses, or with values that are invalid together).
 Hyperparameters resolve as flag > config file (key=value lines) > default,
 and every JSON artifact echoes the fully resolved configuration.
 """
@@ -31,10 +32,16 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def load_config_file(path, known) -> dict:
-    """key=value lines; blank lines and #-comments ignored.  A line that is
-    not key=value, or whose key is not in ``known``, is refused input: it
-    raises ``IngestError`` naming the file and the line."""
+def load_config_file(path, defaults: rnng.RnngConfig) -> dict:
+    """key=value lines naming fields of ``defaults``; blank lines and
+    #-comments ignored.  Returns each value coerced to its field's type.
+
+    Refused input raises ``IngestError`` naming the file and, for one line,
+    the line: a line that is not key=value, names no field, or holds a
+    value that cannot be coerced or that the configuration rejects with
+    the other fields at ``defaults``; and values that are each valid but
+    not together, such as every state encoder turned off."""
+    known = {field.name for field in dataclasses.fields(defaults)}
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -42,13 +49,22 @@ def load_config_file(path, known) -> dict:
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if not sep:
                 raise dataset.IngestError("config", f"expected key=value, got {line!r}",
                                           lineno, path)
             if key not in known:
                 raise dataset.IngestError("config", f"unknown key {key!r}", lineno, path)
-            values[key] = value.strip()
+            try:
+                values[key] = _coerce(value, getattr(defaults, key))
+                dataclasses.replace(defaults, **{key: values[key]})
+            except ValueError as err:
+                raise dataset.IngestError("config", f"{key}={value}: {err}", lineno,
+                                          path) from None
+    try:
+        dataclasses.replace(defaults, **values)
+    except ValueError as err:
+        raise dataset.IngestError("config", str(err), None, path) from None
     return values
 
 
@@ -63,25 +79,27 @@ def _coerce(value: str, like):
             return True
         if low in _BOOL_FALSE:
             return False
-        raise ValueError(f"cannot parse boolean {value!r}")
-    return type(like)(value)
+        raise ValueError(f"expected one of {', '.join(_BOOL_TRUE + _BOOL_FALSE)}")
+    try:
+        return type(like)(value)
+    except ValueError:
+        raise ValueError(f"expected {'an integer' if isinstance(like, int) else 'a number'}"
+                         ) from None
 
 
 def resolve_train_config(args) -> rnng.RnngConfig:
     """flag > config file > RnngConfig default, per field."""
-    defaults = rnng.RnngConfig()
-    fields = dataclasses.fields(rnng.RnngConfig)
     file_values = {}
     if args.config:
         with _refuse_undecodable(args.config):
-            file_values = load_config_file(args.config, {field.name for field in fields})
+            file_values = load_config_file(args.config, rnng.RnngConfig())
     resolved = {}
-    for field in fields:
+    for field in dataclasses.fields(rnng.RnngConfig):
         flag = getattr(args, field.name, None)
         if flag is not None:
             resolved[field.name] = flag
         elif field.name in file_values:
-            resolved[field.name] = _coerce(file_values[field.name], getattr(defaults, field.name))
+            resolved[field.name] = file_values[field.name]
     return rnng.RnngConfig(**resolved)
 
 
@@ -250,7 +268,11 @@ def cmd_parse(args) -> int:
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         for tokens in utterances:
-            for tree, score in rnng.parse_beam(model, tokens, beam):
+            # A beam of one is greedy decoding, bit for bit, minus the beam's
+            # ranking work.
+            results = ([rnng.parse_greedy(model, tokens)] if beam == 1
+                       else rnng.parse_beam(model, tokens, beam))
+            for tree, score in results:
                 print(f"{score:.6f}\t{trees.serialize(tree)}", file=out)
             print("", file=out)
     finally:

@@ -244,19 +244,22 @@ def dropout(tape, x, rate: float, rng):
     return out
 
 
-def _lstm_gates(z, c, scale, offset, h_out=None, c_out=None):
+def _lstm_gates(z, c, scale, offset, h_out=None, c_out=None, in_place=False):
     """The gate math of :func:`lstm_cell`, on the tape and off it.
 
     ``z`` holds the pre-activations (last axis 4H, overwritten with their
     tanh), ``c`` the cell state (last axis H) and ``scale``/``offset`` come
     from :func:`_gate_affine`; returns ``(act, (gi, gf, gg, go), c_new,
     tanh(c_new), h_new)``, with ``h_new`` and ``c_new`` written into
-    ``h_out`` and ``c_out`` when given.
+    ``h_out`` and ``c_out`` when given.  With ``in_place`` (forward only)
+    the gates, ``gi * gg`` and ``tanh(c_new)`` overwrite ``z`` too, so only
+    ``c_new`` and ``h_new`` are meaningful; the same operations run on the
+    same values, so they are bitwise what the taped math gives.
     """
     hidden = c.shape[-1]
     z *= scale
     act = np.tanh(z, out=z)
-    gates = act * scale
+    gates = np.multiply(act, scale, out=act if in_place else None)
     gates += offset
     split = (
         gates[..., :hidden],
@@ -266,8 +269,8 @@ def _lstm_gates(z, c, scale, offset, h_out=None, c_out=None):
     )
     gi, gf, gg, go = split
     c_new = np.multiply(gf, c, c_out)
-    c_new += gi * gg
-    tanh_c = np.tanh(c_new)
+    c_new += np.multiply(gi, gg, out=gi if in_place else None)
+    tanh_c = np.tanh(c_new, out=gg if in_place else None)
     return act, split, c_new, tanh_c, np.multiply(go, tanh_c, h_out)
 
 
@@ -297,7 +300,7 @@ def lstm_cell(tape, weight: Var, bias: Var, x, h, c, out=None):
     scale, offset, slope = _gate_affine(hidden, z.dtype)
     if tape is None:
         targets = () if out is None else (out[..., 0, :], out[..., 1, :])
-        _, _, c_new, _, h_new = _lstm_gates(z, c_value, scale, offset, *targets)
+        _, _, c_new, _, h_new = _lstm_gates(z, c_value, scale, offset, *targets, in_place=True)
         return h_new, c_new
     act, (gi, gf, gg, go), c_new, tanh_c, h_new = _lstm_gates(z, c_value, scale, offset)
     h_out = Var(h_new)
@@ -337,12 +340,16 @@ def lstm_cell(tape, weight: Var, bias: Var, x, h, c, out=None):
 
 def masked_log_probs(logits: np.ndarray, valid_indices) -> np.ndarray:
     """Log-probabilities over the valid entries only (forward-only helper
-    for decoding); positions outside the mask have probability exactly 0."""
+    for decoding); positions outside the mask have probability exactly 0.
+    ``valid_indices`` is an index array, so gathering them copies; the math
+    runs in place in that copy and one scratch row, with the operations of
+    :func:`masked_nll`."""
     vals = logits[valid_indices]
     m = vals.max()
-    shifted = vals - m
-    log_z = m + np.log(np.exp(shifted).sum())
-    return vals - log_z
+    exps = np.subtract(vals, m)
+    log_z = m + np.log(np.exp(exps, out=exps).sum())
+    vals -= log_z
+    return vals
 
 
 def masked_nll(tape, logits: Var, gold_index: int, valid_indices) -> Var:

@@ -101,10 +101,10 @@ class Lstm:
 
     def final(self, tape, sequences):
         """Top-layer output at the end of each sequence (a list of non-empty
-        lists of vectors).  Without a tape, one row per sequence, all of
-        them stepped in lockstep; on the tape, the batch is its one
-        sequence."""
-        if tape is not None:
+        lists of vectors).  A batch of one, which is what the tape takes,
+        gives its sequence's vector; more give one row per sequence, all of
+        them stepped in lockstep."""
+        if len(sequences) == 1:
             (inputs,) = sequences
             return self.output(self.run(tape, inputs)[-1])
         order = sorted(range(len(sequences)), key=lambda i: -len(sequences[i]))
@@ -138,8 +138,8 @@ class BiLstmEncoder:
 
     def encode(self, tape, sequences):
         """The summary of each sequence (a list of non-empty lists of
-        vectors): one row each without a tape, and on the tape, where the
-        batch is its one sequence, that sequence's Var."""
+        vectors): a batch of one, which is what the tape takes, gives that
+        sequence's vector (its Var on the tape); more give one row each."""
         if not sequences or not all(sequences):
             raise EmptySequence("cannot encode an empty sequence")
         h_fwd = self.fwd.final(tape, sequences)

@@ -21,7 +21,15 @@ and score through the same :func:`start_hypothesis`, :func:`_run_queued`
 and :func:`encode_state`: on the tape with the one hypothesis being
 trained, or without a tape on all live hypotheses.  The products are the
 same vector-matrix products on the same parameters, so the taped and the
-decoded logits of a step are bitwise equal.
+decoded logits of a step are bitwise equal.  A batch of one runs as plain
+vectors, as on the tape; only the summary and the logits keep the rows.
+
+Decoding runs the stack and the action LSTM of a step in alternating order
+from one step to the next (see :func:`_run_queued`), so the one whose
+weights the previous step read last finds them still in cache.  Training
+keeps one order, stack first: its tape and its dropout draws follow the
+order the ops run in, and another order would change the gradients' and
+the masks' bits.
 
 Once a hypothesis has shifted its last token, the mask allows only REDUCE
 until the tree closes.  Training and the decoders take that forced tail
@@ -237,7 +245,8 @@ class Hypothesis:
     the hypothesis.  Clone a hypothesis only while nothing is queued, except
     a forced one (see :func:`_forced`): nothing reads its encoders again, so
     its queued inputs are dropped unrun, and the stack bookkeeping of its
-    REDUCEs works on stale lists that nothing reads either.
+    REDUCEs works on stale lists that nothing reads either.  ``n_actions``
+    counts the actions taken; decoding picks its encoder order by its parity.
     """
 
     __slots__ = (
@@ -251,10 +260,11 @@ class Hypothesis:
         "buffer_outputs",
         "push",
         "action",
+        "n_actions",
     )
 
     def __init__(self, state, score, stack_states, stack_elems, open_elem_pos,
-                 action_state, word_vecs, buffer_outputs):
+                 action_state, word_vecs, buffer_outputs, n_actions=0):
         self.state = state
         self.score = score
         self.stack_states = stack_states
@@ -265,6 +275,7 @@ class Hypothesis:
         self.buffer_outputs = buffer_outputs
         self.push = None
         self.action = None
+        self.n_actions = n_actions
 
     def clone(self) -> "Hypothesis":
         return Hypothesis(
@@ -276,6 +287,7 @@ class Hypothesis:
             self.action_state,
             self.word_vecs,
             self.buffer_outputs,
+            self.n_actions,
         )
 
 
@@ -295,24 +307,27 @@ def advance(model: Model, hyp: Hypothesis, action: Action, step_logp: float) -> 
             del hyp.stack_elems[opened:]
             del hyp.stack_states[opened + 1 :]
     hyp.action = model.action_index[action]
+    hyp.n_actions += 1
     hyp.state = apply_unchecked(hyp.state, action)
     hyp.score = hyp.score + step_logp
 
 
-def _rows(tape, items):
-    """One item per hypothesis, stacked into rows; on a tape the batch is
-    its one hypothesis, and the item itself is the row.  (``np.array`` of a
-    list stacks like ``np.stack``, at a third of the cost for a few small
-    rows.)"""
-    if tape is not None:
-        (item,) = items
-        return item
+def _rows(items):
+    """One item per hypothesis, stacked into rows.  A batch of one is its
+    item, as on a tape, where the batch is the one hypothesis being trained:
+    a one-row product is the same vector-matrix product as the vector's,
+    and numpy's elementwise ops cost less on a vector than on a one-row
+    matrix.  (``np.array`` of a list stacks like ``np.stack``, at a third
+    of the cost for a few small rows.)"""
+    if len(items) == 1:
+        return items[0]
     return np.array(items)
 
 
-def _split(tape, rows):
-    """The inverse of :func:`_rows`: one item per hypothesis."""
-    return rows if tape is None else (rows,)
+def _split(rows, n: int):
+    """The inverse of :func:`_rows` for a batch of ``n``: one item per
+    hypothesis."""
+    return (rows,) if n == 1 else rows
 
 
 def start_hypothesis(model: Model, tokens, tape=None, rng=None) -> Hypothesis:
@@ -349,68 +364,101 @@ def start_hypothesis(model: Model, tokens, tape=None, rng=None) -> Hypothesis:
 
 def _run_queued(model: Model, branches: list, tape=None, rng=None) -> None:
     """Run the encoder inputs :func:`advance` queued, one row per
-    hypothesis: the REDUCEs compose together and the pushed labels project
-    together, then one stack-LSTM and one action-LSTM step."""
+    hypothesis: one stack-LSTM step (after the REDUCEs compose together and
+    the pushed labels project together) and one action-LSTM step.
+
+    Decoding alternates which of the two runs first, by the parity of the
+    actions taken, which is equal across the rows of a lockstep call.  The
+    LSTM the previous step ran last then runs first, while its weights are
+    still in cache: a decode step reads about 3.2 MB of f32 weights at the
+    default shape (stack LSTM 1.46 MB, action LSTM 1.37 MB), more than a
+    2 MB per-core L2 holds.  The two steps are independent, so the order
+    changes no value.  Training keeps the stack first: its tape replays the
+    closures in reverse record order, which fixes the order gradients add
+    up in, and its dropout masks are drawn in run order."""
     queued = [b for b in branches if b.action is not None]
     if not queued:
         return
-    cfg = model.config
-    dropout = cfg.dropout if rng is not None else 0.0
-    if cfg.use_stack:
-        pushes = [b.push for b in queued]
-        composed = [p for p in pushes if isinstance(p, list)]
-        if composed:
-            subtrees = iter(_split(tape, model.compose.encode(tape, composed)))
-        opened = [p for p in pushes if isinstance(p, int)]
-        if opened:
-            emb = layers.embedding_lookup(tape, model.label_emb, _rows(tape, opened))
-            labels = iter(_split(tape, core.linear(tape, model.label_proj_w, model.label_proj_b,
-                                                   emb)))
-        pushed = []
-        for p in pushes:
-            if isinstance(p, list):
-                pushed.append(next(subtrees))
-            elif isinstance(p, int):
-                pushed.append(next(labels))
-            else:
-                pushed.append(p)
-        states = model.stack_lstm.step(
-            tape, _rows(tape, pushed), _rows(tape, [b.stack_states[-1] for b in queued]),
-            dropout, rng,
-        )
-        for branch, vec, state in zip(queued, pushed, _split(tape, states)):
-            branch.stack_elems.append(vec)
-            branch.stack_states.append(state)
-            branch.push = None
-    if cfg.use_actions:
-        actions = _rows(tape, [b.action for b in queued])
-        emb = layers.embedding_lookup(tape, model.action_emb, actions)
-        states = model.action_lstm.step(
-            tape, emb, _rows(tape, [b.action_state for b in queued]), dropout, rng
-        )
-        for branch, state in zip(queued, _split(tape, states)):
-            branch.action_state = state
+    dropout = model.config.dropout if rng is not None else 0.0
+    runs = (_run_stack, _run_actions)
+    if tape is None and queued[0].n_actions % 2:
+        runs = runs[::-1]
+    for run in runs:
+        run(model, queued, tape, dropout, rng)
     for branch in queued:
         branch.action = None
+
+
+def _run_stack(model: Model, queued: list, tape, dropout: float, rng) -> None:
+    """Push each queued symbol onto its hypothesis's stack LSTM."""
+    if model.stack_lstm is None:
+        return
+    pushes = [b.push for b in queued]
+    composed = [p for p in pushes if isinstance(p, list)]
+    if composed:
+        subtrees = iter(_split(model.compose.encode(tape, composed), len(composed)))
+    opened = [p for p in pushes if isinstance(p, int)]
+    if opened:
+        emb = layers.embedding_lookup(tape, model.label_emb, _rows(opened))
+        labels = iter(_split(core.linear(tape, model.label_proj_w, model.label_proj_b, emb),
+                             len(opened)))
+    pushed = []
+    for p in pushes:
+        if isinstance(p, list):
+            pushed.append(next(subtrees))
+        elif isinstance(p, int):
+            pushed.append(next(labels))
+        else:
+            pushed.append(p)
+    states = model.stack_lstm.step(
+        tape, _rows(pushed), _rows([b.stack_states[-1] for b in queued]), dropout, rng
+    )
+    for branch, vec, state in zip(queued, pushed, _split(states, len(queued))):
+        branch.stack_elems.append(vec)
+        branch.stack_states.append(state)
+        branch.push = None
+
+
+def _run_actions(model: Model, queued: list, tape, dropout: float, rng) -> None:
+    """Feed each queued action to its hypothesis's action LSTM."""
+    if model.action_lstm is None:
+        return
+    emb = layers.embedding_lookup(tape, model.action_emb, _rows([b.action for b in queued]))
+    states = model.action_lstm.step(tape, emb, _rows([b.action_state for b in queued]),
+                                    dropout, rng)
+    for branch, state in zip(queued, _split(states, len(queued))):
+        branch.action_state = state
+
+
+def _summary_parts(model: Model, branch: Hypothesis) -> list:
+    """The outputs of the enabled encoders for one hypothesis, in
+    ``ENCODERS`` order."""
+    parts = []
+    if model.stack_lstm is not None:
+        parts.append(model.stack_lstm.output(branch.stack_states[-1]))
+    if model.buffer_lstm is not None:
+        parts.append(branch.buffer_outputs[branch.state.pos])
+    if model.action_lstm is not None:
+        parts.append(model.action_lstm.output(branch.action_state))
+    return parts
 
 
 def encode_state(model: Model, branches: list, tape=None, rng=None):
     """Action logits over the full inventory, one row per hypothesis, after
     running what they queued: one feed-forward and one scorer product for
     all of them.  On a tape, ``branches`` is the one hypothesis being
-    trained and the logits are its Var.  Training and the decoders only
-    pass hypotheses with a token left to shift (see :func:`_forced`), so the
+    trained and the logits are its Var.  Without one, the summary rows are
+    built by one stacking call.  Training and the decoders only pass
+    hypotheses with a token left to shift (see :func:`_forced`), so the
     queued inputs of the last SHIFT and of every REDUCE after it never run."""
     _run_queued(model, branches, tape, rng)
+    if tape is None:
+        summary = np.array([_summary_parts(model, b) for b in branches])
+        summary = summary.reshape(len(branches), -1)
+    else:
+        (branch,) = branches
+        summary = core.concat(tape, _summary_parts(model, branch))
     cfg = model.config
-    parts = []
-    if cfg.use_stack:
-        parts.append(_rows(tape, [model.stack_lstm.output(b.stack_states[-1]) for b in branches]))
-    if cfg.use_buffer:
-        parts.append(_rows(tape, [b.buffer_outputs[b.state.pos] for b in branches]))
-    if cfg.use_actions:
-        parts.append(_rows(tape, [model.action_lstm.output(b.action_state) for b in branches]))
-    summary = core.concat(tape, parts)
     if rng is not None and cfg.dropout > 0.0:
         summary = core.dropout(tape, summary, cfg.dropout, rng)
     hidden = core.relu(tape, core.linear(tape, model.ff_w, model.ff_b, summary))

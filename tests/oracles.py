@@ -3,8 +3,9 @@
 Everything here is deliberately written from the definitions, without
 reusing the package's own traversal or counting code, so the tests compare
 two genuinely different routes to the same answer.  The exceptions are
-:func:`reference_score_actions` and :func:`reference_example_loss`, which
-share the parser's encoder but not its decoders or its training loss.
+:func:`reference_score_actions`, :func:`reference_taped_score` and
+:func:`reference_example_loss`, which share the parser's encoder but not its
+decoders or its training loss.
 """
 
 from __future__ import annotations
@@ -206,6 +207,26 @@ def reference_score_actions(model: rnng.Model, tokens, actions) -> float:
         logps = core.masked_log_probs(rnng.encode_state(model, [branch])[0], indices)
         total = total + float(logps[int(position)])
         rnng.advance(model, branch, action, 0.0)
+    return total
+
+
+def reference_taped_score(model: rnng.Model, tokens, actions) -> float:
+    """The cumulative masked log-probability of an action sequence the way
+    training computes it: every step, the forced REDUCEs included, encoded
+    on a tape (one vector per op, no rows) and scored with ``masked_nll``,
+    adding ``float(-nll)`` in step order.  It shares neither the forward-only
+    encoder path nor ``masked_log_probs`` with the decoders, so a decoder's
+    score must equal it bit for bit only because both compute the same
+    products and the same softmax."""
+    tape = core.Tape()
+    hyp = start_every_step_hypothesis(model, tokens, tape)
+    total = 0.0
+    for action in actions:
+        indices = rnng._valid_indices(model, hyp.state)
+        logits = rnng.encode_state(model, [hyp], tape)
+        nll = core.masked_nll(tape, logits, model.action_index[action], indices)
+        total = total + float(-nll.value)
+        rnng.advance(model, hyp, action, 0.0)
     return total
 
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import synth
+from frameparse import rnng
 from frameparse.cli import main
 from frameparse.neural import core
+from frameparse.trees import serialize
 
 NESTED = (
     "[IN:GET_DIRECTIONS Driving directions to "
@@ -241,6 +243,31 @@ def test_train_epochs_zero_saves_initial_model(tmp_path, corpus_tsv):
 
     model = load_model(ckpt)
     assert model.config.epochs == 0
+
+
+def test_parse_with_a_beam_of_one_decodes_greedily(tmp_path, capsys, corpus_tsv, monkeypatch):
+    # The output is byte for byte what parse_beam(k=1) renders, but the
+    # beam search never runs: a beam of one is greedy decoding.
+    tsv, corpus = corpus_tsv
+    ckpt = str(tmp_path / "m.ckpt")
+    assert main(["train", tsv, "-o", ckpt, "--epochs", "1", "--seed", "3"] + TINY_FLAGS) == 0
+    examples = corpus.examples[:8]
+    utterances = write_lines(tmp_path / "utts.txt", [" ".join(e.tokens) for e in examples])
+    model = rnng.load_model(ckpt)
+    expected = "".join(
+        "".join(f"{score:.6f}\t{serialize(tree)}\n" for tree, score in
+                rnng.parse_beam(model, e.tokens, 1)) + "\n"
+        for e in examples
+    )
+
+    def no_beam(*args):
+        raise AssertionError("parse_beam ran for a beam of one")
+
+    monkeypatch.setattr(rnng, "parse_beam", no_beam)
+    for flags in ([], ["--beam", "1"]):  # the checkpoint's beam_size is 1
+        pred = tmp_path / "pred.txt"
+        assert main(["parse", ckpt, utterances, "-o", str(pred)] + flags) == 0
+        assert pred.read_text(encoding="utf-8") == expected
 
 
 def test_parse_checks_every_line_before_writing(tmp_path, capsys, corpus_tsv):
@@ -491,7 +518,10 @@ def test_train_config_file_precedence(tmp_path, corpus_tsv):
 @pytest.mark.parametrize("line, message", [
     ("lstm_unit=5", "unknown key 'lstm_unit'"),
     ("lstm_units 5", "expected key=value, got 'lstm_units 5'"),
-], ids=["unknown-key", "no-equals"])
+    ("epochs=abc", "epochs=abc: expected an integer"),
+    ("use_stack=maybe", "use_stack=maybe: expected one of 1, true, yes, on, 0, false, no, off"),
+    ("dropout=2", "dropout=2: dropout must be in [0, 1)"),
+], ids=["unknown-key", "no-equals", "not-an-integer", "not-a-boolean", "out-of-range"])
 def test_train_config_file_refuses_bad_line(tmp_path, capsys, corpus_tsv, line, message):
     tsv, _ = corpus_tsv
     cfg = tmp_path / "run.cfg"
@@ -499,6 +529,19 @@ def test_train_config_file_refuses_bad_line(tmp_path, capsys, corpus_tsv, line, 
     ckpt = tmp_path / "m.ckpt"
     assert main(["train", tsv, "-o", str(ckpt), "--config", str(cfg)]) == 3
     assert capsys.readouterr().err == f"error: {cfg}: line 2: {message}\n"
+    assert not ckpt.exists()
+
+
+def test_train_config_file_refuses_values_invalid_together(tmp_path, capsys, corpus_tsv):
+    # Each line alone is a valid configuration; all three together turn
+    # off every state encoder.
+    tsv, _ = corpus_tsv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=0\nuse_stack=false\nuse_buffer=no\nuse_actions=0\n")
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", tsv, "-o", str(ckpt), "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: at least one state encoder must be enabled\n")
     assert not ckpt.exists()
 
 

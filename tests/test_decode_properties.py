@@ -134,25 +134,48 @@ def test_decoders_equal_the_score_every_step_reference(seed, scale, precision, t
 
 def test_no_hypothesis_with_an_empty_buffer_is_scored(monkeypatch):
     """The forced REDUCEs after the last SHIFT are never rows of the
-    logits, in any decoder, and their queued encoder inputs never run."""
+    logits, in any decoder, and their queued encoder inputs never run.
+    Greedy encodes once per unforced step of its derivation, and beam once
+    per lockstep step that has unforced live rows, with exactly those rows
+    in order: ``rnng.decode_steps_per_utt`` counts these calls."""
     model = random_model(seed=5, scale=1.0, precision="f32")
     tokens = ("turn", "the", "lights", "off")
     encode_state, run_queued = rnng.encode_state, rnng._run_queued
-    scored, run = [], []
+    step_log_probs = rnng._step_log_probs
+    scored, run, encoded, steps = [], [], [], []
+
+    def forced(branch):
+        return branch.state.pos == len(branch.state.tokens)
 
     def checked_logits(model, branches, tape=None, rng=None):
-        scored.extend(b.state.pos == len(b.state.tokens) for b in branches)
+        scored.extend(forced(b) for b in branches)
+        encoded.append(list(branches))
         return encode_state(model, branches, tape, rng)
 
     def checked_run(model, branches, tape=None, rng=None):
-        run.extend(b.state.pos == len(b.state.tokens) for b in branches if b.action is not None)
+        run.extend(forced(b) for b in branches if b.action is not None)
         return run_queued(model, branches, tape, rng)
+
+    def checked_step(model, branches, masks):
+        steps.append([b for b in branches if not forced(b)])
+        return step_log_probs(model, branches, masks)
 
     monkeypatch.setattr(rnng, "encode_state", checked_logits)
     monkeypatch.setattr(rnng, "_run_queued", checked_run)
-    parse_greedy(model, tokens)
+    monkeypatch.setattr(rnng, "_step_log_probs", checked_step)
+    tree, _ = parse_greedy(model, tokens)
+    # A derivation is unforced up to and including its last SHIFT.
+    actions = oracle(tree)
+    unforced = max(i for i, action in enumerate(actions) if action.op == "SHIFT") + 1
+    assert len(encoded) == unforced
+    assert len(steps) == len(actions)
     for k in (1, 5):
+        del encoded[:], steps[:]
         parse_beam(model, tokens, k)
+        live_steps = [rows for rows in steps if rows]
+        assert len(encoded) == len(live_steps) < len(steps)
+        for rows, unforced_rows in zip(encoded, live_steps):
+            assert len(rows) == len(unforced_rows)
+            assert all(a is b for a, b in zip(rows, unforced_rows))
     assert scored and not any(scored)
     assert run and not any(run)
-

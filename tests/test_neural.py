@@ -278,6 +278,25 @@ def test_masked_nll_masked_probability_is_zero():
     assert np.exp(logps).sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_log_probs_are_the_negated_masked_nll_bitwise(dtype):
+    # Decoding scores with masked_log_probs and training with masked_nll; a
+    # decoded score equals the taped one only if every entry is the exact
+    # negation of the loss of that action.  The one bit that may differ is
+    # the sign of a zero (a sure action gets x - x = +0, its loss -(x - x)
+    # = -0), which adding +0 clears, as adding it to a score does.
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        logits = (rng.normal(size=40) * rng.choice([0.1, 1.0, 30.0])).astype(dtype)
+        vi = np.sort(rng.choice(40, size=rng.integers(1, 41), replace=False)).astype(np.intp)
+        before = logits.copy()
+        logps = masked_log_probs(logits, vi)
+        assert logps.dtype == dtype and np.array_equal(logits, before)
+        for j, index in enumerate(vi):
+            loss = masked_nll(Tape(), Var(logits), int(index), vi).value
+            assert (logps[j] + 0).tobytes() == (-loss + 0).tobytes(), (trial, j)
+
+
 def test_masked_nll_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     store = f64_store(8)

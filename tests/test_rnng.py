@@ -30,7 +30,12 @@ from frameparse.rnng import (
 )
 from frameparse.transitions import MASKS, REDUCE, SHIFT, EmptyUtterance, kind_of, nt, oracle
 from frameparse.trees import intent, parse_bracketed, slot, validate
-from oracles import reference_example_loss, reference_score_actions, start_every_step_hypothesis
+from oracles import (
+    reference_example_loss,
+    reference_score_actions,
+    reference_taped_score,
+    start_every_step_hypothesis,
+)
 
 TINY = dict(word_dim=8, label_dim=6, action_dim=5, lstm_units=9, lstm_layers=2, dropout=0.0)
 
@@ -434,6 +439,27 @@ def test_taped_and_decode_logits_are_bitwise_equal(precision, dims):
                 rnng.advance(model, branch, action, 0.0)
                 steps += 1
         assert steps > 100
+
+
+def test_decoded_scores_equal_the_taped_score_at_the_default_shape():
+    # At the default f32 shape (164 units, 2 layers) the products run the
+    # BLAS kernels the benchmark runs, not the tiny models' ones.  Every
+    # greedy and beam-5 score must be what the taped training path gives
+    # for the same derivation, bit for bit.
+    corpus = synth.learnable_corpus(seed=39, size=8)
+    vocab, intents, slots = build_vocabs(corpus)
+    model = Model(RnngConfig(seed=39), vocab, intents, slots,
+                  TokenNormalizer(frozenset(vocab.symbols)))
+    assert model.config.lstm_units == 164 and model.config.lstm_layers == 2
+    assert model.store.dtype == np.float32
+    scored = 0
+    for example in corpus.examples:
+        for tree, score in [parse_greedy(model, example.tokens)] + parse_beam(
+                model, example.tokens, 5):
+            taped = reference_taped_score(model, example.tokens, oracle(tree))
+            assert float(score).hex() == taped.hex(), (example.raw_utterance, str(tree))
+            scored += 1
+    assert scored > 8 * 3
 
 
 # sha256 of save_model's bytes for tiny_model(seed=38) in each precision;
