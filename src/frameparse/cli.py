@@ -2,7 +2,8 @@
 
 Commands: validate, stats, oracle, train, parse, eval, gradcheck.
 Exit codes: 0 success, 1 validation or metric failure (or a training loss
-that is not finite), 2 usage, 3 I/O or refused input (including text that
+that is not finite), 2 usage (including train flag values the configuration
+refuses, alone or together), 3 I/O or refused input (including text that
 is not valid UTF-8, malformed embeddings files, and config files with a
 line that is not key=value, names no configuration field or holds a value
 the field refuses, or with values that are invalid together).
@@ -56,8 +57,7 @@ def load_config_file(path, defaults: rnng.RnngConfig) -> dict:
             if key not in known:
                 raise dataset.IngestError("config", f"unknown key {key!r}", lineno, path)
             try:
-                values[key] = _coerce(value, getattr(defaults, key))
-                dataclasses.replace(defaults, **{key: values[key]})
+                values[key] = _field_value(defaults, key, value)
             except ValueError as err:
                 raise dataset.IngestError("config", f"{key}={value}: {err}", lineno,
                                           path) from None
@@ -72,34 +72,49 @@ _BOOL_TRUE = ("1", "true", "yes", "on")
 _BOOL_FALSE = ("0", "false", "no", "off")
 
 
-def _coerce(value: str, like):
+def _field_value(defaults: rnng.RnngConfig, key: str, text: str):
+    """``text`` coerced to the type of the configuration field ``key``, and
+    checked with the other fields at ``defaults``: the one check of a
+    config-file line and of a ``train`` flag.  Raises ``ValueError``."""
+    like = getattr(defaults, key)
     if isinstance(like, bool):
-        low = value.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ValueError(f"expected one of {', '.join(_BOOL_TRUE + _BOOL_FALSE)}")
-    try:
-        return type(like)(value)
-    except ValueError:
-        raise ValueError(f"expected {'an integer' if isinstance(like, int) else 'a number'}"
-                         ) from None
+        if text.lower() not in _BOOL_TRUE + _BOOL_FALSE:
+            raise ValueError(f"expected one of {', '.join(_BOOL_TRUE + _BOOL_FALSE)}")
+        value = text.lower() in _BOOL_TRUE
+    else:
+        try:
+            value = type(like)(text)
+        except ValueError:
+            raise ValueError(f"expected {'an integer' if isinstance(like, int) else 'a number'}"
+                             ) from None
+    dataclasses.replace(defaults, **{key: value})
+    return value
+
+
+def _field_flag(key: str):
+    """The argparse type of the ``train`` flag for field ``key``."""
+
+    def check(text: str):
+        try:
+            return _field_value(rnng.RnngConfig(), key, text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return check
 
 
 def resolve_train_config(args) -> rnng.RnngConfig:
-    """flag > config file > RnngConfig default, per field."""
-    file_values = {}
+    """flag > config file > RnngConfig default, per field.  Each flag and
+    the file are already checked, so only flags that turn off the last
+    state encoder are refused here: ``AllEncodersDisabled``, a usage error."""
+    resolved = {}
     if args.config:
         with _refuse_undecodable(args.config):
-            file_values = load_config_file(args.config, rnng.RnngConfig())
-    resolved = {}
+            resolved = load_config_file(args.config, rnng.RnngConfig())
     for field in dataclasses.fields(rnng.RnngConfig):
         flag = getattr(args, field.name, None)
         if flag is not None:
             resolved[field.name] = flag
-        elif field.name in file_values:
-            resolved[field.name] = file_values[field.name]
     return rnng.RnngConfig(**resolved)
 
 
@@ -397,16 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="checkpoint path")
     p.add_argument("--log", default=None, help="JSON log path (default <output>.log.json)")
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--min-count", type=_positive_int, default=1)
     p.add_argument("--embeddings", default=None, help="pretrained embedding text file")
     p.add_argument("--lenient", dest="strict", action="store_false")
-    for name, kind in (
-        ("word-dim", int), ("label-dim", int), ("action-dim", int),
-        ("lstm-units", int), ("lstm-layers", int), ("dropout", float),
-        ("lr", float), ("weight-decay", float), ("epochs", int),
-        ("beam-size", int), ("seed", int), ("max-open-nts", int),
-    ):
-        p.add_argument(f"--{name}", type=kind, default=None)
+    for name in ("word-dim", "label-dim", "action-dim", "lstm-units", "lstm-layers", "dropout",
+                 "lr", "weight-decay", "epochs", "beam-size", "seed", "max-open-nts"):
+        p.add_argument(f"--{name}", type=_field_flag(name.replace("-", "_")), default=None)
     p.add_argument("--precision", choices=("f32", "f64"), default=None)
     p.add_argument("--finetune-embeddings", dest="finetune_embeddings",
                    action="store_const", const=True, default=None,
@@ -434,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of the full training step")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--max-coords", type=int, default=40,
+    p.add_argument("--max-coords", type=_positive_int, default=40,
                    help="coordinates sampled per parameter")
     p.set_defaults(handler=cmd_gradcheck)
 
@@ -446,6 +457,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except rnng.AllEncodersDisabled as err:  # from train flags (see resolve_train_config)
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     except UnicodeDecodeError as err:
         # Caught before ValueError, its base: undecodable text is refused input.
         print(f"error: input is not valid UTF-8: {err}", file=sys.stderr)

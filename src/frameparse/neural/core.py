@@ -222,19 +222,17 @@ def add_n(tape, terms) -> Var:
 
 def dropout(tape, x, rate: float, rng):
     """Inverted dropout: zero with probability ``rate``, scale survivors by
-    1/(1-rate) so the expectation is preserved.  Callers skip this entirely
-    in evaluation mode."""
+    1/(1-rate) so the expectation is preserved.  Only training drops, on a
+    tape; without one a rate above 0 raises, and 0 returns ``x``."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    value = x if tape is None else x.value
-    keep = (rng.random(value.shape) >= rate).astype(value.dtype)
-    scale = np.asarray(1.0 / (1.0 - rate), dtype=value.dtype)
-    mask = keep * scale
     if tape is None:
-        return value * mask
-    out = Var(value * mask)
+        raise ValueError("dropout runs only on a tape")
+    keep = (rng.random(x.value.shape) >= rate).astype(x.value.dtype)
+    mask = keep * np.asarray(1.0 / (1.0 - rate), dtype=x.value.dtype)
+    out = Var(x.value * mask)
 
     def backward():
         if out.grad is not None:

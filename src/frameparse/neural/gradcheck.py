@@ -69,8 +69,10 @@ def grad_check(loss_fn, store: ParamStore, tolerance: float = 1e-4, step: float 
     ``loss_fn(tape)`` must build the (deterministic) scalar loss on the
     given tape; a tape is required, so each probed coordinate re-runs it on
     a throwaway ``Tape()`` that is never replayed.  Large parameters can be
-    subsampled via ``max_coords_per_param``.
+    subsampled via ``max_coords_per_param``, which must be at least 1.
     """
+    if max_coords_per_param is not None and max_coords_per_param < 1:
+        raise ValueError(f"max_coords_per_param must be at least 1, got {max_coords_per_param}")
     store.zero_grad()
     tape = Tape()
     loss = loss_fn(tape)

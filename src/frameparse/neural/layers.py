@@ -63,13 +63,13 @@ class Lstm:
 
     def step(self, tape, x, state, dropout: float = 0.0, rng=None):
         """Feed ``x`` to ``state``; without a tape, row i of ``x`` to state
-        i of the stacked states."""
+        i of the stacked states.  Dropout needs a tape."""
         inp = x
         if tape is None:
+            if dropout > 0.0:
+                raise ValueError("dropout runs only on a tape")
             new = np.empty(state.shape, dtype=state.dtype)
             for layer, (weight, bias, _, _) in enumerate(self.layers):
-                if layer > 0 and dropout > 0.0:
-                    inp = core.dropout(None, inp, dropout, rng)
                 inp, _ = core.lstm_cell(None, weight, bias, inp, state[..., layer, 0, :],
                                         state[..., layer, 1, :], new[..., layer, :, :])
             return new

@@ -55,7 +55,6 @@ from .neural.params import CheckpointError, ParamStore, load_checkpoint, save_ch
 from .preprocess import TokenNormalizer, UNK_TOKEN
 from .transitions import (
     DEFAULT_MAX_OPEN_NTS,
-    MASKS,
     Action,
     EmptyUtterance,
     REDUCE,
@@ -113,15 +112,16 @@ class RnngConfig:
     finetune_embeddings: bool = False
 
     def __post_init__(self):
-        for name in ("word_dim", "label_dim", "action_dim", "lstm_units", "lstm_layers"):
+        for name in ("word_dim", "label_dim", "action_dim", "lstm_units", "lstm_layers",
+                     "beam_size", "max_open_nts"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not (self.use_stack or self.use_buffer or self.use_actions):
             raise AllEncodersDisabled("at least one state encoder must be enabled")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.epochs < 0 or self.beam_size < 1 or self.max_open_nts < 1:
-            raise ValueError("bad epochs/beam_size/max_open_nts")
+        if self.epochs < 0:
+            raise ValueError("epochs must not be negative")
         if self.precision not in ("f32", "f64"):
             raise ValueError("precision must be 'f32' or 'f64'")
 
@@ -161,14 +161,12 @@ class Model:
         self.actions = (SHIFT, REDUCE) + tuple(nt(label) for label in self.labels)
         self.action_index = {action: i for i, action in enumerate(self.actions)}
         self.normalizer = normalizer
-        # Every mask valid_actions can return -> the ascending, read-only
-        # indices of the actions it allows.
-        kinds = [kind_of(action) for action in self.actions]
-        self.mask_indices = {}
-        for mask in MASKS:
-            indices = np.array([i for i, kind in enumerate(kinds) if kind in mask], dtype=np.intp)
+        # Indexed by every 4-bit mask valid_actions can return: the
+        # ascending, read-only indices of the actions it allows.
+        kinds = np.array([kind_of(action) for action in self.actions])
+        self.mask_indices = tuple(np.flatnonzero(kinds & mask) for mask in range(16))
+        for indices in self.mask_indices:
             indices.flags.writeable = False
-            self.mask_indices[mask] = indices
 
         cfg = config
         store = ParamStore(seed=[cfg.seed, 0], dtype=cfg.dtype)
@@ -231,10 +229,11 @@ class Model:
 class Hypothesis:
     """A derivation in progress plus the encoder states that summarize it.
 
-    ``stack_states[i]`` is the stack LSTM state after the first ``i``
-    symbols, so popping is jumping back to an earlier entry; cloning
-    shallow-copies the lists and shares the per-example word vectors and
-    precomputed buffer states.
+    ``stack_elems`` holds, per open non-terminal of ``state``, its label's
+    vector and one per child.  ``stack_states[i]`` is the stack LSTM state
+    after the first ``i`` symbols, so popping is jumping back to an earlier
+    entry; cloning shallow-copies the lists and shares the per-example word
+    vectors and precomputed buffer states.
 
     Training keeps the states as tape ``Var``s, decoding as plain arrays
     (see ``layers.Lstm``); :func:`start_hypothesis` picks by its ``tape``.
@@ -245,8 +244,9 @@ class Hypothesis:
     the hypothesis.  Clone a hypothesis only while nothing is queued, except
     a forced one (see :func:`_forced`): nothing reads its encoders again, so
     its queued inputs are dropped unrun, and the stack bookkeeping of its
-    REDUCEs works on stale lists that nothing reads either.  ``n_actions``
-    counts the actions taken; decoding picks its encoder order by its parity.
+    REDUCEs works on stale lists that no longer match ``state`` and that
+    nothing reads either.  ``n_actions`` counts the actions taken; decoding
+    picks its encoder order by its parity.
     """
 
     __slots__ = (
@@ -254,7 +254,6 @@ class Hypothesis:
         "score",
         "stack_states",
         "stack_elems",
-        "open_elem_pos",
         "action_state",
         "word_vecs",
         "buffer_outputs",
@@ -263,13 +262,12 @@ class Hypothesis:
         "n_actions",
     )
 
-    def __init__(self, state, score, stack_states, stack_elems, open_elem_pos,
-                 action_state, word_vecs, buffer_outputs, n_actions=0):
+    def __init__(self, state, score, stack_states, stack_elems, action_state, word_vecs,
+                 buffer_outputs, n_actions=0):
         self.state = state
         self.score = score
         self.stack_states = stack_states
         self.stack_elems = stack_elems
-        self.open_elem_pos = open_elem_pos
         self.action_state = action_state
         self.word_vecs = word_vecs
         self.buffer_outputs = buffer_outputs
@@ -283,7 +281,6 @@ class Hypothesis:
             self.score,
             list(self.stack_states) if self.stack_states is not None else None,
             list(self.stack_elems) if self.stack_elems is not None else None,
-            list(self.open_elem_pos) if self.open_elem_pos is not None else None,
             self.action_state,
             self.word_vecs,
             self.buffer_outputs,
@@ -294,15 +291,15 @@ class Hypothesis:
 def advance(model: Model, hyp: Hypothesis, action: Action, step_logp: float) -> None:
     """Apply one action, taken from the mask, to the hypothesis: the
     transition and the stack bookkeeping happen now, and the encoder inputs
-    the action brings are queued for the next runner."""
+    the action brings are queued for the next runner.  A REDUCE pops the
+    open label and its children, counted in the transition state."""
     if model.config.use_stack:
         if action.op == "SHIFT":
             hyp.push = hyp.word_vecs[hyp.state.pos]
         elif action.op == "NT":
-            hyp.open_elem_pos.append(len(hyp.stack_elems))
             hyp.push = model.label_index[action.label]
         else:  # REDUCE: compose the open label's vector and its children
-            opened = hyp.open_elem_pos.pop()
+            opened = len(hyp.stack_elems) - 1 - len(hyp.state.open_stack[-1].children)
             hyp.push = hyp.stack_elems[opened:]
             del hyp.stack_elems[opened:]
             del hyp.stack_states[opened + 1 :]
@@ -334,7 +331,7 @@ def start_hypothesis(model: Model, tokens, tape=None, rng=None) -> Hypothesis:
     """The hypothesis before the first action: on ``tape`` for training,
     or without one for decoding.  Here and in :func:`_run_queued`,
     :func:`encode_state` and :func:`example_loss`, dropout is on exactly
-    when ``rng`` is given."""
+    when ``rng`` is given, which needs a tape."""
     tokens = tuple(tokens)
     state = initial_state(tokens)
     cfg = model.config
@@ -354,7 +351,6 @@ def start_hypothesis(model: Model, tokens, tape=None, rng=None) -> Hypothesis:
         state,
         0.0,
         [model.stack_lstm.initial(tape)] if cfg.use_stack else None,
-        [] if cfg.use_stack else None,
         [] if cfg.use_stack else None,
         model.action_lstm.initial(tape) if cfg.use_actions else None,
         word_vecs,

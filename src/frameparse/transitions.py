@@ -12,7 +12,6 @@ derivation yields a well-formed tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 from .trees import (
@@ -81,32 +80,27 @@ def format_actions(actions: Sequence[Action]) -> str:
     return " ".join(str(a) for a in actions)
 
 
-class ActionKind(Enum):
-    """Mask granularity: NT actions are split by label kind only."""
-
-    SHIFT = "SHIFT"
-    REDUCE = "REDUCE"
-    NT_INTENT = "NT-intent"
-    NT_SLOT = "NT-slot"
+# Mask bits, one per action kind: NT actions are split by label kind only.
+_SHIFT, _REDUCE, _NT_INTENT, _NT_SLOT = 1, 2, 4, 8
 
 
-def kind_of(action: Action) -> ActionKind:
+def kind_of(action: Action) -> int:
+    """The mask bit of the action's kind."""
     if action.op == "SHIFT":
-        return ActionKind.SHIFT
+        return _SHIFT
     if action.op == "REDUCE":
-        return ActionKind.REDUCE
-    return ActionKind.NT_INTENT if action.label.is_intent else ActionKind.NT_SLOT
+        return _REDUCE
+    return _NT_INTENT if action.label.is_intent else _NT_SLOT
 
 
 class _OpenNT:
     """An open non-terminal on the stack with the children gathered so far."""
 
-    __slots__ = ("label", "children", "has_nt_child")
+    __slots__ = ("label", "children")
 
-    def __init__(self, label, children, has_nt_child):
+    def __init__(self, label, children):
         self.label = label
         self.children = children
-        self.has_nt_child = has_nt_child
 
 
 class ParserState:
@@ -154,18 +148,9 @@ def initial_state(tokens: Sequence[str]) -> ParserState:
     return ParserState(tuple(tokens))
 
 
-# Every mask valid_actions can return, built once and indexed by bits in
-# ActionKind order: no call builds a set or hashes an ActionKind, and each
-# mask's hash is computed only once.
-_SHIFT, _REDUCE, _NT_INTENT, _NT_SLOT = 1, 2, 4, 8
-MASKS = tuple(
-    frozenset(kind for bit, kind in enumerate(ActionKind) if bits >> bit & 1)
-    for bits in range(16)
-)
-
-
-def valid_actions(state: ParserState, max_open_nts: int = DEFAULT_MAX_OPEN_NTS) -> frozenset:
-    """The set of permitted :class:`ActionKind` values; empty iff terminal.
+def valid_actions(state: ParserState, max_open_nts: int = DEFAULT_MAX_OPEN_NTS) -> int:
+    """The mask of permitted action kinds: the OR of the :func:`kind_of`
+    bits it allows, 0 iff terminal.
 
     Encodes the parser's structural rules plus the grammar constraints:
     intents open at the root or under a childless slot, slots open under
@@ -173,17 +158,18 @@ def valid_actions(state: ParserState, max_open_nts: int = DEFAULT_MAX_OPEN_NTS) 
     the buffer is exhausted only REDUCE remains.
     """
     if state.root is not None:
-        return MASKS[0]
+        return 0
     buffer_empty = state.pos >= len(state.tokens)
     open_count = len(state.open_stack)
     if open_count == 0:
         # Nothing derived yet: the root non-terminal must be an intent.
-        return MASKS[0] if buffer_empty else MASKS[_NT_INTENT]
+        return 0 if buffer_empty else _NT_INTENT
     if buffer_empty:
-        return MASKS[_REDUCE]
+        return _REDUCE
     bits = 0
     top = state.open_stack[-1]
-    if not (top.label.kind == SLOT and top.has_nt_child):
+    # A slot's children are all tokens or one intent.
+    if not (top.label.kind == SLOT and top.children and type(top.children[0]) is NonTerminal):
         bits |= _SHIFT
     if open_count < max_open_nts:
         if top.label.kind == INTENT:
@@ -192,14 +178,14 @@ def valid_actions(state: ParserState, max_open_nts: int = DEFAULT_MAX_OPEN_NTS) 
             bits |= _NT_INTENT
     if top.children and open_count > 1:
         bits |= _REDUCE
-    return MASKS[bits]
+    return bits
 
 
 def apply(
     state: ParserState, action: Action, max_open_nts: int = DEFAULT_MAX_OPEN_NTS
 ) -> ParserState:
     """Execute one action, or raise :class:`InvalidAction` if masked out."""
-    if kind_of(action) not in valid_actions(state, max_open_nts):
+    if not kind_of(action) & valid_actions(state, max_open_nts):
         raise InvalidAction(action, state.summary())
     return apply_unchecked(state, action)
 
@@ -211,13 +197,11 @@ def apply_unchecked(state: ParserState, action: Action) -> ParserState:
         return ParserState(
             state.tokens,
             state.pos,
-            state.open_stack + (_OpenNT(action.label, (), False),),
+            state.open_stack + (_OpenNT(action.label, ()),),
         )
     if action.op == "SHIFT":
         top = state.open_stack[-1]
-        new_top = _OpenNT(
-            top.label, top.children + (shared_token(state.tokens[state.pos]),), top.has_nt_child
-        )
+        new_top = _OpenNT(top.label, top.children + (shared_token(state.tokens[state.pos]),))
         return ParserState(state.tokens, state.pos + 1, state.open_stack[:-1] + (new_top,))
     # REDUCE
     top = state.open_stack[-1]
@@ -225,7 +209,7 @@ def apply_unchecked(state: ParserState, action: Action) -> ParserState:
     rest = state.open_stack[:-1]
     if rest:
         parent = rest[-1]
-        new_parent = _OpenNT(parent.label, parent.children + (node,), True)
+        new_parent = _OpenNT(parent.label, parent.children + (node,))
         return ParserState(state.tokens, state.pos, rest[:-1] + (new_parent,))
     return ParserState(state.tokens, state.pos, (), node)
 

@@ -521,7 +521,9 @@ def test_train_config_file_precedence(tmp_path, corpus_tsv):
     ("epochs=abc", "epochs=abc: expected an integer"),
     ("use_stack=maybe", "use_stack=maybe: expected one of 1, true, yes, on, 0, false, no, off"),
     ("dropout=2", "dropout=2: dropout must be in [0, 1)"),
-], ids=["unknown-key", "no-equals", "not-an-integer", "not-a-boolean", "out-of-range"])
+    ("epochs=-1", "epochs=-1: epochs must not be negative"),
+], ids=["unknown-key", "no-equals", "not-an-integer", "not-a-boolean", "out-of-range",
+        "negative-epochs"])
 def test_train_config_file_refuses_bad_line(tmp_path, capsys, corpus_tsv, line, message):
     tsv, _ = corpus_tsv
     cfg = tmp_path / "run.cfg"
@@ -542,6 +544,47 @@ def test_train_config_file_refuses_values_invalid_together(tmp_path, capsys, cor
     assert main(["train", tsv, "-o", str(ckpt), "--config", str(cfg)]) == 3
     assert capsys.readouterr().err == (
         f"error: {cfg}: at least one state encoder must be enabled\n")
+    assert not ckpt.exists()
+
+
+def _exit_code(argv) -> int:
+    """``main``'s exit status, whether it returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as err:
+        return err.code
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dropout", "2"], "argument --dropout: dropout must be in [0, 1)"),
+    (["--lstm-units", "0"], "argument --lstm-units: lstm_units must be positive"),
+    (["--epochs", "-1"], "argument --epochs: epochs must not be negative"),
+    (["--beam-size", "0"], "argument --beam-size: beam_size must be positive"),
+    (["--max-open-nts", "0"], "argument --max-open-nts: max_open_nts must be positive"),
+    (["--min-count", "0"], "argument --min-count: expected a positive integer, got '0'"),
+    (["--no-stack", "--no-buffer", "--no-actions"],
+     "error: at least one state encoder must be enabled"),
+], ids=["dropout", "lstm-units", "epochs", "beam-size", "max-open-nts", "min-count",
+        "no-encoder"])
+def test_train_flag_the_configuration_refuses_is_a_usage_error(tmp_path, capsys, corpus_tsv,
+                                                               flags, message):
+    tsv, _ = corpus_tsv
+    ckpt = tmp_path / "m.ckpt"
+    assert _exit_code(["train", tsv, "-o", str(ckpt)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_train_flag_invalid_with_the_config_file_is_a_usage_error(tmp_path, capsys,
+                                                                  corpus_tsv):
+    # The file alone is a valid configuration; the flag turns off its last
+    # state encoder.
+    tsv, _ = corpus_tsv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=0\nuse_stack=false\nuse_buffer=false\n")
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", tsv, "-o", str(ckpt), "--config", str(cfg), "--no-actions"]) == 2
+    assert capsys.readouterr().err == "error: at least one state encoder must be enabled\n"
     assert not ckpt.exists()
 
 
@@ -603,6 +646,15 @@ def test_gradcheck_corrupt_fails(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert re.search(r"^FAIL scorer\.bias ", out, re.MULTILINE), out
     assert out.splitlines()[-1].startswith("FAIL: ")
+
+
+@pytest.mark.parametrize("coords", ["0", "-1"])
+def test_gradcheck_max_coords_below_one_is_a_usage_error(capsys, coords):
+    # Refused before any coordinate is checked: 0 checked none and passed.
+    with pytest.raises(SystemExit) as err:
+        main(["gradcheck", "--max-coords", coords])
+    assert err.value.code == 2
+    assert "--max-coords: expected a positive integer" in capsys.readouterr().err
 
 
 def test_train_determinism_bitwise(tmp_path, corpus_tsv):

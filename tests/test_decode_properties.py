@@ -9,6 +9,8 @@ decoders skip that tail and add log 1 = 0 instead, which is what the
 softmax gives for finite logits, so both must agree bit for bit.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,8 @@ from frameparse.rnng import (  # noqa: E402
     parse_beam,
     parse_greedy,
 )
-from frameparse.transitions import oracle  # noqa: E402
-from frameparse.trees import Tree, intent, slot, validate  # noqa: E402
+from frameparse.transitions import REDUCE, oracle  # noqa: E402
+from frameparse.trees import Tree, intent, parse_bracketed, slot, validate  # noqa: E402
 from oracles import reference_score_actions, start_every_step_hypothesis  # noqa: E402
 
 WORDS = ("turn", "the", "lights", "off", "up", "7", "zzz")
@@ -46,6 +48,26 @@ def random_model(seed: int, scale: float, precision: str) -> Model:
     return model
 
 
+def checking_reduces(checked: list):
+    """Patch ``rnng.advance`` to check each REDUCE of an unforced
+    hypothesis: its queued inputs have run, and its stack holds one symbol
+    per open non-terminal and one per child of each, with one stack-LSTM
+    state more.  ``advance`` finds the label to pop by that count.  Appends
+    one entry to ``checked`` per REDUCE checked."""
+    advance = rnng.advance
+
+    def checked_advance(model, hyp, action, step_logp):
+        if action == REDUCE and not rnng._forced(hyp):
+            assert hyp.action is None and hyp.push is None
+            open_stack = hyp.state.open_stack
+            assert len(hyp.stack_elems) == sum(1 + len(o.children) for o in open_stack)
+            assert len(hyp.stack_states) == len(hyp.stack_elems) + 1
+            checked.append(len(open_stack))
+        return advance(model, hyp, action, step_logp)
+
+    return mock.patch.object(rnng, "advance", checked_advance)
+
+
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(
     seed=st.integers(0, 2**16),
@@ -54,10 +76,24 @@ def random_model(seed: int, scale: float, precision: str) -> Model:
     tokens=st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(tuple),
 )
 def test_decoders_agree_on_random_models(seed, scale, precision, tokens):
+    """Also checks the stack at every unforced REDUCE (see
+    :func:`checking_reduces`) of beam search and of training on each
+    result, and on a derivation that closes a slot, and the intent in it,
+    before its last SHIFT."""
     model = random_model(seed, scale, precision)
     greedy_tree, greedy_score = parse_greedy(model, tokens)
+    checked = []
+    if len(tokens) > 1:
+        nested = parse_bracketed(f"[IN:GET [SL:WHAT [IN:SET {tokens[0]} ] ] "
+                                 f"{' '.join(tokens[1:])} ]")
+        with checking_reduces(checked):
+            rnng.example_loss(model, tokens, oracle(nested), core.Tape())
+        assert len(checked) == 2
     for k in range(1, 6):
-        results = parse_beam(model, tokens, k)
+        with checking_reduces(checked):
+            results = parse_beam(model, tokens, k)
+            for tree, _ in results:
+                rnng.example_loss(model, tokens, oracle(tree), core.Tape())
         assert 1 <= len(results) <= k
         scores = [score for _, score in results]
         assert scores == sorted(scores, reverse=True)

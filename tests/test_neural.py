@@ -637,6 +637,22 @@ def test_grad_check_detects_corruption():
     assert report.worst.name == "w"
 
 
+@pytest.mark.parametrize("coords", [0, -1])
+def test_grad_check_refuses_fewer_than_one_coordinate(coords):
+    """Checking no coordinate would pass whatever the gradient."""
+    store = f64_store(14)
+    store.add("w", (4, 3))
+    calls = []
+
+    def loss_fn(tape):
+        calls.append(tape)
+        raise AssertionError("the loss must not be built")
+
+    with pytest.raises(ValueError, match="max_coords_per_param must be at least 1"):
+        grad_check(loss_fn, store, max_coords_per_param=coords)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Dropout and misc ops
 
@@ -690,7 +706,9 @@ def test_concat_and_relu_and_add_n_gradients():
 def test_untaped_ops_match_the_taped_ops_bitwise(monkeypatch, dtype):
     """Without a tape every op runs forward-only on plain arrays, over one
     vector or B rows, records nothing, and gives for each row bitwise what
-    the taped op gives for that row alone."""
+    the taped op gives for that row alone.  Dropout is the exception: only
+    training drops, so without a tape a rate above 0 raises, in the op and
+    in an LSTM step, rather than be ignored; a rate of 0 passes ``x``."""
     store = ParamStore(seed=50, dtype=dtype)
     w = store.add("w", (6, 5), order="F")
     b = store.add("b", (6,))
@@ -698,13 +716,11 @@ def test_untaped_ops_match_the_taped_ops_bitwise(monkeypatch, dtype):
     cell_b = store.add("cell.bias", (4 * 3,))
     table = store.add("table", (7, 5))
     store.allocate()
-    drop = {}
     ops = {  # name -> (op, widths of its inputs)
         "linear": (lambda tape, x: linear(tape, w, b, x), [5]),
         "linear without bias": (lambda tape, x: linear(tape, w, None, x), [5]),
         "relu": (relu, [5]),
         "concat": (lambda tape, x, y: concat(tape, [x, y]), [5, 3]),
-        "dropout": (lambda tape, x: dropout(tape, x, 0.3, drop["rng"]), [5]),
         "lstm_cell": (lambda tape, x, h, c: lstm_cell(tape, cell_w, cell_b, x, h, c), [5, 3, 3]),
         "embedding_lookup": (lambda tape, i: embedding_lookup(tape, table, i), [None]),
     }
@@ -725,12 +741,10 @@ def test_untaped_ops_match_the_taped_ops_bitwise(monkeypatch, dtype):
             rows = [rng.integers(0, 7, size=batch) if width is None
                     else rng.normal(size=(batch, width)).astype(dtype) for width in widths]
             for inputs in ([r[0] for r in rows], rows):
-                drop["rng"] = np.random.default_rng(batch)
                 before = len(records)
                 untaped = outputs(op(None, *inputs))
                 assert len(records) == before, name
                 assert all(type(out) is np.ndarray for out in untaped), name
-                drop["rng"] = np.random.default_rng(batch)
                 if inputs is rows:
                     for i in range(batch):
                         expected = taped(op, widths, [r[i] for r in rows])
@@ -739,6 +753,15 @@ def test_untaped_ops_match_the_taped_ops_bitwise(monkeypatch, dtype):
                 else:
                     for out, want in zip(untaped, taped(op, widths, inputs)):
                         assert np.array_equal(out, want), (name, batch)
+    x = rng.normal(size=(2, 5)).astype(dtype)
+    with pytest.raises(ValueError, match="only on a tape"):
+        dropout(None, x, 0.3, np.random.default_rng(0))
+    assert dropout(None, x, 0.0, None) is x
+    lstm_store = ParamStore(seed=51, dtype=dtype)
+    lstm = Lstm(lstm_store, "lstm", 5, 3, 2)
+    lstm_store.allocate()
+    with pytest.raises(ValueError, match="only on a tape"):
+        lstm.step(None, x, np.array([lstm.initial(None)] * 2), 0.3, np.random.default_rng(0))
 
 
 def test_determinism_of_initialization():

@@ -6,7 +6,6 @@ import synth
 from frameparse.transitions import (
     DEFAULT_MAX_OPEN_NTS,
     Action,
-    ActionKind,
     ConstraintViolation,
     EmptyUtterance,
     IncompleteDerivation,
@@ -26,6 +25,7 @@ from frameparse.trees import (
     INTENT,
     MAX_DEPTH,
     SLOT,
+    NonTerminal,
     Tree,
     count_nonterminals,
     intent,
@@ -34,6 +34,12 @@ from frameparse.trees import (
     slot,
     validate,
 )
+
+# The mask bit of each action kind.
+SHIFT_BIT, REDUCE_BIT, NT_INTENT_BIT, NT_SLOT_BIT = (
+    kind_of(action) for action in (SHIFT, REDUCE, nt("IN:X"), nt("SL:Y"))
+)
+
 
 def parse_actions(line: str) -> list:
     """The inverse of ``format_actions``."""
@@ -84,13 +90,13 @@ def test_action_parsing_and_formatting():
 
 def test_valid_actions_initial():
     state = initial_state(("a", "b"))
-    assert valid_actions(state) == {ActionKind.NT_INTENT}
+    assert valid_actions(state) == NT_INTENT_BIT
 
 
 def test_valid_actions_after_root_open():
     state = apply(initial_state(("a", "b")), nt("IN:X"))
     # Root open, no children yet: cannot reduce, cannot open another intent.
-    assert valid_actions(state) == {ActionKind.SHIFT, ActionKind.NT_SLOT}
+    assert valid_actions(state) == SHIFT_BIT | NT_SLOT_BIT
 
 
 def test_valid_actions_buffer_empty_is_reduce_only():
@@ -98,7 +104,7 @@ def test_valid_actions_buffer_empty_is_reduce_only():
     for action in (nt("IN:X"), nt("SL:Y"), SHIFT):
         state = apply(state, action)
     assert state.pos == 1 and state.open_count == 2
-    assert valid_actions(state) == {ActionKind.REDUCE}
+    assert valid_actions(state) == REDUCE_BIT
 
 
 def test_valid_actions_slot_with_intent_child_is_reduce_only():
@@ -106,7 +112,7 @@ def test_valid_actions_slot_with_intent_child_is_reduce_only():
     for action in (nt("IN:X"), nt("SL:Y"), nt("IN:X"), SHIFT, REDUCE):
         state = apply(state, action)
     # Open slot now holds a finished intent; only REDUCE may follow.
-    assert valid_actions(state) == {ActionKind.REDUCE}
+    assert valid_actions(state) == REDUCE_BIT
 
 
 def test_valid_actions_respects_open_cap():
@@ -114,11 +120,11 @@ def test_valid_actions_respects_open_cap():
     state = apply(state, nt("IN:X"), max_open_nts=3)
     state = apply(state, nt("SL:Y"), max_open_nts=3)
     kinds = valid_actions(state, max_open_nts=3)
-    assert ActionKind.NT_INTENT in kinds
+    assert kinds & NT_INTENT_BIT
     state = apply(state, nt("IN:X"), max_open_nts=3)
     kinds = valid_actions(state, max_open_nts=3)
-    assert ActionKind.NT_SLOT not in kinds and ActionKind.NT_INTENT not in kinds
-    assert ActionKind.SHIFT in kinds
+    assert not kinds & NT_SLOT_BIT and not kinds & NT_INTENT_BIT
+    assert kinds & SHIFT_BIT
 
 
 def test_apply_minimal_derivation():
@@ -163,7 +169,7 @@ def test_oracle_examples():
 
 
 def test_oracle_rejects_invalid_tree():
-    from frameparse.trees import NonTerminal, Token
+    from frameparse.trees import Token
 
     slot_root = Tree(NonTerminal(slot("Y"), (Token("a"),)))
     with pytest.raises(ConstraintViolation):
@@ -196,33 +202,40 @@ def test_oracle_actions_always_valid():
         tree = synth.random_valid_tree(rng, max_tokens=10)
         state = initial_state(tree.tokens)
         for action in oracle(tree):
-            assert kind_of(action) in valid_actions(state)
+            assert kind_of(action) & valid_actions(state)
             state = apply(state, action)
-        assert state.is_terminal and valid_actions(state) == frozenset()
+        assert state.is_terminal and valid_actions(state) == 0
 
 
 def reference_valid_actions(state, max_open_nts):
-    """The action mask as a set built from the rules on every call; the
-    prebuilt masks that ``valid_actions`` returns must equal it."""
+    """The action mask as a set of kind bits built from the rules on every
+    call; the set of bits of the int that ``valid_actions`` returns must
+    equal it."""
     if state.is_terminal:
         return set()
     buffer_empty = not state.buffer
     if state.open_count == 0:
-        return set() if buffer_empty else {ActionKind.NT_INTENT}
+        return set() if buffer_empty else {NT_INTENT_BIT}
     if buffer_empty:
-        return {ActionKind.REDUCE}
+        return {REDUCE_BIT}
     kinds = set()
     top = state.open_stack[-1]
-    if not (top.label.kind == SLOT and top.has_nt_child):
-        kinds.add(ActionKind.SHIFT)
+    holds_nt = any(isinstance(child, NonTerminal) for child in top.children)
+    if not (top.label.kind == SLOT and holds_nt):
+        kinds.add(SHIFT_BIT)
     if state.open_count < max_open_nts:
         if top.label.kind == INTENT:
-            kinds.add(ActionKind.NT_SLOT)
+            kinds.add(NT_SLOT_BIT)
         elif not top.children:
-            kinds.add(ActionKind.NT_INTENT)
+            kinds.add(NT_INTENT_BIT)
     if top.children and state.open_count > 1:
-        kinds.add(ActionKind.REDUCE)
+        kinds.add(REDUCE_BIT)
     return kinds
+
+
+def mask_bits(mask: int) -> set:
+    """The kind bits set in a mask."""
+    return {bit for bit in (SHIFT_BIT, REDUCE_BIT, NT_INTENT_BIT, NT_SLOT_BIT) if mask & bit}
 
 
 def test_valid_actions_equals_the_set_building_reference():
@@ -230,21 +243,24 @@ def test_valid_actions_equals_the_set_building_reference():
     action), under tight and default caps on open non-terminals."""
     rng = np.random.default_rng(8)
     concrete = {
-        ActionKind.SHIFT: [SHIFT],
-        ActionKind.REDUCE: [REDUCE],
-        ActionKind.NT_INTENT: [nt("IN:X"), nt("IN:Z")],
-        ActionKind.NT_SLOT: [nt("SL:Y")],
+        SHIFT_BIT: [SHIFT],
+        REDUCE_BIT: [REDUCE],
+        NT_INTENT_BIT: [nt("IN:X"), nt("IN:Z")],
+        NT_SLOT_BIT: [nt("SL:Y")],
     }
     for walk in range(600):
         cap = (2, 3, 5, DEFAULT_MAX_OPEN_NTS)[walk % 4]
         state = initial_state(tuple(f"w{i}" for i in range(int(rng.integers(1, 9)))))
         while True:
-            kinds = valid_actions(state, cap)
-            assert isinstance(kinds, frozenset)
+            mask = valid_actions(state, cap)
+            assert type(mask) is int and 0 <= mask < 16
+            kinds = mask_bits(mask)
             assert kinds == reference_valid_actions(state, cap)
             if not kinds:
                 break
-            kind = sorted(kinds, key=lambda k: k.value)[int(rng.integers(len(kinds)))]
+            # A fixed order, so that the seed fixes the walk.
+            ordered = [k for k in (NT_INTENT_BIT, NT_SLOT_BIT, REDUCE_BIT, SHIFT_BIT) if k in kinds]
+            kind = ordered[int(rng.integers(len(ordered)))]
             options = concrete[kind]
             state = apply(state, options[int(rng.integers(len(options)))], cap)
         assert state.is_terminal and validate(Tree(state.root)) == []
@@ -263,10 +279,10 @@ def _all_completions(tokens, intents, slots, max_len):
     """Every action sequence the mask permits, up to max_len actions."""
     finished = []
     concrete = {
-        ActionKind.SHIFT: [SHIFT],
-        ActionKind.REDUCE: [REDUCE],
-        ActionKind.NT_INTENT: [nt(lab) for lab in intents],
-        ActionKind.NT_SLOT: [nt(lab) for lab in slots],
+        SHIFT_BIT: [SHIFT],
+        REDUCE_BIT: [REDUCE],
+        NT_INTENT_BIT: [nt(lab) for lab in intents],
+        NT_SLOT_BIT: [nt(lab) for lab in slots],
     }
     stack = [(initial_state(tokens), [])]
     while stack:
@@ -276,7 +292,7 @@ def _all_completions(tokens, intents, slots, max_len):
             continue
         if len(history) >= max_len:
             continue
-        for kind in valid_actions(state):
+        for kind in mask_bits(valid_actions(state)):
             for action in concrete[kind]:
                 stack.append((apply(state, action), history + [action]))
     return finished
