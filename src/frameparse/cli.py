@@ -2,11 +2,12 @@
 
 Commands: validate, stats, oracle, train, parse, eval, gradcheck.
 Exit codes: 0 success, 1 validation or metric failure (or a training loss
-that is not finite), 2 usage (including train flag values the configuration
-refuses, alone or together), 3 I/O or refused input (including text that
-is not valid UTF-8, malformed embeddings files, and config files with a
-line that is not key=value, names no configuration field or holds a value
-the field refuses, or with values that are invalid together).
+that is not finite), 2 usage (including train and gradcheck flag values the
+configuration refuses, alone or together), 3 I/O or refused input
+(including text that is not valid UTF-8, malformed embeddings files, and
+config files with a line that is not key=value, names no configuration
+field or holds a value the field refuses, or with values that are invalid
+together).
 Hyperparameters resolve as flag > config file (key=value lines) > default,
 and every JSON artifact echoes the fully resolved configuration.
 """
@@ -92,7 +93,7 @@ def _field_value(defaults: rnng.RnngConfig, key: str, text: str):
 
 
 def _field_flag(key: str):
-    """The argparse type of the ``train`` flag for field ``key``."""
+    """The argparse type of a flag for configuration field ``key``."""
 
     def check(text: str):
         try:
@@ -369,6 +370,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def _positive_int_list(text: str) -> list:
     """A comma list of positive integers, such as ``1,3,5``; returns them
     sorted, without repeats."""
@@ -443,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full training step")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--seed", type=_field_flag("seed"), default=None)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-4)
     p.add_argument("--max-coords", type=_positive_int, default=40,
                    help="coordinates sampled per parameter")
     p.set_defaults(handler=cmd_gradcheck)

@@ -60,16 +60,22 @@ class Var:
 
 
 class Tape:
-    """Backward closures in execution order.
+    """Backward closures in execution order, and the pass's dropout.
 
     A closure returns None, or ``(weight, dz, x)`` to hand the tape the
     weight-gradient rows ``outer(dz, x)`` of one use of ``weight``.
+    :func:`dropout` on the tape drops at ``rate``, with masks drawn from
+    ``rng`` in run order; a tape without an ``rng`` never drops.
     """
 
-    __slots__ = ("_steps", "__weakref__")
+    __slots__ = ("_steps", "rng", "rate", "__weakref__")
 
-    def __init__(self):
+    def __init__(self, rng=None, rate: float = 0.0):
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self._steps = []
+        self.rng = rng
+        self.rate = rate if rng is not None else 0.0
 
     def record(self, backward_fn) -> None:
         self._steps.append(backward_fn)
@@ -220,17 +226,15 @@ def add_n(tape, terms) -> Var:
     return out
 
 
-def dropout(tape, x, rate: float, rng):
-    """Inverted dropout: zero with probability ``rate``, scale survivors by
-    1/(1-rate) so the expectation is preserved.  Only training drops, on a
-    tape; without one a rate above 0 raises, and 0 returns ``x``."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+def dropout(tape, x):
+    """Inverted dropout at the tape's rate: zero with probability
+    ``tape.rate``, from a mask drawn from ``tape.rng``, and scale survivors
+    by 1/(1-rate) so the expectation is preserved.  Only training drops, so
+    this op takes a tape; at rate 0 it returns ``x``."""
+    rate = tape.rate
     if rate == 0.0:
         return x
-    if tape is None:
-        raise ValueError("dropout runs only on a tape")
-    keep = (rng.random(x.value.shape) >= rate).astype(x.value.dtype)
+    keep = (tape.rng.random(x.value.shape) >= rate).astype(x.value.dtype)
     mask = keep * np.asarray(1.0 / (1.0 - rate), dtype=x.value.dtype)
     out = Var(x.value * mask)
 

@@ -68,9 +68,14 @@ def grad_check(loss_fn, store: ParamStore, tolerance: float = 1e-4, step: float 
 
     ``loss_fn(tape)`` must build the (deterministic) scalar loss on the
     given tape; a tape is required, so each probed coordinate re-runs it on
-    a throwaway ``Tape()`` that is never replayed.  Large parameters can be
-    subsampled via ``max_coords_per_param``, which must be at least 1.
+    a throwaway ``Tape()`` that is never replayed (a loss with dropout seeds
+    that tape's stream itself, so every run draws the same masks).  Large
+    parameters can be subsampled via ``max_coords_per_param``, which must be
+    at least 1.  The tolerance must be positive and finite: a NaN or negative
+    one would fail every check and an infinite one pass it.
     """
+    if not 0.0 < tolerance < float("inf"):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if max_coords_per_param is not None and max_coords_per_param < 1:
         raise ValueError(f"max_coords_per_param must be at least 1, got {max_coords_per_param}")
     store.zero_grad()

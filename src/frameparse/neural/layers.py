@@ -61,13 +61,12 @@ class Lstm:
             return np.array([(h0.value, c0.value) for (_, _, h0, c0) in self.layers])
         return tuple((h0, c0) for (_, _, h0, c0) in self.layers)
 
-    def step(self, tape, x, state, dropout: float = 0.0, rng=None):
+    def step(self, tape, x, state):
         """Feed ``x`` to ``state``; without a tape, row i of ``x`` to state
-        i of the stacked states.  Dropout needs a tape."""
+        i of the stacked states.  On a tape, the input of every layer above
+        the first goes through the tape's dropout."""
         inp = x
         if tape is None:
-            if dropout > 0.0:
-                raise ValueError("dropout runs only on a tape")
             new = np.empty(state.shape, dtype=state.dtype)
             for layer, (weight, bias, _, _) in enumerate(self.layers):
                 inp, _ = core.lstm_cell(None, weight, bias, inp, state[..., layer, 0, :],
@@ -75,27 +74,27 @@ class Lstm:
             return new
         new_state = []
         for layer, (weight, bias, _, _) in enumerate(self.layers):
-            if layer > 0 and dropout > 0.0:
-                inp = core.dropout(tape, inp, dropout, rng)
+            if layer > 0:
+                inp = core.dropout(tape, inp)
             h, c = core.lstm_cell(tape, weight, bias, inp, state[layer][0], state[layer][1])
             new_state.append((h, c))
             inp = h
         return tuple(new_state)
 
-    def dropout_draws(self, dropout: float) -> int:
-        """How many values one :meth:`step` at this rate draws from its
-        ``rng``: a mask over the input of every layer above the first."""
-        return (len(self.layers) - 1) * self.hidden_dim if dropout > 0.0 else 0
+    def dropout_draws(self) -> int:
+        """How many values one :meth:`step` on a dropping tape draws from
+        its ``rng``: a mask over the input of every layer above the first."""
+        return (len(self.layers) - 1) * self.hidden_dim
 
     def output(self, state):
         return state[-1][0]
 
-    def run(self, tape, inputs, dropout: float = 0.0, rng=None) -> list:
+    def run(self, tape, inputs) -> list:
         """Feed a whole sequence; returns the state after every element."""
         state = self.initial(tape)
         states = []
         for x in inputs:
-            state = self.step(tape, x, state, dropout, rng)
+            state = self.step(tape, x, state)
             states.append(state)
         return states
 

@@ -12,7 +12,9 @@ transition mask get probability exactly zero, so any decode produces a
 well-formed tree.
 
 Training is teacher-forced on oracle action sequences with per-example
-Adam updates, on a tape.  Inference is greedy or beam search over action
+Adam updates, on a tape that owns the dropout: :func:`train_example`
+builds it from the random stream and the configured rate, and only the
+ops on that tape drop.  Inference is greedy or beam search over action
 prefixes, forward-only: every live hypothesis is one row of each matrix
 product, so beam search scores and advances all of them at once.  Both
 step a :class:`Hypothesis` with the same :func:`advance`, which does the
@@ -120,8 +122,12 @@ class RnngConfig:
             raise AllEncodersDisabled("at least one state encoder must be enabled")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.epochs < 0:
-            raise ValueError("epochs must not be negative")
+        for name in ("lr", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be finite and not negative")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         if self.precision not in ("f32", "f64"):
             raise ValueError("precision must be 'f32' or 'f64'")
 
@@ -327,15 +333,13 @@ def _split(rows, n: int):
     return (rows,) if n == 1 else rows
 
 
-def start_hypothesis(model: Model, tokens, tape=None, rng=None) -> Hypothesis:
+def start_hypothesis(model: Model, tokens, tape=None) -> Hypothesis:
     """The hypothesis before the first action: on ``tape`` for training,
     or without one for decoding.  Here and in :func:`_run_queued`,
-    :func:`encode_state` and :func:`example_loss`, dropout is on exactly
-    when ``rng`` is given, which needs a tape."""
+    :func:`encode_state` and :func:`example_loss`, dropout is the tape's."""
     tokens = tuple(tokens)
     state = initial_state(tokens)
     cfg = model.config
-    dropout = cfg.dropout if rng is not None else 0.0
     word_vecs = buffer_outputs = None
     if cfg.use_stack or cfg.use_buffer:
         word_vecs = [layers.embedding_lookup(tape, model.word_emb, i)
@@ -345,7 +349,7 @@ def start_hypothesis(model: Model, tokens, tape=None, rng=None) -> Hypothesis:
         # shift.  Only a forced hypothesis has pos == n, and nothing encodes
         # it, so there is no entry for the empty buffer.
         lstm = model.buffer_lstm
-        states = lstm.run(tape, reversed(word_vecs), dropout, rng)
+        states = lstm.run(tape, reversed(word_vecs))
         buffer_outputs = [lstm.output(s) for s in reversed(states)]
     return Hypothesis(
         state,
@@ -358,7 +362,7 @@ def start_hypothesis(model: Model, tokens, tape=None, rng=None) -> Hypothesis:
     )
 
 
-def _run_queued(model: Model, branches: list, tape=None, rng=None) -> None:
+def _run_queued(model: Model, branches: list, tape=None) -> None:
     """Run the encoder inputs :func:`advance` queued, one row per
     hypothesis: one stack-LSTM step (after the REDUCEs compose together and
     the pushed labels project together) and one action-LSTM step.
@@ -375,17 +379,16 @@ def _run_queued(model: Model, branches: list, tape=None, rng=None) -> None:
     queued = [b for b in branches if b.action is not None]
     if not queued:
         return
-    dropout = model.config.dropout if rng is not None else 0.0
     runs = (_run_stack, _run_actions)
     if tape is None and queued[0].n_actions % 2:
         runs = runs[::-1]
     for run in runs:
-        run(model, queued, tape, dropout, rng)
+        run(model, queued, tape)
     for branch in queued:
         branch.action = None
 
 
-def _run_stack(model: Model, queued: list, tape, dropout: float, rng) -> None:
+def _run_stack(model: Model, queued: list, tape) -> None:
     """Push each queued symbol onto its hypothesis's stack LSTM."""
     if model.stack_lstm is None:
         return
@@ -406,22 +409,20 @@ def _run_stack(model: Model, queued: list, tape, dropout: float, rng) -> None:
             pushed.append(next(labels))
         else:
             pushed.append(p)
-    states = model.stack_lstm.step(
-        tape, _rows(pushed), _rows([b.stack_states[-1] for b in queued]), dropout, rng
-    )
+    states = model.stack_lstm.step(tape, _rows(pushed),
+                                   _rows([b.stack_states[-1] for b in queued]))
     for branch, vec, state in zip(queued, pushed, _split(states, len(queued))):
         branch.stack_elems.append(vec)
         branch.stack_states.append(state)
         branch.push = None
 
 
-def _run_actions(model: Model, queued: list, tape, dropout: float, rng) -> None:
+def _run_actions(model: Model, queued: list, tape) -> None:
     """Feed each queued action to its hypothesis's action LSTM."""
     if model.action_lstm is None:
         return
     emb = layers.embedding_lookup(tape, model.action_emb, _rows([b.action for b in queued]))
-    states = model.action_lstm.step(tape, emb, _rows([b.action_state for b in queued]),
-                                    dropout, rng)
+    states = model.action_lstm.step(tape, emb, _rows([b.action_state for b in queued]))
     for branch, state in zip(queued, _split(states, len(queued))):
         branch.action_state = state
 
@@ -439,38 +440,36 @@ def _summary_parts(model: Model, branch: Hypothesis) -> list:
     return parts
 
 
-def encode_state(model: Model, branches: list, tape=None, rng=None):
+def encode_state(model: Model, branches: list, tape=None):
     """Action logits over the full inventory, one row per hypothesis, after
     running what they queued: one feed-forward and one scorer product for
     all of them.  On a tape, ``branches`` is the one hypothesis being
-    trained and the logits are its Var.  Without one, the summary rows are
-    built by one stacking call.  Training and the decoders only pass
-    hypotheses with a token left to shift (see :func:`_forced`), so the
-    queued inputs of the last SHIFT and of every REDUCE after it never run."""
-    _run_queued(model, branches, tape, rng)
+    trained, its summary goes through the tape's dropout and the logits
+    are its Var.  Without one, the summary rows are built by one stacking
+    call.  Training and the decoders only pass hypotheses with a token
+    left to shift (see :func:`_forced`), so the queued inputs of the last
+    SHIFT and of every REDUCE after it never run."""
+    _run_queued(model, branches, tape)
     if tape is None:
         summary = np.array([_summary_parts(model, b) for b in branches])
         summary = summary.reshape(len(branches), -1)
     else:
         (branch,) = branches
-        summary = core.concat(tape, _summary_parts(model, branch))
-    cfg = model.config
-    if rng is not None and cfg.dropout > 0.0:
-        summary = core.dropout(tape, summary, cfg.dropout, rng)
+        summary = core.dropout(tape, core.concat(tape, _summary_parts(model, branch)))
     hidden = core.relu(tape, core.linear(tape, model.ff_w, model.ff_b, summary))
     return core.linear(tape, model.out_w, model.out_b, hidden)
 
 
-def _skipped_draws(model: Model, skipped: int, rng) -> int:
+def _skipped_draws(model: Model, skipped: int, tape) -> int:
     """How many dropout values the encoder work :func:`example_loss` skips
-    would draw from ``rng``: per skipped step, one run of the queue (the
-    stack- and action-LSTM steps of :func:`_run_queued`) and the summary
-    mask of :func:`encode_state`, plus the run of the last action's queue.
-    0 when dropout is off."""
-    cfg = model.config
-    if rng is None or cfg.dropout == 0.0:
+    would draw from the tape's stream: per skipped step, one run of the
+    queue (the stack- and action-LSTM steps of :func:`_run_queued`) and the
+    summary mask of :func:`encode_state`, plus the run of the last action's
+    queue.  0 when the tape does not drop."""
+    if tape.rate == 0.0:
         return 0
-    run = sum(lstm.dropout_draws(cfg.dropout)
+    cfg = model.config
+    run = sum(lstm.dropout_draws()
               for lstm in (model.stack_lstm, model.action_lstm) if lstm is not None)
     summary = cfg.lstm_units * len(cfg.enabled_encoders)
     return skipped * (run + summary) + run
@@ -487,7 +486,7 @@ def _valid_indices(model: Model, state) -> np.ndarray:
     return model.mask_indices[valid_actions(state, model.config.max_open_nts)]
 
 
-def example_loss(model: Model, tokens, gold_actions, tape, rng=None):
+def example_loss(model: Model, tokens, gold_actions, tape):
     """Teacher-forced loss: the sum over steps of masked softmax NLL.
 
     A forced step (see :func:`_forced`) only goes through :func:`advance`:
@@ -495,9 +494,9 @@ def example_loss(model: Model, tokens, gold_actions, tape, rng=None):
     even where its logits would not be finite, and a gold action other
     than REDUCE raises ``GoldMasked``.  Nor does the last action's queued
     input run, since nothing reads it.  The dropout values that skipped
-    work would draw are drawn in one block, so ``rng`` ends where scoring
-    every step leaves it, and so do the masks of every later example."""
-    hyp = start_hypothesis(model, tokens, tape, rng)
+    work would draw are drawn in one block, so the tape's stream ends, and
+    later examples' masks start, where scoring every step leaves them."""
+    hyp = start_hypothesis(model, tokens, tape)
     losses = []
     skipped = 0
     for action in gold_actions:
@@ -507,21 +506,22 @@ def example_loss(model: Model, tokens, gold_actions, tape, rng=None):
             skipped += 1
         else:
             indices = _valid_indices(model, hyp.state)
-            logits = encode_state(model, [hyp], tape, rng)
+            logits = encode_state(model, [hyp], tape)
             losses.append(core.masked_nll(tape, logits, model.action_index[action], indices))
         advance(model, hyp, action, 0.0)
-    draws = _skipped_draws(model, skipped, rng)
+    draws = _skipped_draws(model, skipped, tape)
     if draws:
-        rng.random(draws)
+        tape.rng.random(draws)
     return core.add_n(tape, losses)
 
 
 def train_example(model: Model, example, rng) -> float:
-    """One forward/backward/update step on a single example; a loss that is
-    not finite raises ``NonFiniteLoss`` before any update."""
+    """One forward/backward/update step on a single example, on a tape
+    that drops at the configured rate from ``rng``; a loss that is not
+    finite raises ``NonFiniteLoss`` before any update."""
     gold_actions = oracle(example.tree)
-    tape = core.Tape()
-    loss = example_loss(model, example.tokens, gold_actions, tape, rng)
+    tape = core.Tape(rng, model.config.dropout)
+    loss = example_loss(model, example.tokens, gold_actions, tape)
     if not np.isfinite(loss.value):
         raise NonFiniteLoss(f"loss is {loss.value} on example {example.raw_utterance!r}")
     model.store.zero_grad()

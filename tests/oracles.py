@@ -180,13 +180,13 @@ def enumerate_valid_trees(tokens, intent_labels, slot_labels, max_nts: int) -> s
     return results
 
 
-def start_every_step_hypothesis(model: rnng.Model, tokens, tape=None, rng=None):
+def start_every_step_hypothesis(model: rnng.Model, tokens, tape=None):
     """``rnng.start_hypothesis`` plus the buffer entry at position n, the
     buffer LSTM's learned empty-sequence output, which encoding a hypothesis
     with an empty buffer reads.  The parser never encodes one (see
     ``rnng._forced``), so it keeps no such entry; the references that score
     every step do."""
-    hyp = rnng.start_hypothesis(model, tuple(tokens), tape, rng)
+    hyp = rnng.start_hypothesis(model, tuple(tokens), tape)
     if model.config.use_buffer:
         lstm = model.buffer_lstm
         hyp.buffer_outputs.append(lstm.output(lstm.initial(tape)))
@@ -230,19 +230,19 @@ def reference_taped_score(model: rnng.Model, tokens, actions) -> float:
     return total
 
 
-def reference_example_loss(model: rnng.Model, tokens, gold_actions, tape, rng=None):
+def reference_example_loss(model: rnng.Model, tokens, gold_actions, tape):
     """``rnng.example_loss`` with every step encoded and scored through the
     masked softmax, the forced REDUCEs after the last SHIFT included, and
     the last action's queued encoder input run.  Each forced step adds a
     loss of exactly 0 with a zero gradient, and ``example_loss`` draws the
     dropout values of the work it skips, so training with either must give
-    the same losses, parameters and ``rng`` state bit for bit."""
-    hyp = start_every_step_hypothesis(model, tokens, tape, rng)
+    the same losses, parameters and tape stream state bit for bit."""
+    hyp = start_every_step_hypothesis(model, tokens, tape)
     losses = []
     for action in gold_actions:
         indices = rnng._valid_indices(model, hyp.state)
-        logits = rnng.encode_state(model, [hyp], tape, rng)
+        logits = rnng.encode_state(model, [hyp], tape)
         losses.append(core.masked_nll(tape, logits, model.action_index[action], indices))
         rnng.advance(model, hyp, action, 0.0)
-    rnng._run_queued(model, [hyp], tape, rng)
+    rnng._run_queued(model, [hyp], tape)
     return core.add_n(tape, losses)

@@ -249,7 +249,9 @@ def _dropout_builder(store, rng):
     mask_seed = int(rng.integers(1 << 30))
 
     def loss_fn(tape):
-        dropped = dropout(tape, Var(x.copy()), 0.4, np.random.default_rng(mask_seed))
+        # Seed the tape's stream per call, so every probe draws the same mask.
+        tape.rng, tape.rate = np.random.default_rng(mask_seed), 0.4
+        dropped = dropout(tape, Var(x.copy()))
         return masked_nll(tape, linear(tape, w, None, dropped), 0, [0, 1, 2])
 
     return loss_fn

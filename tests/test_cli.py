@@ -522,8 +522,11 @@ def test_train_config_file_precedence(tmp_path, corpus_tsv):
     ("use_stack=maybe", "use_stack=maybe: expected one of 1, true, yes, on, 0, false, no, off"),
     ("dropout=2", "dropout=2: dropout must be in [0, 1)"),
     ("epochs=-1", "epochs=-1: epochs must not be negative"),
+    ("seed=-1", "seed=-1: seed must not be negative"),
+    ("lr=nan", "lr=nan: lr must be finite and not negative"),
+    ("weight_decay=-1", "weight_decay=-1: weight_decay must be finite and not negative"),
 ], ids=["unknown-key", "no-equals", "not-an-integer", "not-a-boolean", "out-of-range",
-        "negative-epochs"])
+        "negative-epochs", "negative-seed", "nan-lr", "negative-weight-decay"])
 def test_train_config_file_refuses_bad_line(tmp_path, capsys, corpus_tsv, line, message):
     tsv, _ = corpus_tsv
     cfg = tmp_path / "run.cfg"
@@ -564,8 +567,15 @@ def _exit_code(argv) -> int:
     (["--min-count", "0"], "argument --min-count: expected a positive integer, got '0'"),
     (["--no-stack", "--no-buffer", "--no-actions"],
      "error: at least one state encoder must be enabled"),
+    (["--seed", "-1"], "argument --seed: seed must not be negative"),
+    (["--lr", "nan"], "argument --lr: lr must be finite and not negative"),
+    (["--lr", "inf"], "argument --lr: lr must be finite and not negative"),
+    (["--lr", "-1"], "argument --lr: lr must be finite and not negative"),
+    (["--weight-decay", "-1"],
+     "argument --weight-decay: weight_decay must be finite and not negative"),
 ], ids=["dropout", "lstm-units", "epochs", "beam-size", "max-open-nts", "min-count",
-        "no-encoder"])
+        "no-encoder", "negative-seed", "nan-lr", "inf-lr", "negative-lr",
+        "negative-weight-decay"])
 def test_train_flag_the_configuration_refuses_is_a_usage_error(tmp_path, capsys, corpus_tsv,
                                                                flags, message):
     tsv, _ = corpus_tsv
@@ -655,6 +665,20 @@ def test_gradcheck_max_coords_below_one_is_a_usage_error(capsys, coords):
         main(["gradcheck", "--max-coords", coords])
     assert err.value.code == 2
     assert "--max-coords: expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "argument --seed: seed must not be negative"),
+    (["--seed", "x"], "argument --seed: expected an integer"),
+    (["--tolerance", "nan"], "argument --tolerance: expected a positive finite number"),
+    (["--tolerance", "-1"], "argument --tolerance: expected a positive finite number"),
+    (["--tolerance", "0"], "argument --tolerance: expected a positive finite number"),
+    (["--tolerance", "inf"], "argument --tolerance: expected a positive finite number"),
+], ids=["negative-seed", "non-integer-seed", "nan-tolerance", "negative-tolerance",
+        "zero-tolerance", "inf-tolerance"])
+def test_gradcheck_bad_seed_or_tolerance_is_a_usage_error(capsys, flags, message):
+    assert _exit_code(["gradcheck", "--max-coords", "1"] + flags) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_train_determinism_bitwise(tmp_path, corpus_tsv):

@@ -183,14 +183,14 @@ def test_no_hypothesis_with_an_empty_buffer_is_scored(monkeypatch):
     def forced(branch):
         return branch.state.pos == len(branch.state.tokens)
 
-    def checked_logits(model, branches, tape=None, rng=None):
+    def checked_logits(model, branches, tape=None):
         scored.extend(forced(b) for b in branches)
         encoded.append(list(branches))
-        return encode_state(model, branches, tape, rng)
+        return encode_state(model, branches, tape)
 
-    def checked_run(model, branches, tape=None, rng=None):
+    def checked_run(model, branches, tape=None):
         run.extend(forced(b) for b in branches if b.action is not None)
-        return run_queued(model, branches, tape, rng)
+        return run_queued(model, branches, tape)
 
     def checked_step(model, branches, masks):
         steps.append([b for b in branches if not forced(b)])

@@ -653,20 +653,47 @@ def test_grad_check_refuses_fewer_than_one_coordinate(coords):
     assert calls == []
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"), float("inf")])
+def test_grad_check_refuses_a_tolerance_that_is_not_positive_and_finite(tolerance):
+    """A NaN or negative tolerance fails every check, an infinite one passes
+    every check, whatever the gradient."""
+    store = f64_store(14)
+    store.add("w", (4, 3))
+    calls = []
+
+    def loss_fn(tape):
+        calls.append(tape)
+        raise AssertionError("the loss must not be built")
+
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        grad_check(loss_fn, store, tolerance=tolerance)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Dropout and misc ops
 
 
 def test_dropout_zero_rate_is_identity():
+    # A tape without a stream never drops, whatever rate it is given.
     x = Var(np.random.default_rng(1).normal(size=50))
-    out = dropout(Tape(), x, 0.0, np.random.default_rng(0))
-    assert out is x
+    for tape in (Tape(np.random.default_rng(0), 0.0), Tape(), Tape(None, 0.3)):
+        assert tape.rate == 0.0
+        assert dropout(tape, x) is x
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5, float("nan")])
+def test_tape_refuses_a_dropout_rate_outside_zero_to_one(rate):
+    with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
+        Tape(np.random.default_rng(0), rate)
+    with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
+        Tape(None, rate)
 
 
 def test_dropout_mask_values_and_expectation():
     rng = np.random.default_rng(14)
     x = Var(np.ones(20000))
-    out = dropout(Tape(), x, 0.34, rng)
+    out = dropout(Tape(rng, 0.34), x)
     kept = out.value[out.value != 0.0]
     assert np.allclose(kept, 1.0 / (1.0 - 0.34))
     assert out.value.mean() == pytest.approx(1.0, abs=0.02)
@@ -679,9 +706,9 @@ def test_dropout_backward_uses_same_mask():
     w.value[...] = np.random.default_rng(2).normal(size=6)
 
     def loss_fn(tape):
-        # Reseed per call so every forward draws the identical mask.
-        local = np.random.default_rng(99)
-        return masked_nll(tape, dropout(tape, w, 0.5, local), 0, [0, 1, 2, 3, 4, 5])
+        # Seed the tape's stream per call, so every probe draws the same mask.
+        tape.rng, tape.rate = np.random.default_rng(99), 0.5
+        return masked_nll(tape, dropout(tape, w), 0, [0, 1, 2, 3, 4, 5])
 
     report = grad_check(loss_fn, store, tolerance=1e-6)
     assert report.passed, report.summary()
@@ -707,8 +734,7 @@ def test_untaped_ops_match_the_taped_ops_bitwise(monkeypatch, dtype):
     """Without a tape every op runs forward-only on plain arrays, over one
     vector or B rows, records nothing, and gives for each row bitwise what
     the taped op gives for that row alone.  Dropout is the exception: only
-    training drops, so without a tape a rate above 0 raises, in the op and
-    in an LSTM step, rather than be ignored; a rate of 0 passes ``x``."""
+    training drops, so it takes a tape, whose rate and stream it uses."""
     store = ParamStore(seed=50, dtype=dtype)
     w = store.add("w", (6, 5), order="F")
     b = store.add("b", (6,))
@@ -753,15 +779,6 @@ def test_untaped_ops_match_the_taped_ops_bitwise(monkeypatch, dtype):
                 else:
                     for out, want in zip(untaped, taped(op, widths, inputs)):
                         assert np.array_equal(out, want), (name, batch)
-    x = rng.normal(size=(2, 5)).astype(dtype)
-    with pytest.raises(ValueError, match="only on a tape"):
-        dropout(None, x, 0.3, np.random.default_rng(0))
-    assert dropout(None, x, 0.0, None) is x
-    lstm_store = ParamStore(seed=51, dtype=dtype)
-    lstm = Lstm(lstm_store, "lstm", 5, 3, 2)
-    lstm_store.allocate()
-    with pytest.raises(ValueError, match="only on a tape"):
-        lstm.step(None, x, np.array([lstm.initial(None)] * 2), 0.3, np.random.default_rng(0))
 
 
 def test_determinism_of_initialization():

@@ -69,6 +69,38 @@ def test_config_validation():
         RnngConfig(precision="f16")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", -1, "seed must not be negative"),
+    ("lr", -1.0, "lr must be finite and not negative"),
+    ("lr", float("nan"), "lr must be finite and not negative"),
+    ("lr", float("inf"), "lr must be finite and not negative"),
+    ("weight_decay", -1.0, "weight_decay must be finite and not negative"),
+    ("weight_decay", float("nan"), "weight_decay must be finite and not negative"),
+], ids=["negative-seed", "negative-lr", "nan-lr", "inf-lr", "negative-weight-decay",
+        "nan-weight-decay"])
+def test_config_refuses_a_negative_seed_and_a_bad_step_size(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        RnngConfig(**{field: value})
+    # 0 is valid for each: no update, no decay, or the first seed.
+    assert getattr(RnngConfig(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("field, value", [("seed", -1), ("lr", float("nan")),
+                                          ("weight_decay", -1.0)])
+def test_checkpoint_with_a_config_the_model_refuses_is_a_checkpoint_error(tmp_path, field,
+                                                                           value):
+    from frameparse.neural import load_checkpoint, save_checkpoint
+    from frameparse.neural.params import CheckpointError
+
+    path = tmp_path / "m.ckpt"
+    save_model(tiny_model(seed=4), path)
+    arrays, meta = load_checkpoint(path)
+    meta["config"][field] = value
+    save_checkpoint(path, arrays, meta)
+    with pytest.raises(CheckpointError, match=f"bad model config: {field} must"):
+        load_model(path)
+
+
 def test_ablate():
     config = RnngConfig(**TINY)
     no_actions = ablate(config, "actions")
@@ -325,6 +357,23 @@ def test_example_loss_matches_score_of_gold():
     assert float(loss.value) == pytest.approx(expected, rel=1e-9)
 
 
+def test_a_tape_without_a_stream_scores_without_dropout():
+    # The tape owns dropout: the configured rate only applies on a tape that
+    # train_example builds with the random stream.
+    example = example_of("[IN:SET turn [SL:WHAT the lights ] off ]")
+    actions = oracle(example.tree)
+    losses, grads = [], []
+    for rate in (0.3, 0.0):
+        model = tiny_model(seed=32, precision="f32", dropout=rate)
+        tape = Tape()
+        loss = example_loss(model, example.tokens, actions, tape)
+        tape.backward(loss)
+        losses.append(loss.value.tobytes())
+        grads.append({name: model.store[name].grad.tobytes() for name in model.store})
+    assert losses[0] == losses[1]
+    assert grads[0] == grads[1]
+
+
 # ---------------------------------------------------------------------------
 # Lockstep decoding
 
@@ -567,13 +616,13 @@ def test_training_never_encodes_a_forced_hypothesis(monkeypatch):
     encode, run_queued = rnng.encode_state, rnng._run_queued
     encoded, run = [], []
 
-    def checked_encode(model, branches, tape=None, rng=None):
+    def checked_encode(model, branches, tape=None):
         encoded.extend(rnng._forced(b) for b in branches)
-        return encode(model, branches, tape, rng)
+        return encode(model, branches, tape)
 
-    def checked_run(model, branches, tape=None, rng=None):
+    def checked_run(model, branches, tape=None):
         run.extend(b.state.pos == len(b.state.tokens) for b in branches if b.action is not None)
-        return run_queued(model, branches, tape, rng)
+        return run_queued(model, branches, tape)
 
     monkeypatch.setattr(rnng, "encode_state", checked_encode)
     monkeypatch.setattr(rnng, "_run_queued", checked_run)
@@ -587,7 +636,7 @@ def test_forced_step_with_a_gold_action_other_than_reduce_is_masked(after_last_s
     model = tiny_model(seed=66, dropout=0.3)
     actions = [nt(intent("SET")), SHIFT, SHIFT, after_last_shift, REDUCE]
     with pytest.raises(neural_core.GoldMasked):
-        example_loss(model, ("turn", "off"), actions, Tape(), np.random.default_rng(67))
+        example_loss(model, ("turn", "off"), actions, Tape(np.random.default_rng(67), 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +662,9 @@ def test_full_step_gradients_with_dropout_fixed_seed():
     actions = oracle(example.tree)
 
     def loss_fn(tape):
-        local = np.random.default_rng(77)  # same masks on every call
-        return example_loss(model, example.tokens, actions, tape, local)
+        # Seed the tape's stream per call, so every probe draws the same masks.
+        tape.rng, tape.rate = np.random.default_rng(77), model.config.dropout
+        return example_loss(model, example.tokens, actions, tape)
 
     report = grad_check(loss_fn, model.store, max_coords_per_param=4,
                         rng=np.random.default_rng(10))
