@@ -12,9 +12,11 @@ gives.
 
 Weight gradients are deferred: a closure of ``linear`` or ``lstm_cell``
 returns its rows ``(weight, dz, x)`` instead of adding ``outer(dz, x)``,
-and ``backward`` adds one ``(X^T @ dZ)^T`` per weight once every closure
-has run.  ``backward`` consumes the tape: it drops each closure once it has
-run, so a tape serves one backward pass and holds nothing afterwards.
+and ``backward`` writes one ``(X^T @ dZ)^T`` per weight into its gradient
+once every closure has run, over whatever the gradient held.  Every other
+gradient accumulates, so only those need zeroing before a pass.
+``backward`` consumes the tape: it drops each closure once it has run, so
+a tape serves one backward pass and holds nothing afterwards.
 """
 
 from __future__ import annotations
@@ -63,12 +65,17 @@ class Tape:
     """Backward closures in execution order, and the pass's dropout.
 
     A closure returns None, or ``(weight, dz, x)`` to hand the tape the
-    weight-gradient rows ``outer(dz, x)`` of one use of ``weight``.
-    :func:`dropout` on the tape drops at ``rate``, with masks drawn from
-    ``rng`` in run order; a tape without an ``rng`` never drops.
+    weight-gradient rows ``outer(dz, x)`` of one use of ``weight``, a
+    parameter whose gradient only its products give.
+
+    :func:`dropout` on the tape drops at ``rate`` with masks from ``rng``; a
+    tape without an ``rng`` never drops.  Each op draws its mask as it runs,
+    until :meth:`draw` draws the pass's values in one block: from then on
+    each op takes the slice of the block at ``at`` and moves ``at`` past it,
+    and the caller sets ``at`` to place a site anywhere in the block.
     """
 
-    __slots__ = ("_steps", "rng", "rate", "__weakref__")
+    __slots__ = ("_steps", "rng", "rate", "draws", "at", "__weakref__")
 
     def __init__(self, rng=None, rate: float = 0.0):
         if not 0.0 <= rate < 1.0:
@@ -76,13 +83,27 @@ class Tape:
         self._steps = []
         self.rng = rng
         self.rate = rate if rng is not None else 0.0
+        self.draws = None
+        self.at = 0
+
+    def draw(self, n: int) -> None:
+        """Draw the pass's ``n`` dropout values from ``rng`` in one call, if
+        the tape drops, and move ``at`` to the first.  One draw of n values
+        gives, in order, what draws of sizes that sum to n give, so a site
+        that takes the slice at its run-order position gets the mask it
+        would have drawn itself, and the stream ends where theirs ends."""
+        if self.rate:
+            self.draws = self.rng.random(n)
+        self.at = 0
 
     def record(self, backward_fn) -> None:
         self._steps.append(backward_fn)
 
-    def backward(self, output: Var) -> None:
+    def backward(self, output: Var) -> set:
         """Seed ``output``'s gradient with 1, replay and drop every closure,
-        then add each weight's deferred rows with one matrix product."""
+        then write each weight's deferred rows into its gradient with one
+        matrix product.  Returns the weights it wrote: the gradient of any
+        other weight is left as it was."""
         output.add_grad(np.asarray(1.0, dtype=output.value.dtype))
         steps = self._steps
         self._steps = []
@@ -98,9 +119,11 @@ class Tape:
                     pending[0].append(dz)
                     pending[1].append(x)
         for weight, (dzs, xs) in rows.items():
-            # X^T dZ, transposed: an (out, in) view that is F-contiguous,
-            # the memory order of the product weights' gradients.
-            weight.add_grad((np.stack(xs).T @ np.stack(dzs)).T)
+            # X^T dZ into the (in, out) view of the gradient, which is
+            # C-contiguous for the column-major product weights: BLAS writes
+            # the bits a fresh product holds.
+            np.matmul(np.stack(xs).T, np.stack(dzs), out=weight.grad.T)
+        return set(rows)
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -228,13 +251,20 @@ def add_n(tape, terms) -> Var:
 
 def dropout(tape, x):
     """Inverted dropout at the tape's rate: zero with probability
-    ``tape.rate``, from a mask drawn from ``tape.rng``, and scale survivors
-    by 1/(1-rate) so the expectation is preserved.  Only training drops, so
-    this op takes a tape; at rate 0 it returns ``x``."""
+    ``tape.rate``, from a mask of values the tape's ``rng`` drew (see
+    :class:`Tape`), and scale survivors by 1/(1-rate) so the expectation is
+    preserved.  Only training drops, so this op takes a tape; at rate 0 it
+    returns ``x``."""
     rate = tape.rate
     if rate == 0.0:
         return x
-    keep = (tape.rng.random(x.value.shape) >= rate).astype(x.value.dtype)
+    if tape.draws is None:
+        values = tape.rng.random(x.value.shape)
+    else:
+        at = tape.at
+        tape.at = at + x.value.size
+        values = tape.draws[at : tape.at]
+    keep = (values >= rate).astype(x.value.dtype)
     mask = keep * np.asarray(1.0 / (1.0 - rate), dtype=x.value.dtype)
     out = Var(x.value * mask)
 

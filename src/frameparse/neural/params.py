@@ -3,8 +3,7 @@
 A :class:`ParamStore` keeps all parameters in one arena: four flat buffers,
 ``value``, ``grad`` and Adam's moments ``m`` and ``v``, each allocated once
 at its exact size.  Every :class:`Param` holds reshaped views into them, so
-Adam and ``zero_grad`` run over four arrays instead of one set per
-parameter.
+Adam runs over four arrays instead of one set per parameter.
 
 A matrix that feeds matrix products is stored column-major (``order="F"``,
 set by the layer that owns it), so ``value.T`` is a free C-contiguous
@@ -171,9 +170,27 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self.params)
 
-    def zero_grad(self) -> None:
+    def zero_grad(self, products: bool = True) -> None:
+        """Zero the gradients.  With ``products=False`` only those that
+        accumulate over a backward pass, the row-major parameters' (biases,
+        embedding tables, initial states): ``core.Tape.backward`` writes the
+        column-major product weights' gradients over what they hold, and
+        :meth:`zero_unwritten` zeroes the ones a pass did not write."""
         self.allocate()
-        self.grad.fill(0)
+        if products:
+            self.grad.fill(0)
+            return
+        for param in self.params.values():
+            if param.order == "C":
+                param.grad.fill(0)
+
+    def zero_unwritten(self, written) -> None:
+        """Zero the gradient of each product weight not in ``written``, the
+        weights a backward pass wrote: one it did not use still holds an
+        earlier pass's gradient."""
+        for param in self.params.values():
+            if param.order == "F" and param not in written:
+                param.grad.fill(0)
 
     def num_values(self) -> int:
         return sum(math.prod(p.shape) for p in self.params.values())

@@ -28,10 +28,18 @@ vectors, as on the tape; only the summary and the logits keep the rows.
 
 Decoding runs the stack and the action LSTM of a step in alternating order
 from one step to the next (see :func:`_run_queued`), so the one whose
-weights the previous step read last finds them still in cache.  Training
-keeps one order, stack first: its tape and its dropout draws follow the
-order the ops run in, and another order would change the gradients' and
-the masks' bits.
+weights the previous step read last finds them still in cache.  Training is
+teacher-forced, so its action history is known before the first step:
+:func:`example_loss` runs the action LSTM over the gold actions before the
+step loop, as :func:`start_hypothesis` runs the buffer LSTM over the
+tokens, and each step only looks its state up.  A step then reads the
+weights of the stack LSTM, the feed-forward layer and the scorer alone,
+about 1.8 MB in f32 at the default shape, which a 2 MB per-core L2 holds.
+The action LSTM's ops touch nothing else but the summaries that read
+them, so moving them ahead adds every gradient in the order it had, up to
+swapping two terms of a sum; and its dropout masks are taken by position
+from one block drawn per example (see :func:`example_loss`), so every
+trained bit is what running the action LSTM step by step gives.
 
 Once a hypothesis has shifted its last token, the mask allows only REDUCE
 until the tree closes.  Training and the decoders take that forced tail
@@ -39,14 +47,15 @@ through the same :func:`advance` and neither encode nor score it: a
 decoder adds log-probability exactly log 1 = 0 per step, and training adds
 a loss of exactly 0 with no gradient.  For finite logits this is what the
 masked softmax gives; with non-finite logits a forced step adds 0 where the
-softmax would give NaN.  Training still draws the dropout values the
-skipped steps would have drawn, so its dropout stream, and with it every
-trained parameter, is bit for bit what scoring every step gives.
+softmax would give NaN.  Training's dropout block still holds the values
+the skipped steps would have drawn, so its dropout stream, and with it
+every trained parameter, is bit for bit what scoring every step gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -86,13 +95,21 @@ class NonFiniteLoss(ValueError):
     backward pass, so the example that gave it changes no parameter."""
 
 
+# Per annotation of an RnngConfig field, the type its value must have and
+# how errors name it.
+_FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+                "bool": (bool, "a boolean"), "str": (str, "a string")}
+
+
 @dataclass(frozen=True)
 class RnngConfig:
     """Model and training configuration.
 
     ``precision`` selects float32 (training default) or float64 (gradient
     checking).  ``use_*`` flags ablate individual state encoders; at least
-    one must stay enabled.
+    one must stay enabled.  A field of the wrong type raises ``TypeError``:
+    an ``int`` field takes an integer and a ``float`` field a real number,
+    neither of them a ``bool``, and a ``bool`` field only a ``bool``.
     """
 
     word_dim: int = 64
@@ -114,6 +131,12 @@ class RnngConfig:
     finetune_embeddings: bool = False
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            kind, kind_name = _FIELD_TYPES[field.type]
+            # A bool is an int too, so only a bool field takes one.
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise TypeError(f"{field.name} must be {kind_name}, got {value!r}")
         for name in ("word_dim", "label_dim", "action_dim", "lstm_units", "lstm_layers",
                      "beam_size", "max_open_nts"):
             if getattr(self, name) <= 0:
@@ -252,7 +275,10 @@ class Hypothesis:
     its queued inputs are dropped unrun, and the stack bookkeeping of its
     REDUCEs works on stale lists that no longer match ``state`` and that
     nothing reads either.  ``n_actions`` counts the actions taken; decoding
-    picks its encoder order by its parity.
+    picks its encoder order by its parity.  ``gold_action_states``, set only
+    by :func:`example_loss`, holds the action-LSTM state after each prefix
+    of the gold actions, which :func:`_run_actions` then looks up instead of
+    stepping the LSTM.
     """
 
     __slots__ = (
@@ -266,6 +292,7 @@ class Hypothesis:
         "push",
         "action",
         "n_actions",
+        "gold_action_states",
     )
 
     def __init__(self, state, score, stack_states, stack_elems, action_state, word_vecs,
@@ -280,6 +307,7 @@ class Hypothesis:
         self.push = None
         self.action = None
         self.n_actions = n_actions
+        self.gold_action_states = None
 
     def clone(self) -> "Hypothesis":
         return Hypothesis(
@@ -373,9 +401,9 @@ def _run_queued(model: Model, branches: list, tape=None) -> None:
     still in cache: a decode step reads about 3.2 MB of f32 weights at the
     default shape (stack LSTM 1.46 MB, action LSTM 1.37 MB), more than a
     2 MB per-core L2 holds.  The two steps are independent, so the order
-    changes no value.  Training keeps the stack first: its tape replays the
-    closures in reverse record order, which fixes the order gradients add
-    up in, and its dropout masks are drawn in run order."""
+    changes no value.  On a tape the stack runs first: its dropout masks
+    come first in the stream, and in training the action LSTM has already
+    run (see :func:`example_loss`), so its step only looks the state up."""
     queued = [b for b in branches if b.action is not None]
     if not queued:
         return
@@ -418,11 +446,21 @@ def _run_stack(model: Model, queued: list, tape) -> None:
 
 
 def _run_actions(model: Model, queued: list, tape) -> None:
-    """Feed each queued action to its hypothesis's action LSTM."""
-    if model.action_lstm is None:
+    """Feed each queued action to its hypothesis's action LSTM.  The one
+    hypothesis :func:`example_loss` trains ran it over its gold actions
+    already: it looks up the state after the actions taken, and the tape's
+    dropout moves past the masks this step would have drawn."""
+    lstm = model.action_lstm
+    if lstm is None:
+        return
+    ahead = queued[0].gold_action_states
+    if ahead is not None:
+        (branch,) = queued
+        branch.action_state = ahead[branch.n_actions]
+        tape.at += lstm.dropout_draws()
         return
     emb = layers.embedding_lookup(tape, model.action_emb, _rows([b.action for b in queued]))
-    states = model.action_lstm.step(tape, emb, _rows([b.action_state for b in queued]))
+    states = lstm.step(tape, emb, _rows([b.action_state for b in queued]))
     for branch, state in zip(queued, _split(states, len(queued))):
         branch.action_state = state
 
@@ -460,21 +498,6 @@ def encode_state(model: Model, branches: list, tape=None):
     return core.linear(tape, model.out_w, model.out_b, hidden)
 
 
-def _skipped_draws(model: Model, skipped: int, tape) -> int:
-    """How many dropout values the encoder work :func:`example_loss` skips
-    would draw from the tape's stream: per skipped step, one run of the
-    queue (the stack- and action-LSTM steps of :func:`_run_queued`) and the
-    summary mask of :func:`encode_state`, plus the run of the last action's
-    queue.  0 when the tape does not drop."""
-    if tape.rate == 0.0:
-        return 0
-    cfg = model.config
-    run = sum(lstm.dropout_draws()
-              for lstm in (model.stack_lstm, model.action_lstm) if lstm is not None)
-    summary = cfg.lstm_units * len(cfg.enabled_encoders)
-    return skipped * (run + summary) + run
-
-
 def _forced(branch: Hypothesis) -> bool:
     """Whether the hypothesis has shifted its last token but not closed its
     root: the mask then allows only REDUCE, now and at every step left."""
@@ -486,6 +509,26 @@ def _valid_indices(model: Model, state) -> np.ndarray:
     return model.mask_indices[valid_actions(state, model.config.max_open_nts)]
 
 
+def _run_gold_actions(model: Model, tokens, gold_actions, tape, at: int, stride: int) -> list:
+    """The action-LSTM states on ``tape`` after each prefix of the gold
+    actions that a scored step reads: the initial state, then one per
+    action before the step that shifts the last token, the last one scored
+    (or before the last action, if the gold shifts fewer tokens).  The step
+    of action i takes its dropout masks at ``at + i * stride``."""
+    lstm = model.action_lstm
+    states = [lstm.initial(tape)]
+    unshifted = len(tokens)
+    for i, action in enumerate(gold_actions[:-1]):
+        if action == SHIFT:
+            unshifted -= 1
+            if not unshifted:
+                break
+        tape.at = at + i * stride
+        emb = layers.embedding_lookup(tape, model.action_emb, model.action_index[action])
+        states.append(lstm.step(tape, emb, states[-1]))
+    return states
+
+
 def example_loss(model: Model, tokens, gold_actions, tape):
     """Teacher-forced loss: the sum over steps of masked softmax NLL.
 
@@ -493,40 +536,61 @@ def example_loss(model: Model, tokens, gold_actions, tape):
     its one valid action is REDUCE, so it adds exactly 0 with no gradient,
     even where its logits would not be finite, and a gold action other
     than REDUCE raises ``GoldMasked``.  Nor does the last action's queued
-    input run, since nothing reads it.  The dropout values that skipped
-    work would draw are drawn in one block, so the tape's stream ends, and
-    later examples' masks start, where scoring every step leaves them."""
+    input run, since nothing reads it.
+
+    Before the step loop, the action LSTM runs over the gold actions (see
+    :func:`_run_gold_actions`), and the steps look its states up.  The tape
+    draws the example's dropout values in one block, as many as scoring
+    every step draws, forced steps included, laid out in the order scoring
+    every step draws them: the buffer's masks, step 0's summary mask, then
+    per action a frame of the stack and action masks of the next step's
+    queue and that step's summary mask.  Each site takes its masks at its
+    position, so every mask, and where the stream ends, is what drawing
+    them one op at a time in that order gives."""
+    tokens = tuple(tokens)
+    cfg = model.config
+    buffer, stack, actions = (
+        0 if lstm is None else lstm.dropout_draws()
+        for lstm in (model.buffer_lstm, model.stack_lstm, model.action_lstm)
+    )
+    summary = cfg.lstm_units * len(cfg.enabled_encoders)
+    frame = stack + actions + summary
+    buffer_end = len(tokens) * buffer
+    tape.draw(buffer_end + len(gold_actions) * frame)
     hyp = start_hypothesis(model, tokens, tape)
+    if model.action_lstm is not None:
+        hyp.gold_action_states = _run_gold_actions(
+            model, tokens, gold_actions, tape, buffer_end + summary + stack, frame)
+        tape.at = buffer_end
     losses = []
-    skipped = 0
     for action in gold_actions:
         if _forced(hyp):
             if action != REDUCE:
                 raise core.GoldMasked(f"gold action {action} is not the forced REDUCE")
-            skipped += 1
         else:
             indices = _valid_indices(model, hyp.state)
             logits = encode_state(model, [hyp], tape)
             losses.append(core.masked_nll(tape, logits, model.action_index[action], indices))
         advance(model, hyp, action, 0.0)
-    draws = _skipped_draws(model, skipped, tape)
-    if draws:
-        tape.rng.random(draws)
     return core.add_n(tape, losses)
 
 
 def train_example(model: Model, example, rng) -> float:
     """One forward/backward/update step on a single example, on a tape
     that drops at the configured rate from ``rng``; a loss that is not
-    finite raises ``NonFiniteLoss`` before any update."""
+    finite raises ``NonFiniteLoss`` before any update.  Only the gradients
+    that accumulate are zeroed before the backward pass, which writes the
+    product weights' over the last example's; those it does not write are
+    zeroed after it."""
     gold_actions = oracle(example.tree)
     tape = core.Tape(rng, model.config.dropout)
     loss = example_loss(model, example.tokens, gold_actions, tape)
     if not np.isfinite(loss.value):
         raise NonFiniteLoss(f"loss is {loss.value} on example {example.raw_utterance!r}")
-    model.store.zero_grad()
-    tape.backward(loss)
-    model.store.adam_step(model.config.lr, model.config.weight_decay)
+    store = model.store
+    store.zero_grad(products=False)
+    store.zero_unwritten(tape.backward(loss))
+    store.adam_step(model.config.lr, model.config.weight_decay)
     return float(loss.value)
 
 

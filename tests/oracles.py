@@ -233,10 +233,13 @@ def reference_taped_score(model: rnng.Model, tokens, actions) -> float:
 def reference_example_loss(model: rnng.Model, tokens, gold_actions, tape):
     """``rnng.example_loss`` with every step encoded and scored through the
     masked softmax, the forced REDUCEs after the last SHIFT included, and
-    the last action's queued encoder input run.  Each forced step adds a
-    loss of exactly 0 with a zero gradient, and ``example_loss`` draws the
-    dropout values of the work it skips, so training with either must give
-    the same losses, parameters and tape stream state bit for bit."""
+    the last action's queued encoder input run.  The action LSTM steps with
+    the stack LSTM in each step's queue, and every dropout draws its own
+    mask from the tape's stream as it runs.  Each forced step adds a loss
+    of exactly 0 with a zero gradient, and ``example_loss`` takes every
+    mask at its run-order position in one block of as many values, so
+    training with either must give the same losses, parameters and tape
+    stream state bit for bit."""
     hyp = start_every_step_hypothesis(model, tokens, tape)
     losses = []
     for action in gold_actions:

@@ -420,10 +420,20 @@ def _add_config_key(meta):
     meta["config"]["no_such_option"] = 1
 
 
+def _set_config(key, value):
+    def edit(meta):
+        meta["config"][key] = value
+    return edit
+
+
 BAD_MODEL_META = {
     "no-config": _delete("config"),
     "config-not-object": _set("config", ["word_dim", 8]),
     "unknown-config-key": _add_config_key,
+    "fractional-seed": _set_config("seed", 1.5),
+    "fractional-lstm-units": _set_config("lstm_units", 2.5),
+    "boolean-seed": _set_config("seed", True),
+    "string-use-stack": _set_config("use_stack", "yes"),
     "no-token-vocab": _delete("token_vocab"),
     "token-vocab-not-list": _set("token_vocab", "turn the lights"),
     "no-intent-labels": _delete("intent_labels"),

@@ -699,6 +699,38 @@ def test_dropout_mask_values_and_expectation():
     assert out.value.mean() == pytest.approx(1.0, abs=0.02)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_masks_taken_by_position_from_one_draw_equal_per_op_draws(dtype):
+    # A tape that drew its values in one block hands each dropout site the
+    # slice at its position: the mask that site draws itself in run order,
+    # whatever order the sites run in, and the stream ends where theirs do.
+    sizes = [7, 3, 12, 1, 5, 9]
+    xs = [Var(np.random.default_rng(size).normal(size=size).astype(dtype)) for size in sizes]
+    per_op_rng, block_rng = np.random.default_rng(70), np.random.default_rng(70)
+    per_op = Tape(per_op_rng, 0.4)
+    expected = [dropout(per_op, x).value for x in xs]
+    tape = Tape(block_rng, 0.4)
+    tape.draw(sum(sizes))
+    starts = np.cumsum([0] + sizes[:-1])
+    for i in (3, 0, 5, 1, 4, 2):
+        tape.at = starts[i]
+        out = dropout(tape, xs[i])
+        assert tape.at == starts[i] + sizes[i]
+        assert out.value.dtype == dtype
+        assert out.value.tobytes() == expected[i].tobytes(), i
+    tape.at = 0
+    assert [dropout(tape, x).value.tobytes() for x in xs] == [e.tobytes() for e in expected]
+    assert block_rng.random() == per_op_rng.random()
+
+
+def test_a_tape_that_does_not_drop_draws_no_block():
+    rng = np.random.default_rng(71)
+    for tape in (Tape(rng, 0.0), Tape(None, 0.3)):
+        tape.draw(10)
+        assert tape.draws is None and tape.at == 0
+    assert rng.random() == np.random.default_rng(71).random()
+
+
 def test_dropout_backward_uses_same_mask():
     rng = np.random.default_rng(15)
     store = f64_store(15)

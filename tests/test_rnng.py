@@ -86,7 +86,9 @@ def test_config_refuses_a_negative_seed_and_a_bad_step_size(field, value, messag
 
 
 @pytest.mark.parametrize("field, value", [("seed", -1), ("lr", float("nan")),
-                                          ("weight_decay", -1.0)])
+                                          ("weight_decay", -1.0), ("seed", 1.5),
+                                          ("lstm_units", 2.5), ("seed", True),
+                                          ("use_stack", "yes")])
 def test_checkpoint_with_a_config_the_model_refuses_is_a_checkpoint_error(tmp_path, field,
                                                                            value):
     from frameparse.neural import load_checkpoint, save_checkpoint
@@ -99,6 +101,27 @@ def test_checkpoint_with_a_config_the_model_refuses_is_a_checkpoint_error(tmp_pa
     save_checkpoint(path, arrays, meta)
     with pytest.raises(CheckpointError, match=f"bad model config: {field} must"):
         load_model(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("lstm_units", 2.5, "lstm_units must be an integer, got 2.5"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("use_stack", "yes", "use_stack must be a boolean, got 'yes'"),
+    ("use_buffer", 1, "use_buffer must be a boolean, got 1"),
+    ("dropout", True, "dropout must be a number, got True"),
+    ("lr", "0.1", "lr must be a number, got '0.1'"),
+    ("precision", 32, "precision must be a string, got 32"),
+], ids=["fractional-seed", "fractional-units", "boolean-seed", "string-flag", "integer-flag",
+        "boolean-dropout", "string-lr", "integer-precision"])
+def test_config_refuses_a_field_of_the_wrong_type(field, value, message):
+    with pytest.raises(TypeError, match=message):
+        RnngConfig(**{field: value})
+
+
+def test_config_takes_numpy_numbers_and_integral_reals():
+    config = RnngConfig(seed=np.int64(3), lstm_units=np.int32(5), dropout=np.float32(0.25), lr=0)
+    assert (config.seed, config.lstm_units, config.dropout, config.lr) == (3, 5, 0.25, 0)
 
 
 def test_ablate():
@@ -576,6 +599,9 @@ FORCED_TAIL_CONFIGS = {
     "no-actions": dict(use_actions=False),
     "buffer-only": dict(use_stack=False, use_actions=False),
     "no-dropout": dict(dropout=0.0),
+    # The default shape (164 units, 2 layers, dropout 0.34): each step's
+    # weights and the BLAS kernels are the benchmark's, not the tiny ones'.
+    "default": {name: getattr(RnngConfig(), name) for name in TINY},
 }
 
 
@@ -606,6 +632,36 @@ def test_training_equals_the_score_every_step_reference(overrides, precision, mo
     assert params.keys() == ref_params.keys()
     for name in params:
         assert params[name] == ref_params[name], name
+
+
+def _zero_everything_train_example(model, example, rng):
+    """``rnng.train_example`` with every gradient zeroed before the backward
+    pass, so no gradient can outlive its example."""
+    tape = Tape(rng, model.config.dropout)
+    loss = example_loss(model, example.tokens, oracle(example.tree), tape)
+    model.store.zero_grad()
+    tape.backward(loss)
+    model.store.adam_step(model.config.lr, model.config.weight_decay)
+    return float(loss.value)
+
+
+def test_a_product_weight_an_example_does_not_use_keeps_no_stale_gradient():
+    # The backward pass writes the gradient of each product weight it uses.
+    # A one-token tree's only REDUCE is forced, so its pass never runs
+    # compose: compose's gradient must read 0, not the previous example's.
+    examples = [example_of("[IN:SET turn [SL:WHAT the lights ] off ]"), example_of("[IN:GET up ]")]
+    models = [tiny_model(seed=68, precision="f32", dropout=0.3, lr=0.01) for _ in range(2)]
+    rngs = [np.random.default_rng(69), np.random.default_rng(69)]
+    compose = models[0].store["compose.fwd.l0.weight"]
+    train_example(models[0], examples[0], rngs[0])
+    assert compose.grad.any()
+    train_example(models[0], examples[1], rngs[0])
+    assert not compose.grad.any()
+    for example in examples:
+        _zero_everything_train_example(models[1], example, rngs[1])
+    assert rngs[0].random() == rngs[1].random()
+    for name in models[0].store:
+        assert models[0].store[name].value.tobytes() == models[1].store[name].value.tobytes(), name
 
 
 def test_training_never_encodes_a_forced_hypothesis(monkeypatch):
