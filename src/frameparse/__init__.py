@@ -6,7 +6,8 @@ and runs a neural transition parser, and scores predictions with exact
 match, labeled bracketing F1, tree-labeled F1, and tree validity.
 """
 
-from .dataset import Corpus, CorpusStats, Example, IngestError, Split, Vocab, build_vocabs, compute_stats, load_tsv
+from .dataset import (Corpus, CorpusStats, EmbeddingTable, Example, IngestError, Split, Vocab,
+                      build_vocabs, compute_stats, load_embeddings, load_tsv)
 from .metrics import (
     MetricsReport,
     bracket_prf,
@@ -16,7 +17,7 @@ from .metrics import (
     tree_labeled_prf,
     tree_validity,
 )
-from .preprocess import EmbeddingTable, TokenNormalizer, load_embeddings, normalize
+from .preprocess import TokenNormalizer, normalize
 from .rnng import Model, RnngConfig, ablate, parse_beam, parse_greedy, train
 from .transitions import (
     Action,

@@ -3,11 +3,16 @@
 Commands: validate, stats, oracle, train, parse, eval, gradcheck.
 Exit codes: 0 success, 1 validation or metric failure (or a training loss
 that is not finite), 2 usage (including train and gradcheck flag values the
-configuration refuses, alone or together), 3 I/O or refused input
-(including text that is not valid UTF-8, malformed embeddings files, and
-config files with a line that is not key=value, names no configuration
+configuration refuses, alone or together), 3 I/O or refused input.  Every
+text input is read by ``dataset.read_lines``, and every refusal of one
+prints ``error: <path>: line N: <message>``, or ``error: <path>: <message>``
+where no one line is at fault: a file that cannot be opened or is not
+UTF-8, a corpus, gold-tree or embeddings file with a bad line, embeddings
+whose dimension is not the model's, a tree nested too deep to check, and a
+config file with a line that is not key=value, names no configuration
 field or holds a value the field refuses, or with values that are invalid
-together).
+together.  The per-line reports ``validate``, ``oracle`` and ``parse``
+print while they carry on (``<path>:N: ...``) are not refusals.
 Hyperparameters resolve as flag > config file (key=value lines) > default,
 and every JSON artifact echoes the fully resolved configuration.
 """
@@ -15,7 +20,6 @@ and every JSON artifact echoes the fully resolved configuration.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import sys
@@ -26,7 +30,7 @@ import numpy as np
 from . import dataset, metrics, rnng, transitions, trees
 from .neural import gradcheck as gradcheck_mod
 from .neural.params import CheckpointError
-from .preprocess import RaggedDimensions, TokenNormalizer, load_embeddings
+from .preprocess import TokenNormalizer
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -45,23 +49,20 @@ def load_config_file(path, defaults: rnng.RnngConfig) -> dict:
     not together, such as every state encoder turned off."""
     known = {field.name for field in dataclasses.fields(defaults)}
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep:
-                raise dataset.IngestError("config", f"expected key=value, got {line!r}",
-                                          lineno, path)
-            if key not in known:
-                raise dataset.IngestError("config", f"unknown key {key!r}", lineno, path)
-            try:
-                values[key] = _field_value(defaults, key, value)
-            except ValueError as err:
-                raise dataset.IngestError("config", f"{key}={value}: {err}", lineno,
-                                          path) from None
+    for lineno, line in dataset.read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep:
+            raise dataset.IngestError("config", f"expected key=value, got {line!r}", lineno, path)
+        if key not in known:
+            raise dataset.IngestError("config", f"unknown key {key!r}", lineno, path)
+        try:
+            values[key] = _field_value(defaults, key, value)
+        except ValueError as err:
+            raise dataset.IngestError("config", f"{key}={value}: {err}", lineno, path) from None
     try:
         dataclasses.replace(defaults, **values)
     except ValueError as err:
@@ -110,26 +111,12 @@ def resolve_train_config(args) -> rnng.RnngConfig:
     state encoder are refused here: ``AllEncodersDisabled``, a usage error."""
     resolved = {}
     if args.config:
-        with _refuse_undecodable(args.config):
-            resolved = load_config_file(args.config, rnng.RnngConfig())
+        resolved = load_config_file(args.config, rnng.RnngConfig())
     for field in dataclasses.fields(rnng.RnngConfig):
         flag = getattr(args, field.name, None)
         if flag is not None:
             resolved[field.name] = flag
     return rnng.RnngConfig(**resolved)
-
-
-@contextlib.contextmanager
-def _refuse_undecodable(path):
-    """Turn a ``UnicodeDecodeError`` raised while reading ``path`` into the
-    ``IngestError`` that ``dataset.load_tsv`` raises for a corpus, naming the
-    file and its first line that is not UTF-8."""
-    try:
-        yield
-    except UnicodeDecodeError as err:
-        raise dataset.IngestError(
-            "encoding", f"not valid UTF-8 ({err.reason})", dataset._undecodable_line(path), path
-        ) from None
 
 
 def _write_json(path, payload: dict) -> None:
@@ -139,25 +126,24 @@ def _write_json(path, payload: dict) -> None:
 def cmd_validate(args) -> int:
     n_lines = 0
     n_bad = 0
-    with _refuse_undecodable(args.trees), open(args.trees, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            n_lines += 1
-            try:
-                tree = trees.parse_bracketed(line)
-            except trees.NestingTooDeep as err:
-                # Too deep to check at all: the input is refused, not judged.
-                raise trees.NestingTooDeep(f"{args.trees}:{lineno}: {err.message}",
-                                           err.offset) from None
-            except trees.FormatError as err:
-                n_bad += 1
-                print(f"{args.trees}:{lineno}: format: {err}")
-                continue
-            for violation in trees.validate(tree):
-                n_bad += 1
-                print(f"{args.trees}:{lineno}: {violation}")
+    for lineno, line in dataset.read_lines(args.trees):
+        line = line.strip()
+        if not line:
+            continue
+        n_lines += 1
+        try:
+            tree = trees.parse_bracketed(line)
+        except trees.NestingTooDeep as err:
+            # Too deep to check at all: the input is refused, not judged.
+            raise trees.NestingTooDeep(f"{args.trees}: line {lineno}: {err.message}",
+                                       err.offset) from None
+        except trees.FormatError as err:
+            n_bad += 1
+            print(f"{args.trees}:{lineno}: format: {err}")
+            continue
+        for violation in trees.validate(tree):
+            n_bad += 1
+            print(f"{args.trees}:{lineno}: {violation}")
     if n_lines == 0:
         print(f"warning: {args.trees} contains no trees", file=sys.stderr)
         return EXIT_OK
@@ -193,25 +179,24 @@ def cmd_oracle(args) -> int:
     # refused input leaves no output file behind.
     sequences = []
     failures = 0
-    with _refuse_undecodable(args.trees), open(args.trees, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                tree = trees.parse_bracketed(line)
-                actions = transitions.oracle(tree)
-            except (trees.FormatError, transitions.ConstraintViolation) as err:
-                print(f"{args.trees}:{lineno}: {err}", file=sys.stderr)
+    for lineno, line in dataset.read_lines(args.trees):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            tree = trees.parse_bracketed(line)
+            actions = transitions.oracle(tree)
+        except (trees.FormatError, transitions.ConstraintViolation) as err:
+            print(f"{args.trees}:{lineno}: {err}", file=sys.stderr)
+            failures += 1
+            continue
+        if args.verify:
+            rebuilt = transitions.execute(actions, tree.tokens)
+            if rebuilt != tree:
+                print(f"{args.trees}:{lineno}: verify mismatch", file=sys.stderr)
                 failures += 1
                 continue
-            if args.verify:
-                rebuilt = transitions.execute(actions, tree.tokens)
-                if rebuilt != tree:
-                    print(f"{args.trees}:{lineno}: verify mismatch", file=sys.stderr)
-                    failures += 1
-                    continue
-            sequences.append(transitions.format_actions(actions))
+        sequences.append(transitions.format_actions(actions))
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         for text in sequences:
@@ -232,8 +217,11 @@ def cmd_train(args) -> int:
     normalizer = TokenNormalizer(frozenset(vocab.symbols))
     embeddings = None
     if args.embeddings:
-        with _refuse_undecodable(args.embeddings):
-            embeddings = load_embeddings(args.embeddings, vocab.symbols, seed=config.seed)
+        embeddings = dataset.load_embeddings(args.embeddings, vocab.symbols, seed=config.seed)
+        if embeddings.dim != config.word_dim:
+            raise dataset.IngestError("embeddings", f"pretrained embeddings have dim "
+                                      f"{embeddings.dim}, model word_dim is {config.word_dim}",
+                                      path=args.embeddings)
     model = rnng.Model(config, vocab, intents, slots, normalizer, embeddings=embeddings)
 
     log_entries = []
@@ -271,9 +259,7 @@ def cmd_train(args) -> int:
 def cmd_parse(args) -> int:
     # Every line is checked before any output is written, so a bad input
     # leaves no partial prediction file behind.
-    with (_refuse_undecodable(args.utterances),
-          open(args.utterances, "r", encoding="utf-8") as handle):
-        utterances = [line.split() for line in handle]
+    utterances = [line.split() for _, line in dataset.read_lines(args.utterances)]
     empty = [lineno for lineno, tokens in enumerate(utterances, start=1) if not tokens]
     for lineno in empty:
         print(f"{args.utterances}:{lineno}: empty utterance", file=sys.stderr)
@@ -308,16 +294,13 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with _refuse_undecodable(args.gold):
-        gold = metrics.read_gold_file(args.gold)
+    gold = metrics.read_gold_file(args.gold)
     if args.topk:
-        with _refuse_undecodable(args.pred):
-            beams, top_lines = metrics.read_beam_file(args.pred)
+        beams, top_lines = metrics.read_beam_file(args.pred)
         pred = [beam[0] if beam else None for beam in beams]
         report = metrics.evaluate(gold, pred, raw_lines=top_lines, beams=beams, top_ks=args.topk)
     else:
-        with _refuse_undecodable(args.pred):
-            pred, raw = metrics.read_predictions_file(args.pred)
+        pred, raw = metrics.read_predictions_file(args.pred)
         report = metrics.evaluate(gold, pred, raw_lines=raw)
     print(report.to_table())
     if args.json:
@@ -471,12 +454,7 @@ def main(argv=None) -> int:
     except rnng.AllEncodersDisabled as err:  # from train flags (see resolve_train_config)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except UnicodeDecodeError as err:
-        # Caught before ValueError, its base: undecodable text is refused input.
-        print(f"error: input is not valid UTF-8: {err}", file=sys.stderr)
-        return EXIT_IO
-    except (dataset.IngestError, CheckpointError, trees.FormatError, RaggedDimensions,
-            OSError) as err:
+    except (dataset.IngestError, CheckpointError, trees.FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     except (metrics.LengthMismatch, transitions.TransitionError, ValueError) as err:

@@ -1,7 +1,10 @@
-"""Corpus ingestion, vocabularies, and corpus statistics.
+"""Text input, corpus ingestion, pretrained embeddings, vocabularies, and
+corpus statistics.
 
-The on-disk format is a UTF-8 TSV with three columns per line: the raw
-utterance, the space-tokenized utterance, and the bracketed tree.
+Every text file the package reads goes through ``read_lines``, and every
+refusal of one is an ``IngestError`` naming the file and, for one line, the
+line.  The corpus format is a UTF-8 TSV with three columns per line: the
+raw utterance, the space-tokenized utterance, and the bracketed tree.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from . import preprocess
 from .trees import FormatError, NonTerminal, Tree, depth, parse_bracketed, validate
@@ -25,11 +30,12 @@ class Split(Enum):
 
 
 class IngestError(Exception):
-    """Problem reading a corpus file. ``kind`` is one of io, encoding,
-    bad-column-count, tree-format, constraint-violation, token-mismatch,
-    empty-corpus, and config for a ``train --config`` line the CLI refuses.
-    ``load_tsv`` names the file in ``path`` and, for a problem with one
-    line, its number in ``line``."""
+    """A refused text input, named in ``path``, with the number of the bad
+    line in ``line`` when one line is at fault.  ``kind`` is io or encoding
+    (from ``read_lines``); bad-column-count, tree-format,
+    constraint-violation, token-mismatch or empty-corpus (a corpus file);
+    embeddings (an embeddings file, or its dimension against the model's);
+    or config (a ``train --config`` line the CLI refuses)."""
 
     def __init__(self, kind: str, message: str, line: Optional[int] = None, path=None):
         where = f"{path}: " if path is not None else ""
@@ -39,6 +45,45 @@ class IngestError(Exception):
         self.message = message
         self.line = line
         self.path = path
+
+
+def read_lines(path):
+    """Yield ``(lineno, line)`` for each line of the UTF-8 text file
+    ``path``, numbered from 1, without its line end (``\\n``, ``\\r\\n`` or
+    ``\\r``).  Reads as it yields.  A file that cannot be opened raises
+    ``IngestError`` kind io; one that is not UTF-8, kind encoding, naming
+    its first undecodable line once the reader reaches the chunk holding
+    it."""
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as err:
+        raise IngestError("io", err.strerror or str(err), path=path) from None
+    with handle:
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                yield lineno, line.rstrip("\n")
+        except UnicodeDecodeError as err:
+            raise IngestError(
+                "encoding", f"not valid UTF-8 ({err.reason})", _undecodable_line(path), path
+            ) from None
+
+
+def _undecodable_line(path) -> Optional[int]:
+    """Number of the first line of ``path`` that is not UTF-8.  The text
+    reader decodes whole chunks, so its error does not say which line.  The
+    lines split as the reader splits them (at ``\\n``, ``\\r\\n`` or ``\\r``),
+    bytes that no multi-byte UTF-8 sequence contains; a ``\\r\\n`` never
+    straddles two of the binary reader's ``\\n``-ended pieces."""
+    lineno = 0
+    with open(path, "rb") as handle:
+        for piece in handle:
+            for raw in piece.splitlines():
+                lineno += 1
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    return lineno
+    return None
 
 
 @dataclass(frozen=True)
@@ -104,43 +149,78 @@ def load_tsv(path, split: Split = Split.UNSPLIT, strict: bool = True) -> Corpus:
     """
     examples = []
     skipped = []
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as err:
-        raise IngestError("io", err.strerror or str(err), path=path) from None
-    with handle:
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
         try:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                try:
-                    examples.append(_parse_line(line, lineno))
-                except IngestError as err:
-                    if strict:
-                        raise IngestError(err.kind, err.message, lineno, path) from None
-                    skipped.append(LineIssue(line=lineno, kind=err.kind, message=str(err)))
-        except UnicodeDecodeError as err:
-            raise IngestError(
-                "encoding", f"not valid UTF-8 ({err.reason})", _undecodable_line(path), path
-            ) from None
+            examples.append(_parse_line(line, lineno))
+        except IngestError as err:
+            if strict:
+                raise IngestError(err.kind, err.message, lineno, path) from None
+            skipped.append(LineIssue(line=lineno, kind=err.kind, message=str(err)))
     if not examples:
         raise IngestError("empty-corpus", "no usable examples", path=path)
     return Corpus(examples=examples, split=split, skipped=tuple(skipped))
 
 
-def _undecodable_line(path) -> Optional[int]:
-    """Number of the first line of ``path`` that is not UTF-8.  The text
-    reader decodes whole chunks, so its error does not say which line.  The
-    lines split as the reader splits them (at ``\\n``, ``\\r\\n`` or ``\\r``),
-    bytes that no multi-byte UTF-8 sequence contains."""
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
-    return None
+@dataclass
+class EmbeddingTable:
+    """word -> vector, all of one dimension; ``missing`` lists vocabulary
+    words that had no pretrained vector and were randomly initialized."""
+
+    vectors: dict
+    dim: int
+    missing: tuple = ()
+
+    def __contains__(self, word: str) -> bool:
+        return word in self.vectors
+
+    def __getitem__(self, word: str) -> np.ndarray:
+        return self.vectors[word]
+
+
+def load_embeddings(path, vocab, seed: int = 0) -> EmbeddingTable:
+    """Load the text format ``word v1 v2 ... vd`` (one word per line),
+    keeping only words in ``vocab``.
+
+    Vocabulary words absent from the file get a seeded uniform random
+    vector in [-0.1, 0.1) and are reported in the table's ``missing``
+    field.  An empty file, a line with the wrong number of values, or a
+    kept word with a value that is not a finite number raises
+    ``IngestError`` kind embeddings, naming the line.
+    """
+    wanted = set(vocab)
+    vectors: dict = {}
+    dim: Optional[int] = None
+    for lineno, line in read_lines(path):
+        parts = line.split(" ")
+        if len(parts) < 2:
+            raise IngestError("embeddings", "expected a word followed by values", lineno, path)
+        word, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise IngestError(
+                "embeddings", f"expected {dim} values, found {len(values)}", lineno, path
+            )
+        if word not in wanted:
+            continue
+        try:
+            vector = np.asarray([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise IngestError("embeddings", "non-numeric embedding value", lineno,
+                              path) from None
+        if not np.isfinite(vector).all():
+            raise IngestError("embeddings", f"non-finite embedding value for {word!r}", lineno,
+                              path)
+        vectors[word] = vector
+    if dim is None:
+        raise IngestError("embeddings", "embedding file is empty", path=path)
+    rng = np.random.default_rng(seed)
+    missing = sorted(wanted - set(vectors))
+    for word in missing:
+        vectors[word] = rng.uniform(-0.1, 0.1, dim)
+    return EmbeddingTable(vectors=vectors, dim=dim, missing=tuple(missing))
 
 
 def lower_median(values) -> int:

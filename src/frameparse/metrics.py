@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .dataset import read_lines
 from .trees import FormatError, Token, Tree, parse_bracketed, serialize
 
 
@@ -204,17 +205,17 @@ def evaluate(gold: Sequence[Tree], pred, raw_lines=None, beams=None, top_ks=()) 
 
 
 def read_gold_file(path) -> list:
-    """Strict reader: every line must parse."""
+    """Strict reader: every line must parse.  A line that does not raises
+    its ``FormatError`` naming the file and the line."""
     trees = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                trees.append(parse_bracketed(line))
-            except FormatError as err:
-                raise type(err)(f"gold line {lineno}: {err.message}", err.offset) from None
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            trees.append(parse_bracketed(line))
+        except FormatError as err:
+            raise type(err)(f"{path}: line {lineno}: {err.message}", err.offset) from None
     return trees
 
 
@@ -222,14 +223,12 @@ def read_predictions_file(path):
     """Lenient reader: returns (trees-or-None, raw lines)."""
     trees = []
     raw = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            raw.append(line)
-            try:
-                trees.append(parse_bracketed(line.strip()))
-            except FormatError:
-                trees.append(None)
+    for _, line in read_lines(path):
+        raw.append(line)
+        try:
+            trees.append(parse_bracketed(line.strip()))
+        except FormatError:
+            trees.append(None)
     return trees, raw
 
 
@@ -241,24 +240,22 @@ def read_beam_file(path):
     beams = []
     top_lines = []
     current: Optional[list] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line.strip():
-                if current is not None:
-                    beams.append(current)
-                    current = None
-                continue
-            if current is None:
-                current = []
-            score, sep, tree_text = line.partition("\t")
-            text = tree_text if sep else line
-            if len(current) == 0:
-                top_lines.append(text)
-            try:
-                current.append(parse_bracketed(text.strip()))
-            except FormatError:
-                current.append(None)
+    for _, line in read_lines(path):
+        if not line.strip():
+            if current is not None:
+                beams.append(current)
+                current = None
+            continue
+        if current is None:
+            current = []
+        score, sep, tree_text = line.partition("\t")
+        text = tree_text if sep else line
+        if len(current) == 0:
+            top_lines.append(text)
+        try:
+            current.append(parse_bracketed(text.strip()))
+        except FormatError:
+            current.append(None)
     if current is not None:
         beams.append(current)
     return beams, top_lines

@@ -42,7 +42,6 @@ class Lstm:
 
     def __init__(self, store, prefix: str, input_dim: int, hidden_dim: int,
                  num_layers: int):
-        self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.layers = []
         for layer in range(num_layers):

@@ -34,6 +34,10 @@ CHECKPOINT_VERSION = 1
 # slices of all four and the two scratch rows stay in cache across its
 # passes (1.5 MB in float32).
 ADAM_CHUNK = 1 << 16
+# Adam's moment decay rates and denominator guard (Kingma and Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _VIEWS = ("value", "grad", "m", "v")
 
@@ -216,8 +220,7 @@ class ParamStore:
                 ))
         return self._chunks
 
-    def adam_step(self, lr: float, weight_decay: float = 0.0,
-                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    def adam_step(self, lr: float, weight_decay: float = 0.0) -> None:
         """Adam with decoupled weight decay; increments the shared timestep.
 
         Runs chunk by chunk over the flat buffers, in place or into two
@@ -234,8 +237,9 @@ class ParamStore:
         # would convert the Python floats to, at half the cost per call.
         beta1, keep1, beta2, keep2, bias1, bias2, eps, weight_decay, lr = (
             np.array(x, dtype=self.dtype)
-            for x in (beta1, 1.0 - beta1, beta2, 1.0 - beta2, 1.0 - beta1 ** self.t,
-                      1.0 - beta2 ** self.t, eps, weight_decay, lr)
+            for x in (ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2,
+                      1.0 - ADAM_BETA1 ** self.t, 1.0 - ADAM_BETA2 ** self.t, ADAM_EPS,
+                      weight_decay, lr)
         )
         for g, m, v, value, update, tmp, frozen in self._adam_chunks():
             m *= beta1

@@ -207,7 +207,6 @@ class LabeledSpan:
 ROOT_NOT_INTENT = "RootNotIntent"
 INTENT_HAS_INTENT_CHILD = "IntentHasIntentChild"
 SLOT_MIXED_CHILDREN = "SlotMixedChildren"
-TOKEN_MISMATCH = "TokenMismatch"
 
 
 @dataclass(frozen=True)
@@ -312,7 +311,8 @@ def _serialize_into(node: Node, parts: list) -> None:
 
 
 def validate(tree: Tree) -> list:
-    """Check the three intent-slot constraints plus the token/yield agreement.
+    """Check the three intent-slot constraints.  A ``Tree``'s tokens are its
+    yield by construction, so they need no check here.
 
     Returns a list of :class:`Violation`; empty means well-formed.
     """
@@ -321,9 +321,6 @@ def validate(tree: Tree) -> list:
     if not root.label.is_intent:
         violations.append(Violation(ROOT_NOT_INTENT, (), f"root label is {root.label}"))
     _validate_node(root, (), violations)
-    leaves = tuple([t.text for t in iter_token_leaves(root)])
-    if leaves != tree.tokens:
-        violations.append(Violation(TOKEN_MISMATCH, (), "tokens do not match tree yield"))
     return violations
 
 

@@ -59,7 +59,7 @@ def test_validate_too_deep_tree_exits_three(tmp_path, capsys):
     path = write_lines(tmp_path / "trees.txt", ["[IN:X hello ]", deep])
     assert main(["validate", path]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "trees.txt:2: " in err and "deeper than 100" in err
+    assert err.startswith(f"error: {path}: line 2: ") and "deeper than 100" in err
 
 
 def test_validate_empty_file_warns(tmp_path, capsys):
@@ -139,6 +139,34 @@ def test_undecodable_input_exits_three(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}: line 2: not valid UTF-8 (")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "stats", "oracle", "train", "train-valid",
+                                     "train-config", "train-embeddings", "eval", "eval-pred",
+                                     "eval-topk", "parse"])
+def test_missing_input_exits_three_naming_the_file(tmp_path, capsys, command):
+    """Every text input a command reads is refused the same way when it
+    cannot be opened."""
+    missing = str(tmp_path / "missing.txt")
+    good_tsv = write_lines(tmp_path / "good.tsv", ["a\ta\t[IN:X a ]"])
+    good_trees = write_lines(tmp_path / "good.txt", ["[IN:X a ]"])
+    train = ["train", good_tsv, "-o", str(tmp_path / "m.ckpt"), "--epochs", "0"]
+    args = {
+        "validate": ["validate", missing],
+        "stats": ["stats", missing],
+        "oracle": ["oracle", missing],
+        "train": ["train", missing, "-o", str(tmp_path / "m.ckpt")],
+        "train-valid": train + ["--valid", missing],
+        "train-config": train + ["--config", missing],
+        "train-embeddings": train + ["--embeddings", missing],
+        "eval": ["eval", missing, good_trees],
+        "eval-pred": ["eval", good_trees, missing],
+        "eval-topk": ["eval", good_trees, missing, "--topk", "1"],
+        "parse": ["parse", str(tmp_path / "missing.ckpt"), missing],
+    }[command]
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_oracle_minimal(tmp_path, capsys):
@@ -354,6 +382,18 @@ def test_train_bad_embeddings_exit_three(tmp_path, capsys, corpus_tsv, line):
     flags = ["--embeddings", embeddings, "--word-dim", "3", "--epochs", "0"]
     assert main(["train", tsv, "-o", str(ckpt)] + flags) == 3
     assert capsys.readouterr().err.startswith(f"error: {embeddings}: line 2: ")
+    assert not ckpt.exists()
+
+
+def test_train_embeddings_of_another_dimension_exit_three(tmp_path, capsys, corpus_tsv):
+    tsv, corpus = corpus_tsv
+    word = corpus.examples[0].tokens[0]
+    embeddings = write_lines(tmp_path / "vectors.txt", [f"{word} 0.1 0.2"])
+    ckpt = tmp_path / "model.ckpt"
+    flags = ["--embeddings", embeddings, "--word-dim", "3", "--epochs", "0"]
+    assert main(["train", tsv, "-o", str(ckpt)] + flags) == 3
+    assert capsys.readouterr().err == (
+        f"error: {embeddings}: pretrained embeddings have dim 2, model word_dim is 3\n")
     assert not ckpt.exists()
 
 
@@ -637,7 +677,7 @@ def test_eval_bad_gold_line_names_offset_once(tmp_path, capsys):
     pred = write_lines(tmp_path / "pred.txt", ["[IN:X a ]", "[IN:X hello ]"])
     assert main(["eval", gold, pred]) == 3
     err = capsys.readouterr().err
-    assert "error: gold line 2: unclosed '[' (offset 0)\n" in err
+    assert err == f"error: {gold}: line 2: unclosed '[' (offset 0)\n"
     assert err.count("offset") == 1
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import synth
+from frameparse import metrics
+from frameparse.cli import load_config_file
 from frameparse.dataset import (
     Corpus,
     Example,
@@ -12,9 +14,12 @@ from frameparse.dataset import (
     Vocab,
     build_vocabs,
     compute_stats,
+    load_embeddings,
     load_tsv,
     lower_median,
+    read_lines,
 )
+from frameparse.rnng import RnngConfig
 from frameparse.preprocess import NUM_TOKEN, UNK_TOKEN
 from frameparse.trees import parse_bracketed, serialize
 
@@ -114,6 +119,45 @@ def test_load_undecodable_file_is_refused_with_its_line(tmp_path, strict):
     with pytest.raises(IngestError) as err:
         load_tsv(path, strict=strict)
     assert err.value.kind == "encoding" and err.value.line == 5
+
+
+def test_read_lines_streams_up_to_the_undecodable_chunk(tmp_path):
+    """Lines come without their ends (\\n, \\r\\n or \\r), as they are read:
+    the lines before the chunk holding a byte that is not UTF-8 are yielded
+    before the refusal, which names that byte's line."""
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"a\r\nb\rc\n\nd")
+    assert list(read_lines(path)) == [(1, "a"), (2, "b"), (3, "c"), (4, ""), (5, "d")]
+    n_good = 20000  # several of the text reader's chunks
+    path.write_bytes(b"ok\n" * n_good + b"bad \xff\n" + b"ok\n")
+    seen = []
+    with pytest.raises(IngestError) as err:
+        for lineno, line in read_lines(path):
+            seen.append((lineno, line))
+    assert err.value.kind == "encoding" and err.value.line == n_good + 1
+    assert 0 < len(seen) <= n_good and seen == [(i, "ok") for i in range(1, len(seen) + 1)]
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(IngestError) as err:
+        list(read_lines(missing))
+    assert err.value.kind == "io" and err.value.line is None and err.value.path == missing
+    assert str(err.value) == f"{missing}: No such file or directory"
+
+
+@pytest.mark.parametrize("read", [
+    load_tsv,
+    metrics.read_gold_file,
+    metrics.read_predictions_file,
+    metrics.read_beam_file,
+    lambda path: load_embeddings(path, ["a"]),
+    lambda path: load_config_file(path, RnngConfig()),
+], ids=["load_tsv", "gold", "predictions", "beam", "embeddings", "config"])
+def test_every_text_reader_refuses_undecodable_input_with_its_line(tmp_path, read):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"# \xc3\xa9\n\xe2\x82 1\n")
+    with pytest.raises(IngestError) as err:
+        read(path)
+    assert err.value.kind == "encoding" and err.value.line == 2 and err.value.path == path
+    assert str(err.value).startswith(f"{path}: line 2: not valid UTF-8 (")
 
 
 def test_loaded_trees_keep_few_gc_tracked_objects(tmp_path):

@@ -1,9 +1,10 @@
 """Property tests of the checkpoint, embedding and corpus readers.
 
-Whatever bytes they are given, ``load_checkpoint`` and ``load_embeddings``
-return a well-formed result or raise their own typed error, or
-``UnicodeDecodeError``, which the command line reports as refused input;
-``load_tsv`` returns a corpus of valid examples or raises ``IngestError``.
+Whatever bytes they are given, ``load_checkpoint`` returns a well-formed
+result or raises its own typed error, or ``UnicodeDecodeError``, which the
+command line reports as refused input; ``load_embeddings`` returns a table
+of finite vectors and ``load_tsv`` a corpus of valid examples, or each
+raises ``IngestError`` naming the file.
 Seeded and bounded (``derandomize=True``, a fixed ``max_examples``), so a
 run is deterministic and takes a few seconds.
 """
@@ -16,14 +17,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from frameparse.dataset import IngestError, load_tsv  # noqa: E402
+from frameparse.dataset import IngestError, load_embeddings, load_tsv  # noqa: E402
 from frameparse.neural.params import (  # noqa: E402
     CHECKPOINT_MAGIC,
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
 )
-from frameparse.preprocess import RaggedDimensions, load_embeddings  # noqa: E402
 from frameparse.trees import validate  # noqa: E402
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -145,7 +145,8 @@ def _check_embeddings(workdir, blob: bytes) -> None:
     path.write_bytes(blob)
     try:
         table = load_embeddings(path, VOCAB, seed=0)
-    except (RaggedDimensions, UnicodeDecodeError):
+    except IngestError as err:
+        assert err.kind in ("embeddings", "encoding") and err.path == path
         return
     assert set(table.vectors) == set(VOCAB)
     for vector in table.vectors.values():

@@ -34,7 +34,8 @@ from frameparse.neural import (
     save_checkpoint,
 )
 from frameparse.neural.params import ADAM_CHUNK
-from frameparse.preprocess import TokenNormalizer, load_embeddings
+from frameparse.dataset import load_embeddings
+from frameparse.preprocess import TokenNormalizer
 
 
 def f64_store(seed=0):

@@ -3,13 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from frameparse.dataset import IngestError, load_embeddings
 from frameparse.preprocess import (
     NUM_TOKEN,
     SUFFIXES,
-    RaggedDimensions,
     TokenNormalizer,
     is_number,
-    load_embeddings,
     normalize,
     unk_class,
 )
@@ -102,27 +101,31 @@ def test_load_embeddings_ignores_out_of_vocab_words(tmp_path):
 
 def test_load_embeddings_ragged(tmp_path):
     path = _write(tmp_path, "alpha 1.0 2.0 3.0\nbeta 4.0 5.0\n")
-    with pytest.raises(RaggedDimensions) as err:
+    with pytest.raises(IngestError) as err:
         load_embeddings(path, ["alpha", "beta"])
-    assert err.value.line == 2
+    assert err.value.kind == "embeddings" and err.value.line == 2 and err.value.path == path
+    assert str(err.value) == f"{path}: line 2: expected 3 values, found 2"
 
 
 def test_load_embeddings_non_numeric(tmp_path):
     path = _write(tmp_path, "alpha 1.0 x 3.0\n")
-    with pytest.raises(RaggedDimensions):
+    with pytest.raises(IngestError) as err:
         load_embeddings(path, ["alpha"])
+    assert err.value.kind == "embeddings" and err.value.line == 1 and err.value.path == path
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
 def test_load_embeddings_rejects_non_finite_values(tmp_path, value):
     path = _write(tmp_path, f"alpha 1 2 3\nbeta 0.1 {value} 0.3\n")
-    with pytest.raises(RaggedDimensions) as err:
+    with pytest.raises(IngestError) as err:
         load_embeddings(path, ["alpha", "beta"])
-    assert err.value.line == 2 and err.value.path == path
+    assert err.value.kind == "embeddings" and err.value.line == 2 and err.value.path == path
     assert str(err.value) == f"{path}: line 2: non-finite embedding value for 'beta'"
 
 
 def test_load_embeddings_empty(tmp_path):
     path = _write(tmp_path, "")
-    with pytest.raises(RaggedDimensions):
+    with pytest.raises(IngestError) as err:
         load_embeddings(path, ["alpha"])
+    assert err.value.kind == "embeddings" and err.value.line is None
+    assert str(err.value) == f"{path}: embedding file is empty"

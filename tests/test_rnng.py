@@ -9,7 +9,7 @@ import frameparse
 import synth
 from frameparse import cli, dataset as dataset_mod, metrics, preprocess, rnng
 from frameparse import transitions, trees as trees_mod
-from frameparse.dataset import Corpus, Example, Split, Vocab, build_vocabs
+from frameparse.dataset import Corpus, Example, Split, Vocab, build_vocabs, load_embeddings
 from frameparse.neural import Tape, Var, grad_check
 from frameparse.neural import core as neural_core, gradcheck as neural_gradcheck
 from frameparse.neural import layers as neural_layers, params as neural_params
@@ -435,7 +435,7 @@ def test_row_products_are_bitwise_row_invariant(precision):
             for i in range(batch):
                 assert np.array_equal(rows[i], alone[i]), (weight.shape, batch, i)
     for lstm in lstms:
-        x = rng.normal(size=(5, lstm.input_dim)).astype(dtype)
+        x = rng.normal(size=(5, lstm.layers[0][0].shape[1] - lstm.hidden_dim)).astype(dtype)
         state = rng.normal(size=(5,) + lstm.initial(None).shape).astype(dtype)
         alone = [lstm.step(None, x[i], state[i]) for i in range(5)]
         for batch in range(1, 6):
@@ -801,8 +801,6 @@ def test_pretrained_embeddings_frozen_rows(tmp_path):
         for i, word in enumerate(known):
             values = " ".join(str(0.01 * (i + j)) for j in range(dim))
             handle.write(f"{word} {values}\n")
-    from frameparse.preprocess import load_embeddings
-
     table = load_embeddings(emb_path, vocab.symbols, seed=0)
     config = RnngConfig(seed=5, precision="f32", **TINY)
     model = Model(config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)),
