@@ -44,7 +44,6 @@ from .trees import (
     parse_bracketed,
     serialize,
     validate,
-    yield_tokens,
 )
 
 __version__ = "0.1.0"

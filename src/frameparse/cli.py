@@ -4,15 +4,20 @@ Commands: validate, stats, oracle, train, parse, eval, gradcheck.
 Exit codes: 0 success, 1 validation or metric failure (or a training loss
 that is not finite), 2 usage (including train and gradcheck flag values the
 configuration refuses, alone or together), 3 I/O or refused input.  Every
-text input is read by ``dataset.read_lines``, and every refusal of one
-prints ``error: <path>: line N: <message>``, or ``error: <path>: <message>``
-where no one line is at fault: a file that cannot be opened or is not
-UTF-8, a corpus, gold-tree or embeddings file with a bad line, embeddings
-whose dimension is not the model's, a tree nested too deep to check, and a
-config file with a line that is not key=value, names no configuration
-field or holds a value the field refuses, or with values that are invalid
-together.  The per-line reports ``validate``, ``oracle`` and ``parse``
-print while they carry on (``<path>:N: ...``) are not refusals.
+text input is read by ``dataset.read_lines``.  Every output file is written
+by ``dataset.write_file``, whole or not at all, and refused by
+``dataset.check_writable`` before any input is read if it could not be.
+Every refusal prints ``error: <path>: line N: <message>``, or
+``error: <path>: <message>`` where no one line is at fault: an input that
+cannot be opened or is not UTF-8, an output that cannot be written, a
+checkpoint that cannot be opened or is malformed, a corpus, gold-tree or
+embeddings file with a bad line, embeddings whose dimension is not the
+model's, a tree nested too deep to check, and a config file with a line
+that is not key=value, names no configuration field or holds a value the
+field refuses, or with values that are invalid together.  A closed stdout
+(``frameparse oracle ... | head``) also exits 3.  The per-line reports
+``validate``, ``oracle`` and ``parse`` print while they carry on
+(``<path>:N: ...``) are not refusals.
 Hyperparameters resolve as flag > config file (key=value lines) > default,
 and every JSON artifact echoes the fully resolved configuration.
 """
@@ -22,8 +27,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -119,8 +124,17 @@ def resolve_train_config(args) -> rnng.RnngConfig:
     return rnng.RnngConfig(**resolved)
 
 
-def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _json(payload: dict) -> str:
+    """The text of a JSON artifact: sorted keys, two-space indent."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_or_print(path, chunks) -> None:
+    """Text ``chunks`` to the file ``path``, or to stdout if it is None."""
+    if path:
+        dataset.write_file(path, chunks)
+    else:
+        sys.stdout.writelines(chunks)
 
 
 def cmd_validate(args) -> int:
@@ -135,8 +149,7 @@ def cmd_validate(args) -> int:
             tree = trees.parse_bracketed(line)
         except trees.NestingTooDeep as err:
             # Too deep to check at all: the input is refused, not judged.
-            raise trees.NestingTooDeep(f"{args.trees}: line {lineno}: {err.message}",
-                                       err.offset) from None
+            raise err.at(args.trees, lineno) from None
         except trees.FormatError as err:
             n_bad += 1
             print(f"{args.trees}:{lineno}: format: {err}")
@@ -160,23 +173,23 @@ def _load_tsv(path, split, strict: bool) -> dataset.Corpus:
 
 
 def cmd_stats(args) -> int:
+    paths = ([f"{args.out_prefix}.{name}" for name in ("stats.json", "depth.csv", "length.csv")]
+             if args.out_prefix else [])
+    dataset.check_writable(*paths)
     corpus = _load_tsv(args.tsv, dataset.Split.UNSPLIT, args.strict)
     stats = dataset.compute_stats(corpus)
     payload = stats.to_json_dict()
     payload["config"] = {"tsv": str(args.tsv), "strict": args.strict}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    prefix = args.out_prefix
-    if prefix:
-        Path(f"{prefix}.stats.json").write_text(text + "\n", encoding="utf-8")
-        Path(f"{prefix}.depth.csv").write_text(stats.depth_csv(), encoding="utf-8")
-        Path(f"{prefix}.length.csv").write_text(stats.length_csv(), encoding="utf-8")
+    text = _json(payload)
+    sys.stdout.write(text)
+    for path, content in zip(paths, (text, stats.depth_csv(), stats.length_csv())):
+        dataset.write_file(path, [content])
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    # The whole input is read and checked before the output is opened, so
-    # refused input leaves no output file behind.
+    if args.output:
+        dataset.check_writable(args.output)
     sequences = []
     failures = 0
     for lineno, line in dataset.read_lines(args.trees):
@@ -186,6 +199,8 @@ def cmd_oracle(args) -> int:
         try:
             tree = trees.parse_bracketed(line)
             actions = transitions.oracle(tree)
+        except trees.NestingTooDeep as err:
+            raise err.at(args.trees, lineno) from None
         except (trees.FormatError, transitions.ConstraintViolation) as err:
             print(f"{args.trees}:{lineno}: {err}", file=sys.stderr)
             failures += 1
@@ -196,18 +211,14 @@ def cmd_oracle(args) -> int:
                 print(f"{args.trees}:{lineno}: verify mismatch", file=sys.stderr)
                 failures += 1
                 continue
-        sequences.append(transitions.format_actions(actions))
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        for text in sequences:
-            print(text, file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        sequences.append(transitions.format_actions(actions) + "\n")
+    _write_or_print(args.output, sequences)
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
 def cmd_train(args) -> int:
+    log_path = args.log or f"{args.output}.log.json"
+    dataset.check_writable(args.output, log_path)
     config = resolve_train_config(args)
     train_corpus = _load_tsv(args.train_tsv, dataset.Split.TRAIN, args.strict)
     valid_corpus = None
@@ -251,14 +262,15 @@ def cmd_train(args) -> int:
         "n_intents": len(intents),
         "n_slots": len(slots),
     }
-    _write_json(args.log or f"{args.output}.log.json", log)
+    dataset.write_file(log_path, [_json(log)])
     print(f"saved checkpoint to {args.output}")
     return EXIT_OK
 
 
 def cmd_parse(args) -> int:
-    # Every line is checked before any output is written, so a bad input
-    # leaves no partial prediction file behind.
+    meta_path = f"{args.output}.meta.json"
+    if args.output:
+        dataset.check_writable(args.output, meta_path)
     utterances = [line.split() for _, line in dataset.read_lines(args.utterances)]
     empty = [lineno for lineno, tokens in enumerate(utterances, start=1) if not tokens]
     for lineno in empty:
@@ -267,33 +279,31 @@ def cmd_parse(args) -> int:
         return EXIT_FAIL
     model = rnng.load_model(args.checkpoint)
     beam = args.beam if args.beam is not None else model.config.beam_size
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
+
+    def blocks():
         for tokens in utterances:
             # A beam of one is greedy decoding, bit for bit, minus the beam's
             # ranking work.
             results = ([rnng.parse_greedy(model, tokens)] if beam == 1
                        else rnng.parse_beam(model, tokens, beam))
-            for tree, score in results:
-                print(f"{score:.6f}\t{trees.serialize(tree)}", file=out)
-            print("", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            yield "".join(f"{score:.6f}\t{trees.serialize(tree)}\n"
+                          for tree, score in results) + "\n"
+
+    _write_or_print(args.output, blocks())
     if args.output:
-        _write_json(
-            f"{args.output}.meta.json",
-            {
-                "config": dataclasses.asdict(model.config),
-                "checkpoint": str(args.checkpoint),
-                "beam": beam,
-                "utterances": str(args.utterances),
-            },
-        )
+        meta = {
+            "config": dataclasses.asdict(model.config),
+            "checkpoint": str(args.checkpoint),
+            "beam": beam,
+            "utterances": str(args.utterances),
+        }
+        dataset.write_file(meta_path, [_json(meta)])
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    if args.json:
+        dataset.check_writable(args.json)
     gold = metrics.read_gold_file(args.gold)
     if args.topk:
         beams, top_lines = metrics.read_beam_file(args.pred)
@@ -310,7 +320,7 @@ def cmd_eval(args) -> int:
             "pred": str(args.pred),
             "topk": args.topk,
         }
-        _write_json(args.json, payload)
+        dataset.write_file(args.json, [_json(payload)])
     return EXIT_OK
 
 
@@ -454,8 +464,16 @@ def main(argv=None) -> int:
     except rnng.AllEncodersDisabled as err:  # from train flags (see resolve_train_config)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (dataset.IngestError, CheckpointError, trees.FormatError, OSError) as err:
+    except (dataset.IngestError, CheckpointError, trees.FormatError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenPipeError as err:  # stdout's reader has gone, as in `| head`
+        print(f"error: {err}", file=sys.stderr)
+        # stdout still holds what it could not write; point it at devnull so
+        # that its flush at exit does not fail on the pipe a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_IO
     except (metrics.LengthMismatch, transitions.TransitionError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

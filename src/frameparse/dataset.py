@@ -1,16 +1,21 @@
-"""Text input, corpus ingestion, pretrained embeddings, vocabularies, and
-corpus statistics.
+"""Text input, file output, corpus ingestion, pretrained embeddings,
+vocabularies, and corpus statistics.
 
-Every text file the package reads goes through ``read_lines``, and every
-refusal of one is an ``IngestError`` naming the file and, for one line, the
-line.  The corpus format is a UTF-8 TSV with three columns per line: the
+Every text file the package reads goes through ``read_lines``, every file
+it writes goes through ``write_file``, and every refusal of either is an
+``IngestError`` naming the file and, for one input line, the line.  The
+corpus format is a UTF-8 TSV with three columns per line: the
 raw utterance, the space-tokenized utterance, and the bracketed tree.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
+import os
+import secrets
+import stat
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -30,12 +35,14 @@ class Split(Enum):
 
 
 class IngestError(Exception):
-    """A refused text input, named in ``path``, with the number of the bad
-    line in ``line`` when one line is at fault.  ``kind`` is io or encoding
-    (from ``read_lines``); bad-column-count, tree-format,
-    constraint-violation, token-mismatch or empty-corpus (a corpus file);
-    embeddings (an embeddings file, or its dimension against the model's);
-    or config (a ``train --config`` line the CLI refuses)."""
+    """A refused text input or output file, named in ``path``, with the
+    number of the bad line in ``line`` when one input line is at fault.
+    ``kind`` is io (an input ``read_lines`` cannot open, or an output
+    ``write_file`` cannot write) or encoding (from ``read_lines``);
+    bad-column-count, tree-format, constraint-violation, token-mismatch or
+    empty-corpus (a corpus file); embeddings (an embeddings file, or its
+    dimension against the model's); or config (a ``train --config`` line
+    the CLI refuses)."""
 
     def __init__(self, kind: str, message: str, line: Optional[int] = None, path=None):
         where = f"{path}: " if path is not None else ""
@@ -84,6 +91,83 @@ def _undecodable_line(path) -> Optional[int]:
                 except UnicodeDecodeError:
                     return lineno
     return None
+
+
+def write_file(path, chunks) -> None:
+    """Write the iterable ``chunks`` (``bytes``, or ``str`` written as
+    UTF-8) to ``path``, whole or not at all: into a new file beside it,
+    flushed and synced, then renamed over it.  So ``path`` holds either what
+    it held before or all of the new content, and a symlink there is
+    replaced by a file, not followed.  The file keeps the mode of the file
+    it replaces, or gets the mode ``open`` gives a new file: 0666 less the
+    umask.  A pipe or device at ``path`` (``/dev/stdout``, a FIFO) is
+    written in place, as it cannot be replaced.  Any failure removes the
+    temporary file and raises ``IngestError`` kind io naming ``path``."""
+    try:
+        found = _existing(path)
+        if found is not None and not stat.S_ISREG(found.st_mode):
+            with open(path, "wb") as handle:
+                _write_chunks(handle, chunks)
+            return
+        fd, temp = _temporary(path)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                if found is not None:
+                    os.fchmod(handle.fileno(), stat.S_IMODE(found.st_mode))
+                _write_chunks(handle, chunks)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, path)
+        except BaseException:
+            try:
+                os.remove(temp)
+            except OSError:
+                pass
+            raise
+    except OSError as err:
+        raise IngestError("io", err.strerror or str(err), path=path) from None
+
+
+def check_writable(*paths) -> None:
+    """Refuse, before the work that fills them, outputs that ``write_file``
+    could not write: its first step, undone (for a pipe or device, a check
+    that it may be written).  Raises ``IngestError`` kind io naming the
+    first such path."""
+    for path in paths:
+        try:
+            found = _existing(path)
+            if found is None or stat.S_ISREG(found.st_mode):
+                fd, temp = _temporary(path)
+                os.close(fd)
+                os.remove(temp)
+            elif not os.access(path, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        except OSError as err:
+            raise IngestError("io", err.strerror or str(err), path=path) from None
+
+
+def _existing(path):
+    """``os.stat`` of what ``path`` names (through a symlink), or None if
+    nothing is there.  A directory raises ``IsADirectoryError``."""
+    try:
+        found = os.stat(path)
+    except FileNotFoundError:
+        return None
+    if stat.S_ISDIR(found.st_mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    return found
+
+
+def _temporary(path) -> tuple:
+    """(descriptor, name) of a new empty file in the directory of ``path``,
+    the first step of every write to a regular file."""
+    temp = os.path.join(os.path.dirname(path), f".frameparse-{secrets.token_hex(8)}.tmp")
+    return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temp
+
+
+def _write_chunks(handle, chunks) -> None:
+    for chunk in chunks:
+        handle.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
 
 
 @dataclass(frozen=True)
@@ -180,8 +264,9 @@ class EmbeddingTable:
 
 
 def load_embeddings(path, vocab, seed: int = 0) -> EmbeddingTable:
-    """Load the text format ``word v1 v2 ... vd`` (one word per line),
-    keeping only words in ``vocab``.
+    """Load the text format ``word v1 v2 ... vd`` (one word per line, split
+    at runs of whitespace, so word2vec's space before the line end is
+    accepted), keeping only words in ``vocab``.
 
     Vocabulary words absent from the file get a seeded uniform random
     vector in [-0.1, 0.1) and are reported in the table's ``missing``
@@ -193,7 +278,7 @@ def load_embeddings(path, vocab, seed: int = 0) -> EmbeddingTable:
     vectors: dict = {}
     dim: Optional[int] = None
     for lineno, line in read_lines(path):
-        parts = line.split(" ")
+        parts = line.split()
         if len(parts) < 2:
             raise IngestError("embeddings", "expected a word followed by values", lineno, path)
         word, values = parts[0], parts[1:]

@@ -215,7 +215,7 @@ def read_gold_file(path) -> list:
         try:
             trees.append(parse_bracketed(line))
         except FormatError as err:
-            raise type(err)(f"{path}: line {lineno}: {err.message}", err.offset) from None
+            raise err.at(path, lineno) from None
     return trees
 
 

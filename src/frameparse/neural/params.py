@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..dataset import write_file
 from .core import Var
 
 CHECKPOINT_MAGIC = b"FRAMEPARSE-CKPT"
@@ -290,7 +291,8 @@ def save_checkpoint(path, arrays: dict, meta: dict) -> None:
     """Write a deterministic binary container: magic line, one JSON header
     line (version, metadata, array table and the sha256 of the payload),
     then the payload, raw array bytes in header order.  Identical inputs
-    produce identical bytes."""
+    produce identical bytes.  ``dataset.write_file`` writes it, whole or
+    not at all."""
     names = sorted(arrays)
     table = []
     blobs = []
@@ -305,11 +307,8 @@ def save_checkpoint(path, arrays: dict, meta: dict) -> None:
         digest.update(blob)
     header = {"version": CHECKPOINT_VERSION, "meta": meta, "arrays": table,
               "sha256": digest.hexdigest()}
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC + b"\n")
-        handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for blob in blobs:
-            handle.write(blob)
+    write_file(path, [CHECKPOINT_MAGIC + b"\n",
+                      json.dumps(header, sort_keys=True).encode("utf-8") + b"\n", *blobs])
 
 
 _ENTRY_KEYS = ("name", "dtype", "shape", "nbytes")
@@ -351,8 +350,13 @@ def load_checkpoint(path):
     payload that does not match the header's sha256, raises
     ``CheckpointError``; an array table that declares more bytes than the
     file holds does so before any array is read.  A header without a
-    sha256 loads unchecked."""
-    with open(path, "rb") as handle:
+    sha256 loads unchecked, and a file that cannot be opened raises it
+    naming ``path``."""
+    try:
+        handle = open(path, "rb")
+    except OSError as err:
+        raise CheckpointError(f"{path}: {err.strerror or err}") from None
+    with handle:
         magic = handle.readline().rstrip(b"\n")
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a frameparse checkpoint")

@@ -120,10 +120,6 @@ class ParserState:
         self.root = root
 
     @property
-    def buffer(self) -> tuple:
-        return self.tokens[self.pos :]
-
-    @property
     def open_count(self) -> int:
         return len(self.open_stack)
 

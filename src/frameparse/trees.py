@@ -43,6 +43,10 @@ class FormatError(ValueError):
         self.message = message
         self.offset = offset
 
+    def at(self, path, line: int) -> "FormatError":
+        """This error, of its type, as a refusal of ``path`` at ``line``."""
+        return type(self)(f"{path}: line {line}: {self.message}", self.offset)
+
 
 class UnbalancedBrackets(FormatError):
     pass
@@ -88,10 +92,6 @@ class Label:
     @property
     def is_intent(self) -> bool:
         return self.kind == INTENT
-
-    @property
-    def is_slot(self) -> bool:
-        return self.kind == SLOT
 
     def __str__(self) -> str:
         return f"{self.kind}:{self.name}"
@@ -384,8 +384,3 @@ def _spans(node: Node, start: int, spans: list) -> int:
         end = _spans(child, end, spans)
     spans.append(LabeledSpan(node.label, start, end))
     return end
-
-
-def yield_tokens(tree: Tree) -> list:
-    """The utterance tokens, left to right."""
-    return list(tree.tokens)

@@ -43,30 +43,31 @@ def brute_constraints_ok(tree: Tree) -> bool:
     root = tree.root
     if not (isinstance(root, NonTerminal) and root.label.kind == "IN"):
         return False
-    if tuple(t.text for t in _leaves(root)) != tree.tokens:
+    if tuple(t.text for t in token_leaves(root)) != tree.tokens:
         return False
     return node_ok(root)
 
 
-def _leaves(node) -> list:
+def token_leaves(node) -> list:
+    """The ``Token`` leaves below ``node``, left to right, by recursion."""
     if isinstance(node, Token):
         return [node]
     out = []
     for child in node.children:
-        out.extend(_leaves(child))
+        out.extend(token_leaves(child))
     return out
 
 
 def brute_spans(tree: Tree) -> list:
     """(label string, start, end) per non-terminal, computed by locating
     each node's first and last leaf instead of threading an offset."""
-    positions = {id(leaf): i for i, leaf in enumerate(_leaves(tree.root))}
+    positions = {id(leaf): i for i, leaf in enumerate(token_leaves(tree.root))}
     spans = []
 
     def walk(node):
         if isinstance(node, Token):
             return
-        leaves = _leaves(node)
+        leaves = token_leaves(node)
         start = positions[id(leaves[0])]
         end = positions[id(leaves[-1])] + 1
         spans.append((str(node.label), start, end))
@@ -87,13 +88,13 @@ def render(node) -> str:
 
 def brute_subtree_items(tree: Tree) -> list:
     """(label, start, end, rendering) per non-terminal."""
-    positions = {id(leaf): i for i, leaf in enumerate(_leaves(tree.root))}
+    positions = {id(leaf): i for i, leaf in enumerate(token_leaves(tree.root))}
     items = []
 
     def walk(node):
         if isinstance(node, Token):
             return
-        leaves = _leaves(node)
+        leaves = token_leaves(node)
         start = positions[id(leaves[0])]
         end = positions[id(leaves[-1])] + 1
         items.append((str(node.label), start, end, render(node)))

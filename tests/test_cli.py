@@ -1,14 +1,17 @@
+import errno
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import synth
-from frameparse import rnng
+from frameparse import dataset, metrics, rnng, transitions
 from frameparse.cli import main
 from frameparse.neural import core
 from frameparse.trees import serialize
@@ -52,14 +55,24 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "format" in out
 
 
-def test_validate_too_deep_tree_exits_three(tmp_path, capsys):
-    """2,400 nested non-terminals: refused with a typed error, no traceback."""
+@pytest.mark.parametrize("command", ["validate", "oracle", "eval"])
+def test_validate_too_deep_tree_exits_three(tmp_path, capsys, command):
+    """2,400 nested non-terminals: refused with a typed error, no traceback
+    and no output file, by every command that reads trees (eval's gold)."""
     labels = ["IN:A" if level % 2 == 0 else "SL:B" for level in range(2400)]
     deep = "".join(f"[{label} " for label in labels) + "w" + " ]" * 2400
     path = write_lines(tmp_path / "trees.txt", ["[IN:X hello ]", deep])
-    assert main(["validate", path]) == 3
+    out = tmp_path / "out.txt"
+    pred = write_lines(tmp_path / "pred.txt", ["[IN:X hello ]", "[IN:X w ]"])
+    args = {
+        "validate": ["validate", path],
+        "oracle": ["oracle", path, "-o", str(out)],
+        "eval": ["eval", path, pred, "--json", str(out)],
+    }[command]
+    assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: line 2: ") and "deeper than 100" in err
+    assert not out.exists()
 
 
 def test_validate_empty_file_warns(tmp_path, capsys):
@@ -774,3 +787,182 @@ def test_pipeline_composition(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["tree_validity"] == 100.0
     assert 0.0 <= report["exact_match"] <= 100.0
+
+
+@pytest.fixture(scope="module")
+def output_inputs(tmp_path_factory, corpus_tsv):
+    """The inputs of every command that writes a file, a checkpoint among
+    them."""
+    base = tmp_path_factory.mktemp("inputs")
+    tsv, corpus = corpus_tsv
+    ckpt = str(base / "m.ckpt")
+    assert main(["train", tsv, "-o", ckpt, "--epochs", "0", "--seed", "1"] + TINY_FLAGS) == 0
+    return {
+        "tsv": tsv,
+        "ckpt": ckpt,
+        "trees": write_lines(base / "trees.txt", [serialize(e.tree) for e in corpus.examples]),
+        "utts": write_lines(base / "utts.txt", [" ".join(e.tokens) for e in corpus.examples]),
+    }
+
+
+STATS = ["stats", "{tsv}", "-o", "{dir}/out"]
+PARSE = ["parse", "{ckpt}", "{utts}", "-o", "{dir}/pred.txt"]
+# Every output file a command writes: the command line, with {dir} for the
+# directory the output goes to and {work} for the other outputs'; the
+# output's name in {dir}; and the name that a missing {dir} is reported
+# under, the first output the command checks there.
+OUTPUTS = {
+    "stats-json": (STATS, "out.stats.json", "out.stats.json"),
+    "stats-depth": (STATS, "out.depth.csv", "out.stats.json"),
+    "stats-length": (STATS, "out.length.csv", "out.stats.json"),
+    "oracle": (["oracle", "{trees}", "-o", "{dir}/actions.txt"], "actions.txt", "actions.txt"),
+    "train": (["train", "{tsv}", "-o", "{dir}/m.ckpt"] + TINY_FLAGS, "m.ckpt", "m.ckpt"),
+    "train-log": (["train", "{tsv}", "-o", "{work}/m.ckpt", "--log", "{dir}/log.json"]
+                  + TINY_FLAGS, "log.json", "log.json"),
+    "parse": (PARSE, "pred.txt", "pred.txt"),
+    "parse-meta": (PARSE, "pred.txt.meta.json", "pred.txt"),
+    "eval-json": (["eval", "{trees}", "{trees}", "--json", "{dir}/report.json"], "report.json",
+                  "report.json"),
+}
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command worked before it refused its output")
+
+
+@pytest.mark.parametrize("broken", ["missing-dir", "directory"])
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_unwritable_output_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      output_inputs, output, broken):
+    """An output in a directory that does not exist, or where a directory
+    stands, is refused (exit 3, naming it) before the command trains,
+    decodes or computes anything, and no file is left behind, temporary
+    files included."""
+    argv, name, first = OUTPUTS[output]
+    out_dir = tmp_path / "out"
+    if broken == "directory":
+        (out_dir / name).mkdir(parents=True)
+        named, message = out_dir / name, "Is a directory"
+    else:
+        named, message = out_dir / first, "No such file or directory"
+    before = sorted(tmp_path.rglob("*"))
+    for module, work in ((rnng, "train"), (rnng, "parse_greedy"), (rnng, "parse_beam"),
+                         (dataset, "compute_stats"), (transitions, "oracle"),
+                         (metrics, "evaluate")):
+        monkeypatch.setattr(module, work, _no_work)
+    args = [arg.format(dir=out_dir, work=tmp_path, **output_inputs) for arg in argv]
+    assert main(args) == 3
+    assert capsys.readouterr() == ("", f"error: {named}: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("checkpoint", ["missing", "directory"])
+def test_parse_unopenable_checkpoint_exits_three_naming_it(tmp_path, capsys, checkpoint):
+    ckpt = tmp_path / "m.ckpt"
+    if checkpoint == "directory":
+        ckpt.mkdir()
+    utterances = write_lines(tmp_path / "utts.txt", ["show the weather"])
+    assert main(["parse", str(ckpt), utterances]) == 3
+    message = "Is a directory" if checkpoint == "directory" else "No such file or directory"
+    assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+
+
+class _FullDisk:
+    """A file that takes ``room`` bytes, then fails as a full disk does."""
+
+    def __init__(self, handle, room: int):
+        self.handle, self.room = handle, room
+
+    def write(self, data):
+        if len(data) > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(data)
+        return self.handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+def test_a_write_that_fails_midway_leaves_the_previous_checkpoint(tmp_path, capsys, corpus_tsv,
+                                                                   monkeypatch):
+    tsv, _ = corpus_tsv
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", tsv, "-o", str(ckpt), "--epochs", "0", "--seed", "1"] + TINY_FLAGS) == 0
+    before = ckpt.read_bytes()
+    listing = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FullDisk(fdopen(fd, mode), 100))
+    assert main(["train", tsv, "-o", str(ckpt), "--epochs", "0", "--seed", "2"] + TINY_FLAGS) == 3
+    assert capsys.readouterr().err == f"error: {ckpt}: No space left on device\n"
+    assert ckpt.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == listing
+
+
+def test_an_output_gets_the_mode_open_gives_a_new_file(tmp_path, capsys):
+    trees_path = write_lines(tmp_path / "trees.txt", ["[IN:X a ]"])
+    umask = os.umask(0o027)
+    try:
+        assert main(["oracle", trees_path, "-o", str(tmp_path / "actions.txt")]) == 0
+        with open(tmp_path / "opened.txt", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in ("actions.txt", "opened.txt")}
+    assert modes == {0o640}
+
+
+def test_an_output_that_replaces_a_file_keeps_its_mode(tmp_path, capsys):
+    trees_path = write_lines(tmp_path / "trees.txt", ["[IN:X a ]"])
+    out = tmp_path / "actions.txt"
+    out.write_text("old\n", encoding="utf-8")
+    out.chmod(0o600)
+    assert main(["oracle", trees_path, "-o", str(out)]) == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o600
+    assert out.read_text(encoding="utf-8") == "NT(IN:X) SHIFT REDUCE\n"
+
+
+def test_an_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    """A pipe at the output's path is written through, not replaced by a
+    file, and no file is made beside it."""
+    trees_path = write_lines(tmp_path / "trees.txt", ["[IN:X a ]", "[IN:Y b c ]"])
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code = main(["oracle", trees_path, "-o", str(fifo)])
+    finally:
+        if reader.is_alive():  # the writer never opened the pipe: let the reader go
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=10)
+    assert code == 0
+    assert received == [b"NT(IN:X) SHIFT REDUCE\nNT(IN:Y) SHIFT SHIFT REDUCE\n"]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["out.fifo", "trees.txt"]
+
+
+def test_a_closed_stdout_exits_three_in_one_line(tmp_path):
+    """``frameparse oracle ... | head -1``: the reader leaves after one
+    line, and the writer says so in one error line, without a traceback."""
+    trees_path = write_lines(tmp_path / "trees.txt", ["[IN:X a [SL:Y b ] ]"] * 20000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frameparse.cli", "oracle", trees_path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 3
+    assert first == "NT(IN:X) SHIFT NT(SL:Y) SHIFT REDUCE REDUCE\n"
+    assert err == "error: [Errno 32] Broken pipe\n"

@@ -1,4 +1,5 @@
 import gc
+import os
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from frameparse.dataset import (
     load_tsv,
     lower_median,
     read_lines,
+    write_file,
 )
 from frameparse.rnng import RnngConfig
 from frameparse.preprocess import NUM_TOKEN, UNK_TOKEN
-from frameparse.trees import parse_bracketed, serialize
+from frameparse.trees import SLOT, parse_bracketed, serialize
 
 NESTED = (
     "[IN:GET_DIRECTIONS Driving directions to "
@@ -160,6 +162,17 @@ def test_every_text_reader_refuses_undecodable_input_with_its_line(tmp_path, rea
     assert str(err.value).startswith(f"{path}: line 2: not valid UTF-8 (")
 
 
+def test_write_file_replaces_a_symlink_instead_of_following_it(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("kept\n", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_file(link, ["new ", b"bytes\n"])
+    assert not link.is_symlink() and link.read_text(encoding="utf-8") == "new bytes\n"
+    assert target.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
+
+
 def test_loaded_trees_keep_few_gc_tracked_objects(tmp_path):
     """Tokens and labels are shared, not one object per occurrence, so a
     loaded tree keeps few objects for the cyclic collector to rescan (about
@@ -289,5 +302,5 @@ def test_build_vocabs_label_sets():
     corpus = synth.learnable_corpus(seed=11, size=120)
     _, intents, slots = build_vocabs(corpus)
     assert len(intents) == 5 and len(slots) == 8
-    assert all(l.is_intent for l in intents) and all(l.is_slot for l in slots)
+    assert all(l.is_intent for l in intents) and all(l.kind == SLOT for l in slots)
     assert list(intents) == sorted(intents, key=lambda l: l.name)

@@ -99,6 +99,14 @@ def test_load_embeddings_ignores_out_of_vocab_words(tmp_path):
     assert set(table.vectors) == {"alpha"}
 
 
+def test_load_embeddings_accepts_word2vec_line_ends(tmp_path):
+    # word2vec's text format puts a space after the last value.
+    path = _write(tmp_path, "alpha 1.0 2.0 \nbeta 3.0 4.0 \n")
+    table = load_embeddings(path, ["alpha", "beta"], seed=0)
+    assert table.dim == 2 and table.missing == ()
+    assert np.array_equal(table["beta"], [3.0, 4.0])
+
+
 def test_load_embeddings_ragged(tmp_path):
     path = _write(tmp_path, "alpha 1.0 2.0 3.0\nbeta 4.0 5.0\n")
     with pytest.raises(IngestError) as err:

@@ -1,8 +1,10 @@
 """The digest tools that bit-for-bit claims rest on: each gives the same
 digest twice, and ``tools/train_digest.py`` computes what the benchmark's
 ``train`` workload runs, so a change to the benchmark cannot leave the tool
-behind."""
+behind.  And a scan of the package's source that keeps one reader and one
+writer of files."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "frameparse"
 
 
 def _load(name: str):
@@ -61,3 +64,68 @@ def test_train_digest_matches_the_train_workload(tools, tmp_path):
         "params": params.hexdigest(),
         "next_draw": repr(work.rng.random()),
     }
+
+
+# The functions that may open a file: the readers, which only read, and the
+# writer, which alone creates, writes, renames or removes one.
+READERS = {"dataset.read_lines", "dataset._undecodable_line", "neural.params.load_checkpoint"}
+WRITER = {"dataset.write_file", "dataset.check_writable", "dataset._temporary"}
+
+
+def _file_access(call: ast.Call):
+    """"read", "write" or None for a call.  The builtin ``open`` reads with
+    no mode or a mode without w, a, x or +; any other ``open`` (``os.open``,
+    ``Path.open``), ``write_text``, ``write_bytes`` and the ``os`` calls that
+    create, rename or remove a file write.  Opening ``os.devnull`` touches no
+    file."""
+    func = call.func
+    if call.args and ast.unparse(call.args[0]) == "os.devnull":
+        return None
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+        reads = mode is None or (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                                 and not set(mode.value) & set("wax+"))
+        return "read" if reads else "write"
+    if not isinstance(func, ast.Attribute):
+        return None
+    on_os = isinstance(func.value, ast.Name) and func.value.id == "os"
+    if func.attr in ("open", "write_text", "write_bytes") or (
+            on_os and func.attr in ("fdopen", "replace", "rename", "remove", "unlink")):
+        return "write"
+    return None
+
+
+class _FileAccess(ast.NodeVisitor):
+    """Each function of a module that opens, writes or removes a file, by
+    dotted name (``module.function``, with enclosing classes and functions),
+    with the kinds of access it makes."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.found = {}
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        access = _file_access(node)
+        if access:
+            self.found.setdefault(".".join(self.scope), set()).add(access)
+        self.generic_visit(node)
+
+
+def test_one_reader_and_one_writer_touch_files():
+    """Outside the writer nothing opens a file for writing; outside the
+    readers and the writer nothing opens a file at all."""
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        scan = _FileAccess(".".join(path.relative_to(PACKAGE).with_suffix("").parts))
+        scan.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found.update(scan.found)
+    assert found == {**{name: {"read"} for name in READERS},
+                     **{name: {"write"} for name in WRITER}}

@@ -69,10 +69,11 @@ NESTED_ACTIONS = [
 
 def test_initial_state():
     state = initial_state(["hello"])
-    assert state.buffer == ("hello",)
+    assert state.tokens[state.pos:] == ("hello",)
     assert state.open_count == 0 and not state.is_terminal
     assert initial_state(NESTED.split()[1:7]) is not None
-    assert len(initial_state(("a", "b", "c")).buffer) == 3
+    state = initial_state(("a", "b", "c"))
+    assert len(state.tokens[state.pos:]) == 3
     with pytest.raises(EmptyUtterance):
         initial_state([])
 
@@ -213,7 +214,7 @@ def reference_valid_actions(state, max_open_nts):
     equal it."""
     if state.is_terminal:
         return set()
-    buffer_empty = not state.buffer
+    buffer_empty = not state.tokens[state.pos:]
     if state.open_count == 0:
         return set() if buffer_empty else {NT_INTENT_BIT}
     if buffer_empty:

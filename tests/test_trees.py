@@ -32,7 +32,6 @@ from frameparse.trees import (
     shared_token,
     slot,
     validate,
-    yield_tokens,
 )
 
 NESTED = (
@@ -337,12 +336,12 @@ def test_labeled_spans_match_brute_force():
         assert mine == sorted(oracles.brute_spans(tree))
 
 
-def test_yield_tokens():
-    assert yield_tokens(parse_bracketed(NESTED)) == [
+def test_tree_tokens_are_the_leaves_left_to_right():
+    assert parse_bracketed(NESTED).tokens == (
         "Driving", "directions", "to", "the", "Eagles", "game",
-    ]
-    assert yield_tokens(parse_bracketed("[IN:X hello ]")) == ["hello"]
+    )
+    assert parse_bracketed("[IN:X hello ]").tokens == ("hello",)
     rng = np.random.default_rng(5)
     for _ in range(100):
         tree = synth.random_valid_tree(rng)
-        assert tuple(yield_tokens(tree)) == tree.tokens
+        assert tree.tokens == tuple(leaf.text for leaf in oracles.token_leaves(tree.root))
