@@ -18,7 +18,7 @@ from .metrics import (
     tree_validity,
 )
 from .preprocess import TokenNormalizer, normalize
-from .rnng import Model, RnngConfig, ablate, parse_beam, parse_greedy, train
+from .rnng import Model, RnngConfig, parse_beam, parse_greedy, train
 from .transitions import (
     Action,
     ParserState,
@@ -34,13 +34,11 @@ from .transitions import (
 from .trees import (
     FormatError,
     Label,
-    LabeledSpan,
     NonTerminal,
     Token,
     Tree,
     Violation,
     depth,
-    labeled_spans,
     parse_bracketed,
     serialize,
     validate,

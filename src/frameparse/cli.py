@@ -149,7 +149,7 @@ def cmd_validate(args) -> int:
             tree = trees.parse_bracketed(line)
         except trees.NestingTooDeep as err:
             # Too deep to check at all: the input is refused, not judged.
-            raise err.at(args.trees, lineno) from None
+            raise dataset.IngestError("tree-format", str(err), lineno, args.trees) from None
         except trees.FormatError as err:
             n_bad += 1
             print(f"{args.trees}:{lineno}: format: {err}")
@@ -168,7 +168,7 @@ def _load_tsv(path, split, strict: bool) -> dataset.Corpus:
     """``dataset.load_tsv``, with a warning for each line it skipped."""
     corpus = dataset.load_tsv(path, split=split, strict=strict)
     for issue in corpus.skipped:
-        print(f"warning: {path}: skipped {issue.message}", file=sys.stderr)
+        print(f"warning: {path}: skipped line {issue.line}: {issue.message}", file=sys.stderr)
     return corpus
 
 
@@ -200,7 +200,7 @@ def cmd_oracle(args) -> int:
             tree = trees.parse_bracketed(line)
             actions = transitions.oracle(tree)
         except trees.NestingTooDeep as err:
-            raise err.at(args.trees, lineno) from None
+            raise dataset.IngestError("tree-format", str(err), lineno, args.trees) from None
         except (trees.FormatError, transitions.ConstraintViolation) as err:
             print(f"{args.trees}:{lineno}: {err}", file=sys.stderr)
             failures += 1
@@ -272,10 +272,17 @@ def cmd_parse(args) -> int:
     if args.output:
         dataset.check_writable(args.output, meta_path)
     utterances = [line.split() for _, line in dataset.read_lines(args.utterances)]
-    empty = [lineno for lineno, tokens in enumerate(utterances, start=1) if not tokens]
-    for lineno in empty:
-        print(f"{args.utterances}:{lineno}: empty utterance", file=sys.stderr)
-    if empty:
+    failures = 0
+    for lineno, tokens in enumerate(utterances, start=1):
+        try:
+            if not tokens:
+                raise ValueError("empty utterance")
+            for token in tokens:
+                trees.Token(token)  # refuses a bracket
+        except ValueError as err:
+            print(f"{args.utterances}:{lineno}: {err}", file=sys.stderr)
+            failures += 1
+    if failures:
         return EXIT_FAIL
     model = rnng.load_model(args.checkpoint)
     beam = args.beam if args.beam is not None else model.config.beam_size
@@ -464,7 +471,7 @@ def main(argv=None) -> int:
     except rnng.AllEncodersDisabled as err:  # from train flags (see resolve_train_config)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (dataset.IngestError, CheckpointError, trees.FormatError) as err:
+    except (dataset.IngestError, CheckpointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     except BrokenPipeError as err:  # stdout's reader has gone, as in `| head`

@@ -39,10 +39,12 @@ class IngestError(Exception):
     number of the bad line in ``line`` when one input line is at fault.
     ``kind`` is io (an input ``read_lines`` cannot open, or an output
     ``write_file`` cannot write) or encoding (from ``read_lines``);
-    bad-column-count, tree-format, constraint-violation, token-mismatch or
-    empty-corpus (a corpus file); embeddings (an embeddings file, or its
-    dimension against the model's); or config (a ``train --config`` line
-    the CLI refuses)."""
+    bad-column-count, constraint-violation or token-mismatch (a corpus
+    file); tree-format (a corpus or tree file, with a line that is not a
+    bracketed tree or one nested too deep to check); empty-corpus (a
+    corpus or gold-tree file with no tree); embeddings (an embeddings file,
+    or its dimension against the model's); or config (a ``train --config``
+    line the CLI refuses)."""
 
     def __init__(self, kind: str, message: str, line: Optional[int] = None, path=None):
         where = f"{path}: " if path is not None else ""
@@ -177,18 +179,11 @@ class Example:
     tree: Tree
 
 
-@dataclass(frozen=True)
-class LineIssue:
-    line: int
-    kind: str
-    message: str
-
-
 @dataclass
 class Corpus:
     examples: list
     split: Split = Split.UNSPLIT
-    skipped: tuple = ()
+    skipped: tuple = ()  # the IngestError of each line a lenient load skipped
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -197,28 +192,27 @@ class Corpus:
         return iter(self.examples)
 
 
-def _parse_line(line: str, lineno: int) -> Example:
+def _parse_line(line: str, lineno: int, path) -> Example:
     columns = line.split("\t")
     if len(columns) != 3:
-        raise IngestError(
-            "bad-column-count", f"expected 3 tab-separated columns, found {len(columns)}", lineno
-        )
+        raise IngestError("bad-column-count",
+                          f"expected 3 tab-separated columns, found {len(columns)}", lineno, path)
     raw, tokenized, bracketed = columns
     tokens = tuple(tokenized.split())
     try:
         tree = parse_bracketed(bracketed)
     except FormatError as err:
-        raise IngestError("tree-format", str(err), lineno) from None
+        raise IngestError("tree-format", str(err), lineno, path) from None
     violations = validate(tree)
     if violations:
         raise IngestError(
-            "constraint-violation", "; ".join(str(v) for v in violations), lineno
+            "constraint-violation", "; ".join(str(v) for v in violations), lineno, path
         )
     if tree.tokens != tokens:
         raise IngestError(
             "token-mismatch",
             f"tokenized column {list(tokens)} does not match tree yield {list(tree.tokens)}",
-            lineno,
+            lineno, path,
         )
     # The tree's own tuple, equal to the column: one copy of the words.
     return Example(raw_utterance=raw, tokens=tree.tokens, tree=tree)
@@ -227,9 +221,10 @@ def _parse_line(line: str, lineno: int) -> Example:
 def load_tsv(path, split: Split = Split.UNSPLIT, strict: bool = True) -> Corpus:
     """Load a three-column corpus file.
 
-    With ``strict`` (the default), the first malformed line aborts the load;
-    otherwise bad lines are skipped and reported in ``Corpus.skipped``.
-    A file that is not valid UTF-8 is refused as a whole in either mode.
+    With ``strict`` (the default), the first malformed line aborts the load
+    with its ``IngestError``; otherwise bad lines are skipped and their
+    errors kept in ``Corpus.skipped``.  A file that is not valid UTF-8 is
+    refused as a whole in either mode.
     """
     examples = []
     skipped = []
@@ -237,11 +232,12 @@ def load_tsv(path, split: Split = Split.UNSPLIT, strict: bool = True) -> Corpus:
         if not line:
             continue
         try:
-            examples.append(_parse_line(line, lineno))
+            examples.append(_parse_line(line, lineno, path))
         except IngestError as err:
             if strict:
-                raise IngestError(err.kind, err.message, lineno, path) from None
-            skipped.append(LineIssue(line=lineno, kind=err.kind, message=str(err)))
+                raise
+            # Without its traceback, whose frames would hold this list.
+            skipped.append(err.with_traceback(None))
     if not examples:
         raise IngestError("empty-corpus", "no usable examples", path=path)
     return Corpus(examples=examples, split=split, skipped=tuple(skipped))

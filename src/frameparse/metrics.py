@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .dataset import read_lines
+from .dataset import IngestError, read_lines
 from .trees import FormatError, Token, Tree, parse_bracketed, serialize
 
 
@@ -60,12 +60,19 @@ def _collect(node, start: int, items: Counter, with_subtree: bool) -> int:
     return end
 
 
+def _share(hits: int, gold) -> float:
+    """``hits`` as a percentage of the gold trees, of which there must be
+    at least one."""
+    if not gold:
+        raise ValueError("no gold trees to score: every score is a share of them")
+    return 100.0 * hits / len(gold)
+
+
 def exact_match(gold: Sequence[Tree], pred) -> float:
     """Percentage of predictions structurally identical to gold; invalid
     predictions (None) simply do not match."""
     _require_aligned(gold, pred)
-    hits = sum(1 for g, p in zip(gold, pred) if p is not None and p == g)
-    return 100.0 * hits / len(gold)
+    return _share(sum(1 for g, p in zip(gold, pred) if p is not None and p == g), gold)
 
 
 def _micro_prf(gold, pred, extract) -> tuple:
@@ -119,7 +126,7 @@ def top_k_accuracy(gold: Sequence[Tree], beams, k: int) -> float:
     hits = 0
     for g, beam in zip(gold, beams):
         hits += any(p is not None and p == g for p in list(beam)[:k])
-    return 100.0 * hits / len(gold)
+    return _share(hits, gold)
 
 
 @dataclass
@@ -177,14 +184,15 @@ class MetricsReport:
 
 
 def evaluate(gold: Sequence[Tree], pred, raw_lines=None, beams=None, top_ks=()) -> MetricsReport:
-    """Score aligned gold/predicted trees (None = invalid prediction)."""
+    """Score aligned gold/predicted trees (None = invalid prediction).  An
+    empty ``gold`` raises ``ValueError``: every score is a share of it."""
     _require_aligned(gold, pred)
     bp, br, bf = bracket_prf(gold, pred)
     tp, tr, tf = tree_labeled_prf(gold, pred)
     if raw_lines is not None:
         validity = tree_validity(raw_lines)
     else:
-        validity = 100.0 * sum(1 for p in pred if p is not None) / len(gold)
+        validity = _share(sum(1 for p in pred if p is not None), gold)
     top_k = {}
     if beams is not None:
         for k in top_ks:
@@ -205,8 +213,9 @@ def evaluate(gold: Sequence[Tree], pred, raw_lines=None, beams=None, top_ks=()) 
 
 
 def read_gold_file(path) -> list:
-    """Strict reader: every line must parse.  A line that does not raises
-    its ``FormatError`` naming the file and the line."""
+    """Strict reader: every non-blank line must parse.  A line that does
+    not raises ``IngestError`` kind tree-format naming the file and the
+    line, and a file with no tree one of kind empty-corpus."""
     trees = []
     for lineno, line in read_lines(path):
         line = line.strip()
@@ -215,7 +224,9 @@ def read_gold_file(path) -> list:
         try:
             trees.append(parse_bracketed(line))
         except FormatError as err:
-            raise err.at(path, lineno) from None
+            raise IngestError("tree-format", str(err), lineno, path) from None
+    if not trees:
+        raise IngestError("empty-corpus", "no gold trees", path=path)
     return trees
 
 

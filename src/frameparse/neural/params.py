@@ -40,8 +40,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-_VIEWS = ("value", "grad", "m", "v")
-
 
 class CheckpointError(Exception):
     pass
@@ -49,8 +47,9 @@ class CheckpointError(Exception):
 
 class Param(Var):
     """A named parameter: ``value``, ``grad`` and the Adam moments ``m`` and
-    ``v`` are views into its store's flat buffers, set when the store
-    allocates them.
+    ``v`` are views into its store's flat buffers, set by
+    :meth:`ParamStore.allocate`; reading one before that raises
+    ``AttributeError``.
 
     ``init`` fills the value at allocation: ``"glorot"``, ``"zeros"``, or a
     callable that writes into the zeroed value.  ``frozen_rows`` (a boolean
@@ -82,28 +81,13 @@ class Param(Var):
         self._store()._chunks = None
 
 
-class _PendingParam(Param):
-    """A parameter whose store has not allocated yet: reading any of its
-    views allocates the arena, which turns it into a plain :class:`Param`
-    (so the hot path pays nothing for the hook)."""
-
-    __slots__ = ()
-
-    def __getattr__(self, attr):
-        # Reached only for a slot that is not set yet.
-        if attr not in _VIEWS:
-            raise AttributeError(f"'Param' object has no attribute {attr!r}")
-        self._store().allocate()
-        return getattr(self, attr)
-
-
 class ParamStore:
     """All learned parameters of a model, keyed by name, in one arena.
 
     ``add`` records a parameter's shape and initializer; :meth:`allocate`,
-    called by the model once every parameter is added or else by the first
-    use of any of them, allocates the arena and draws the initial values in
-    ``add`` order, after which ``add`` raises.  Initialization draws from a
+    which the owner calls once every parameter is added and before any is
+    used, allocates the arena and draws the initial values in ``add``
+    order, after which ``add`` raises.  Initialization draws from a
     generator seeded at construction, so a fixed seed gives bit-identical
     parameters.  Matrices use uniform +-sqrt(6 / (fan_in + fan_out));
     vectors start at zero.
@@ -131,7 +115,7 @@ class ParamStore:
             init = "glorot" if len(shape) == 2 else "zeros"
         if not (callable(init) or init in ("zeros", "glorot")):
             raise ValueError(f"unknown init {init!r}")
-        param = _PendingParam(self, name, shape, init, order)
+        param = Param(self, name, shape, init, order)
         self.params[name] = param
         return param
 
@@ -153,9 +137,8 @@ class ParamStore:
         if self.value is not None:
             return
         size = self.num_values()
-        self.value, self.grad, self.m, self.v = (np.zeros(size, self.dtype) for _ in _VIEWS)
+        self.value, self.grad, self.m, self.v = (np.zeros(size, self.dtype) for _ in range(4))
         for param, *views in self._views(self.value, self.grad, self.m, self.v):
-            param.__class__ = Param
             param.value, param.grad, param.m, param.v = views
             if param.init == "glorot":
                 scale = np.sqrt(6.0 / sum(param.shape))
@@ -181,7 +164,6 @@ class ParamStore:
         embedding tables, initial states): ``core.Tape.backward`` writes the
         column-major product weights' gradients over what they hold, and
         :meth:`zero_unwritten` zeroes the ones a pass did not write."""
-        self.allocate()
         if products:
             self.grad.fill(0)
             return
@@ -231,7 +213,6 @@ class ParamStore:
         ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
         ``value -= lr * ((m/bias1) / (sqrt(v/bias2) + eps) + wd*value)``.
         """
-        self.allocate()
         self.t += 1
         decay = bool(weight_decay)
         # The constants as 0-d arrays of the store's dtype: the values numpy

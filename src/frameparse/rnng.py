@@ -55,7 +55,7 @@ every trained parameter, is bit for bit what scoring every step gives.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -165,14 +165,6 @@ class RnngConfig:
             for name, on in zip(ENCODERS, (self.use_stack, self.use_buffer, self.use_actions))
             if on
         )
-
-
-def ablate(config: RnngConfig, component: str) -> RnngConfig:
-    """Return a config with the named encoder (stack/buffer/actions) off;
-    turning off the last one raises ``AllEncodersDisabled``."""
-    if component not in ENCODERS:
-        raise ValueError(f"unknown encoder {component!r}; expected one of {ENCODERS}")
-    return replace(config, **{f"use_{component}": False})
 
 
 class Model:

@@ -36,16 +36,11 @@ MAX_DEPTH = 100
 
 class FormatError(ValueError):
     """Bracketed text that cannot be parsed; ``offset`` is the character
-    position and ``message`` the text without it."""
+    position."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
-        self.message = message
         self.offset = offset
-
-    def at(self, path, line: int) -> "FormatError":
-        """This error, of its type, as a refusal of ``path`` at ``line``."""
-        return type(self)(f"{path}: line {line}: {self.message}", self.offset)
 
 
 class UnbalancedBrackets(FormatError):
@@ -185,22 +180,6 @@ class Tree:
                 raise ValueError(
                     f"tokens {list(self.tokens)} do not match tree yield {list(leaves)}"
                 )
-
-
-@dataclass(frozen=True)
-class LabeledSpan:
-    """A non-terminal's label together with its token span [start, end)."""
-
-    label: Label
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not (0 <= self.start < self.end):
-            raise ValueError(f"bad span [{self.start}, {self.end})")
-
-    def __str__(self) -> str:
-        return f"{self.label}[{self.start},{self.end})"
 
 
 # Constraint identifiers used in Violation.constraint.
@@ -368,19 +347,3 @@ def count_nonterminals(tree: "Tree | Node") -> int:
         return 0
     return 1 + sum(count_nonterminals(c) for c in node.children)
 
-
-def labeled_spans(tree: Tree) -> list:
-    """One :class:`LabeledSpan` per non-terminal (a multiset: duplicates kept)."""
-    spans: list = []
-    _spans(tree.root, 0, spans)
-    return spans
-
-
-def _spans(node: Node, start: int, spans: list) -> int:
-    if isinstance(node, Token):
-        return start + 1
-    end = start
-    for child in node.children:
-        end = _spans(child, end, spans)
-    spans.append(LabeledSpan(node.label, start, end))
-    return end

@@ -168,6 +168,7 @@ def test_derived_metric_example():
 def _check_layer(builder, seed: int):
     store = ParamStore(seed=seed, dtype=np.float64)
     loss_fn = builder(store, np.random.default_rng(seed))
+    store.allocate()
     rep = grad_check(loss_fn, store, tolerance=TOLERANCE)
     assert rep.passed, f"seed {seed}: {rep.summary()}"
     return rep.max_rel_err
@@ -233,6 +234,7 @@ def _bilstm_builder(store, rng):
 
 def _softmax_builder(store, rng):
     logits = store.add("logits", (8,), init="zeros")
+    store.allocate()
     logits.value[...] = rng.normal(size=8)
     mask = sorted(rng.choice(8, size=5, replace=False).tolist())
     gold = int(mask[int(rng.integers(len(mask)))])
@@ -354,12 +356,9 @@ def test_learnability(learnability_run):
 
 def test_ablation_direction(learnability_run):
     run = learnability_run
-    config = rnng.ablate(
-        rnng.RnngConfig(
-            word_dim=32, label_dim=32, action_dim=32, lstm_units=64, lstm_layers=2,
-            seed=LEARN_SEED,
-        ),
-        "buffer",
+    config = rnng.RnngConfig(
+        word_dim=32, label_dim=32, action_dim=32, lstm_units=64, lstm_layers=2,
+        seed=LEARN_SEED, use_buffer=False,
     )
     ablated = rnng.Model(config, run["vocab"], run["intents"], run["slots"],
                          TokenNormalizer(frozenset(run["vocab"].symbols)))

@@ -311,21 +311,23 @@ def test_parse_with_a_beam_of_one_decodes_greedily(tmp_path, capsys, corpus_tsv,
         assert pred.read_text(encoding="utf-8") == expected
 
 
-def test_parse_checks_every_line_before_writing(tmp_path, capsys, corpus_tsv):
-    tsv, corpus = corpus_tsv
-    ckpt = str(tmp_path / "init.ckpt")
-    assert main(["train", tsv, "-o", ckpt, "--epochs", "0", "--seed", "1"] + TINY_FLAGS) == 0
-    utterances = write_lines(
-        tmp_path / "utts.txt",
-        [" ".join(corpus.examples[0].tokens), "", " ".join(corpus.examples[1].tokens), "  "],
-    )
+def test_parse_checks_every_line_before_writing(tmp_path, capsys, monkeypatch):
+    """Every empty utterance and every one with a bracket token is reported,
+    then parse exits 1 before it loads the model or writes anything."""
+    utterances = write_lines(tmp_path / "utts.txt", ["turn on", "", "turn [ on", "  ", "off ]"])
+    monkeypatch.setattr(rnng, "load_model", lambda path: pytest.fail("the model was loaded"))
     pred = tmp_path / "pred.txt"
-    assert main(["parse", ckpt, utterances, "-o", str(pred)]) == 1
-    err = capsys.readouterr().err
-    assert "utts.txt:2: empty utterance" in err
-    assert "utts.txt:4: empty utterance" in err
-    assert not pred.exists()
-    assert not (tmp_path / "pred.txt.meta.json").exists()
+    for output in ([], ["-o", str(pred)]):
+        assert main(["parse", str(tmp_path / "m.ckpt"), utterances] + output) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"{utterances}:2: empty utterance\n"
+            f"{utterances}:3: token may not contain whitespace or brackets: '['\n"
+            f"{utterances}:4: empty utterance\n"
+            f"{utterances}:5: token may not contain whitespace or brackets: ']'\n"
+        )
+    assert list(tmp_path.iterdir()) == [tmp_path / "utts.txt"]
 
 
 @pytest.mark.parametrize(
@@ -692,6 +694,15 @@ def test_eval_bad_gold_line_names_offset_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {gold}: line 2: unclosed '[' (offset 0)\n"
     assert err.count("offset") == 1
+
+
+@pytest.mark.parametrize("topk", [[], ["--topk", "1"]], ids=["plain", "topk"])
+def test_eval_gold_without_trees_exits_three(tmp_path, capsys, topk):
+    for lines in ([], ["", "  "]):
+        gold = write_lines(tmp_path / "gold.txt", lines)
+        assert main(["eval", gold, gold] + topk) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {gold}: no gold trees\n")
 
 
 def test_gradcheck_passes(capsys):

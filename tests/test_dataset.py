@@ -102,8 +102,11 @@ def test_lenient_mode_skips_and_reports(tmp_path):
     assert len(corpus) == 1
     assert [issue.line for issue in corpus.skipped] == [2, 3]
     assert [issue.kind for issue in corpus.skipped] == ["bad-column-count", "constraint-violation"]
-    with pytest.raises(IngestError):
+    assert all(issue.path == path for issue in corpus.skipped)
+    with pytest.raises(IngestError) as err:
         load_tsv(path, strict=True)
+    assert (err.value.kind, err.value.line, err.value.path) == ("bad-column-count", 2, path)
+    assert str(err.value) == str(corpus.skipped[0])
 
 
 @pytest.mark.parametrize("strict", [True, False])

@@ -243,10 +243,11 @@ def test_tsv_bytes_load_valid_examples_or_raise_an_ingest_error(workdir, lines):
         return
     _check_examples(lenient)
     skipped = lenient.skipped
-    assert all(bad.kind in LINE_KINDS for bad in skipped)
+    assert all(bad.kind in LINE_KINDS and bad.path == path for bad in skipped)
     assert [bad.line for bad in skipped] == sorted({bad.line for bad in skipped})
     assert len(lenient) + len(skipped) == _nonblank_lines(blob)
     if skipped:  # strict mode stops at the first bad line
+        assert str(strict) == str(skipped[0])
         assert (strict.kind, strict.line) == (skipped[0].kind, skipped[0].line)
     else:
         assert strict.examples == lenient.examples

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 import synth
+from frameparse.dataset import IngestError
 from frameparse.metrics import (
     LengthMismatch,
     bracket_items,
@@ -207,17 +208,31 @@ def test_report_table_and_json():
     assert payload["top_k"]["1"] == 100.0
 
 
+def test_scores_of_no_gold_tree_are_refused():
+    """Every score is a share of the gold trees, so none is defined without
+    one; the refusal says so instead of dividing by zero."""
+    for score in (lambda: evaluate([], []), lambda: exact_match([], []),
+                  lambda: evaluate([], [], raw_lines=[], beams=[], top_ks=(1,)),
+                  lambda: top_k_accuracy([], [], 1)):
+        with pytest.raises(ValueError, match="no gold trees to score"):
+            score()
+
+
 def test_readers(tmp_path):
     gold_path = tmp_path / "gold.txt"
     gold_path.write_text(f"{NESTED}\n[IN:X hello ]\n", encoding="utf-8")
     assert len(read_gold_file(gold_path)) == 2
 
     bad_gold = tmp_path / "bad.txt"
-    bad_gold.write_text("[IN:X hello\n", encoding="utf-8")
-    from frameparse.trees import FormatError
-
-    with pytest.raises(FormatError):
+    bad_gold.write_text("\n[IN:X hello\n", encoding="utf-8")
+    with pytest.raises(IngestError) as err:
         read_gold_file(bad_gold)
+    assert (err.value.kind, err.value.line, err.value.path) == ("tree-format", 2, bad_gold)
+    assert str(err.value) == f"{bad_gold}: line 2: unclosed '[' (offset 0)"
+    bad_gold.write_text("\n \n", encoding="utf-8")
+    with pytest.raises(IngestError) as err:
+        read_gold_file(bad_gold)
+    assert (err.value.kind, err.value.line, err.value.path) == ("empty-corpus", None, bad_gold)
 
     pred_path = tmp_path / "pred.txt"
     pred_path.write_text(f"{NESTED}\nbroken [line\n", encoding="utf-8")

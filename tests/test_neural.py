@@ -16,7 +16,6 @@ from frameparse.neural import (
     EmptySequence,
     GoldMasked,
     Lstm,
-    Param,
     ParamStore,
     Tape,
     Var,
@@ -49,6 +48,7 @@ def f64_store(seed=0):
 def test_lstm_zero_everything_gives_zero_hiddens():
     store = f64_store()
     lstm = Lstm(store, "lstm", 3, 4, 2)
+    store.allocate()
     inputs = [Var(np.zeros(3)) for _ in range(5)]
     outputs = [lstm.output(s) for s in lstm.run(Tape(), inputs)]
     assert len(outputs) == len(inputs)
@@ -59,6 +59,7 @@ def test_lstm_zero_everything_gives_zero_hiddens():
 def test_lstm_scalar_step_hand_computed():
     store = f64_store()
     lstm = Lstm(store, "lstm", 1, 1, 1)
+    store.allocate()
     weight, bias, _, _ = lstm.layers[0]
     # Gate rows: input, forget, candidate, output; columns: [x, h].
     weight.value[...] = np.array([[0.5, 0.1], [0.3, 0.2], [1.0, -0.5], [0.25, 0.4]])
@@ -79,6 +80,7 @@ def test_lstm_scalar_step_hand_computed():
 def test_lstm_output_length_matches_input_length():
     store = f64_store(3)
     lstm = Lstm(store, "lstm", 2, 5, 2)
+    store.allocate()
     for n in (1, 4, 9):
         inputs = [Var(np.random.default_rng(n).normal(size=2)) for _ in range(n)]
         assert len(lstm.run(Tape(), inputs)) == n
@@ -87,6 +89,7 @@ def test_lstm_output_length_matches_input_length():
 def test_lstm_dimension_mismatch():
     store = f64_store()
     lstm = Lstm(store, "lstm", 3, 4, 1)
+    store.allocate()
     with pytest.raises(DimensionMismatch):
         tape = Tape()
         lstm.step(tape, Var(np.zeros(5)), lstm.initial(tape))
@@ -96,6 +99,7 @@ def test_lstm_cell_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
     store = f64_store(4)
     lstm = Lstm(store, "lstm", 3, 4, 2)
+    store.allocate()
     inputs_value = rng.normal(size=(6, 3))
 
     def loss_fn(tape):
@@ -139,6 +143,7 @@ def test_deferred_weight_gradients_match_per_step_outer_products():
     cell_b = store.add("cell.bias", (4 * hidden,))
     out_w = store.add("out.weight", (n_out, hidden))
     out_b = store.add("out.bias", (n_out,))
+    store.allocate()
     for name in store:
         store[name].value[...] = rng.normal(scale=0.5, size=store[name].value.shape)
     store.zero_grad()
@@ -161,6 +166,7 @@ def test_backward_consumes_tape_and_refcount_frees_it():
     store = f64_store(19)
     lstm = Lstm(store, "lstm", 3, 4, 2)
     scorer = store.add("scorer", (4, 4))
+    store.allocate()
     inputs = [Var(np.random.default_rng(i).normal(size=3)) for i in range(4)]
     gc.disable()
     try:
@@ -185,6 +191,7 @@ def test_backward_consumes_tape_and_refcount_frees_it():
 def test_bilstm_single_element_reads_same_both_ways():
     store = f64_store(5)
     enc = BiLstmEncoder(store, "enc", 3, 4, 6)
+    store.allocate()
     # Copy forward parameters onto the backward direction.
     for (fw, fb, fh, fc), (bw, bb, bh, bc) in zip(enc.fwd.layers, enc.bwd.layers):
         bw.value[...] = fw.value
@@ -202,6 +209,8 @@ def test_bilstm_reversal_symmetry():
     enc_a = BiLstmEncoder(store_a, "enc", 3, 4, 6)
     store_b = f64_store(999)
     enc_b = BiLstmEncoder(store_b, "enc", 3, 4, 6)
+    store_a.allocate()
+    store_b.allocate()
     # enc_b is enc_a with its two directions swapped, and so the two halves
     # of its projection; reading the sequence reversed gives the same summary.
     for a_dir, b_dir in ((enc_a.bwd, enc_b.fwd), (enc_a.fwd, enc_b.bwd)):
@@ -222,6 +231,7 @@ def test_bilstm_reversal_symmetry():
 def test_bilstm_zero_params_zero_summary():
     store = f64_store()
     enc = BiLstmEncoder(store, "enc", 3, 4, 6)
+    store.allocate()
     for name in store:
         store[name].value[...] = 0.0
     out = enc.encode(Tape(), [[Var(np.random.default_rng(2).normal(size=3)) for _ in range(3)]])
@@ -240,6 +250,7 @@ def test_bilstm_empty_sequence():
 def test_bilstm_gradients():
     store = f64_store(7)
     enc = BiLstmEncoder(store, "enc", 3, 4, 5)
+    store.allocate()
     rng = np.random.default_rng(7)
     values = rng.normal(size=(4, 3))
 
@@ -302,6 +313,7 @@ def test_masked_nll_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     store = f64_store(8)
     logits_param = store.add("logits", (7,), init="zeros")
+    store.allocate()
     logits_param.value[...] = rng.normal(size=7)
     mask = [0, 2, 3, 6]
 
@@ -324,6 +336,7 @@ def test_masked_nll_gradient_matches_finite_differences():
 def test_adam_zero_gradients_no_change():
     store = f64_store(9)
     param = store.add("w", (3, 3))
+    store.allocate()
     before = param.value.copy()
     store.zero_grad()
     store.adam_step(lr=0.1, weight_decay=0.0)
@@ -333,6 +346,7 @@ def test_adam_zero_gradients_no_change():
 def test_adam_single_step_hand_computed():
     store = f64_store()
     param = store.add("w", (1,), init="zeros")
+    store.allocate()
     param.value[...] = 1.0
     param.grad[...] = 1.0
     store.adam_step(lr=0.0004, weight_decay=0.0)
@@ -346,6 +360,7 @@ def test_adam_single_step_hand_computed():
 def test_adam_decoupled_weight_decay():
     store = f64_store()
     param = store.add("w", (1,), init="zeros")
+    store.allocate()
     param.value[...] = 2.0
     param.grad[...] = 0.0
     store.adam_step(lr=0.01, weight_decay=0.1)
@@ -355,6 +370,7 @@ def test_adam_decoupled_weight_decay():
 def test_adam_optimizes_quadratic():
     store = f64_store(10)
     param = store.add("xy", (2,), init="zeros")
+    store.allocate()
     param.value[...] = (3.0, -2.0)
     target = np.array([1.0, 1.0])
 
@@ -372,6 +388,7 @@ def test_adam_optimizes_quadratic():
 def test_adam_respects_frozen_rows():
     store = f64_store(11)
     emb = store.add("emb", (3, 2))
+    store.allocate()
     emb.frozen_rows = np.array([True, False, True])
     before = emb.value.copy()
     emb.grad[...] = 1.0
@@ -390,6 +407,7 @@ def test_adam_step_is_bitwise_dense_adam():
     emb.frozen_rows = np.array([True, False, False, True, False, False])
     store.add("w", (4, 7))
     store.add("b", (4,))
+    store.allocate()
     lr, weight_decay, beta1, beta2, eps = 0.01, 0.05, 0.9, 0.999, 1e-8
     dense = {
         name: {"value": store[name].value.copy(), "m": np.zeros_like(store[name].value),
@@ -425,11 +443,9 @@ def test_adam_step_is_bitwise_dense_adam():
 
 def _assert_views_tile_arena(store):
     """Every parameter's value/grad/m/v is the next slice of the store's
-    flat buffers, in ``add`` order, and together they cover them; every
-    parameter is a plain ``Param``, without the allocate-on-read hook."""
+    flat buffers, in ``add`` order, and together they cover them."""
     offset = 0
     for param in store.params.values():
-        assert type(param) is Param, param.name
         size = math.prod(param.shape)
         for view in ("value", "grad", "m", "v"):
             array, flat = getattr(param, view), getattr(store, view)
@@ -476,6 +492,7 @@ def test_arena_initialization_draws_in_add_order():
     store.add("w1", (3, 4))
     store.add("b", (5,))
     store.add("w2", (2, 6))
+    store.allocate()
     rng = np.random.default_rng(31)
     expected_w1 = rng.uniform(-np.sqrt(6.0 / 7), np.sqrt(6.0 / 7), (3, 4)).astype(np.float32)
     expected_w2 = rng.uniform(-np.sqrt(6.0 / 8), np.sqrt(6.0 / 8), (2, 6)).astype(np.float32)
@@ -489,7 +506,9 @@ def test_arena_add_after_allocation_raises():
     store = f64_store(32)
     param = store.add("w", (2, 2))
     store.add("b", (2,))
-    param.value  # the first read allocates the arena
+    with pytest.raises(AttributeError):
+        param.value  # no view before the arena is allocated
+    store.allocate()
     with pytest.raises(RuntimeError):
         store.add("late", (3,))
     assert "late" not in store and store.value.size == 6
@@ -499,6 +518,7 @@ def test_zero_grad_clears_every_gradient():
     store = f64_store(33)
     Lstm(store, "lstm", 3, 4, 1)
     store.add("scorer", (5, 4))
+    store.allocate()
     for name in store:
         store[name].grad[...] = 1.5
     store.zero_grad()
@@ -527,6 +547,7 @@ def test_adam_chunks_match_dense_adam_across_frozen_boundary():
     store.add("head", (5,))
     emb = store.add("emb", (1100, 64))
     store.add("tail", (3, 7))
+    store.allocate()
     frozen = np.zeros(1100, dtype=bool)
     frozen[::3] = True
     frozen[1023] = True  # row 1023 holds the arena's element ADAM_CHUNK
@@ -605,6 +626,7 @@ def _sum_to_scalar(tape, x):
 def test_grad_check_linear_model_is_exact():
     store = f64_store(12)
     w = store.add("w", (4, 3))
+    store.allocate()
     rng = np.random.default_rng(12)
     x = rng.normal(size=3)
 
@@ -621,6 +643,7 @@ def test_grad_check_detects_corruption():
     """A loss whose recorded backward doubles the gradient must fail."""
     store = f64_store(13)
     w = store.add("w", (4, 3))
+    store.allocate()
     x = np.random.default_rng(13).normal(size=3)
 
     def loss_fn(tape):
@@ -736,6 +759,7 @@ def test_dropout_backward_uses_same_mask():
     rng = np.random.default_rng(15)
     store = f64_store(15)
     w = store.add("w", (6,), init="zeros")
+    store.allocate()
     w.value[...] = np.random.default_rng(2).normal(size=6)
 
     def loss_fn(tape):
@@ -751,6 +775,7 @@ def test_concat_and_relu_and_add_n_gradients():
     store = f64_store(16)
     a = store.add("a", (3,), init="zeros")
     b = store.add("b", (2,), init="zeros")
+    store.allocate()
     a.value[...] = [0.5, -1.0, 2.0]
     b.value[...] = [1.5, -0.25]
 
@@ -817,11 +842,14 @@ def test_untaped_ops_match_the_taped_ops_bitwise(monkeypatch, dtype):
 def test_determinism_of_initialization():
     a = ParamStore(seed=42, dtype=np.float32)
     b = ParamStore(seed=42, dtype=np.float32)
+    c = ParamStore(seed=43, dtype=np.float32)
     pa = a.add("w", (8, 8))
     pb = b.add("w", (8, 8))
+    pc = c.add("w", (8, 8))
+    for store in (a, b, c):
+        store.allocate()
     assert np.array_equal(pa.value, pb.value)
-    c = ParamStore(seed=43, dtype=np.float32)
-    assert not np.array_equal(c.add("w", (8, 8)).value, pa.value)
+    assert not np.array_equal(pc.value, pa.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import inspect
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from frameparse.rnng import (
     AllEncodersDisabled,
     Model,
     RnngConfig,
-    ablate,
     encode_state,
     example_loss,
     load_model,
@@ -126,15 +126,16 @@ def test_config_takes_numpy_numbers_and_integral_reals():
 
 def test_ablate():
     config = RnngConfig(**TINY)
-    no_actions = ablate(config, "actions")
+    no_actions = replace(config, use_actions=False)
     assert no_actions.enabled_encoders == ("stack", "buffer")
-    no_buffer = ablate(config, "buffer")
+    no_buffer = replace(config, use_buffer=False)
     assert no_buffer.enabled_encoders == ("stack", "actions")
-    with pytest.raises(ValueError):
-        ablate(config, "nonsense")
-    last = ablate(ablate(config, "stack"), "buffer")
+    with pytest.raises(TypeError):
+        replace(config, use_nonsense=False)
+    last = replace(config, use_stack=False, use_buffer=False)
+    assert last.enabled_encoders == ("actions",)
     with pytest.raises(AllEncodersDisabled):
-        ablate(last, "actions")
+        replace(last, use_actions=False)
 
 
 def test_action_inventory_order():
@@ -729,7 +730,8 @@ def test_full_step_gradients_with_dropout_fixed_seed():
 
 def test_ablated_models_gradients():
     for component in ("stack", "buffer", "actions"):
-        config = ablate(RnngConfig(seed=31, precision="f64", **TINY), component)
+        config = replace(RnngConfig(seed=31, precision="f64", **TINY),
+                         **{f"use_{component}": False})
         vocab = Vocab(("<UNK>", "<NUM>", "turn", "the", "lights", "off"))
         model = Model(config, vocab, (intent("SET"),), (slot("WHAT"),),
                       TokenNormalizer(frozenset(vocab.symbols)))

@@ -1,8 +1,8 @@
 """The digest tools that bit-for-bit claims rest on: each gives the same
 digest twice, and ``tools/train_digest.py`` computes what the benchmark's
 ``train`` workload runs, so a change to the benchmark cannot leave the tool
-behind.  And a scan of the package's source that keeps one reader and one
-writer of files."""
+behind.  And scans of the package's source: one reader and one writer of
+files, and nothing public that only tests use."""
 
 import ast
 import hashlib
@@ -129,3 +129,46 @@ def test_one_reader_and_one_writer_touch_files():
         found.update(scan.found)
     assert found == {**{name: {"read"} for name in READERS},
                      **{name: {"write"} for name in WRITER}}
+
+
+def _referenced_names(node: ast.AST) -> set:
+    """Every name used below ``node``: names, attribute names, imported
+    names and identifier strings (the benchmark's tracer names what it
+    patches in strings)."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.alias):
+            names.add(child.name.rpartition(".")[2])
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            names.add(child.value)
+    return names
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_nothing_public_is_only_for_tests():
+    """Every public module-level function and class of the package is used
+    by the package, outside its own definition and the ``__init__``
+    re-exports, or by the benchmark or the tools.  Names are matched
+    without their module, so a definition passes if anything else of the
+    same name is used."""
+    used = set()
+    for directory in (ROOT / "perfbench", ROOT / "tools"):
+        for path in directory.rglob("*.py"):
+            if "tests" not in path.relative_to(directory).parts:
+                used |= _referenced_names(_parse(path))
+    # Per top-level statement of each module, the names it uses; a
+    # definition's own statement does not count for it.
+    statements = [(node, _referenced_names(node)) for path in sorted(PACKAGE.rglob("*.py"))
+                  if path.name != "__init__.py" for node in _parse(path).body]
+    public = [node for node, _ in statements if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name[0] != "_"]
+    unused = [node.name for node in public if node.name not in used and not any(
+        node.name in names for other, names in statements if other is not node)]
+    assert unused == []

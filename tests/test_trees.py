@@ -6,7 +6,8 @@ import pytest
 import oracles
 import synth
 from frameparse import trees
-from frameparse.metrics import evaluate, read_gold_file
+from frameparse.dataset import IngestError
+from frameparse.metrics import bracket_items, evaluate, read_gold_file
 from frameparse.transitions import execute, oracle
 from frameparse.trees import (
     LABEL_CACHE_SIZE,
@@ -15,7 +16,6 @@ from frameparse.trees import (
     EmptyNonTerminal,
     Label,
     MAX_DEPTH,
-    LabeledSpan,
     NestingTooDeep,
     NonTerminal,
     Token,
@@ -25,7 +25,6 @@ from frameparse.trees import (
     count_nonterminals,
     depth,
     intent,
-    labeled_spans,
     parse_bracketed,
     serialize,
     shared_label,
@@ -101,7 +100,7 @@ def test_nesting_limit():
     tree = parse_bracketed(text)
     assert depth(tree) == count_nonterminals(tree) == MAX_DEPTH
     assert serialize(tree) == text and validate(tree) == []
-    assert tree == parse_bracketed(text) and len(labeled_spans(tree)) == MAX_DEPTH
+    assert tree == parse_bracketed(text) and sum(bracket_items(tree).values()) == MAX_DEPTH
     assert len(oracle(tree)) == 2 * MAX_DEPTH + 1
     assert evaluate([tree], [tree]).exact_match == 100.0
     with pytest.raises(NestingTooDeep) as err:
@@ -132,9 +131,10 @@ def test_read_bracketed_file(tmp_path):
     trees = read_gold_file(path)
     assert len(trees) == 2 and trees[1].tokens == ("hello",)
     path.write_text("[IN:X hello\n", encoding="utf-8")
-    with pytest.raises(UnbalancedBrackets) as err:
+    with pytest.raises(IngestError) as err:
         read_gold_file(path)
-    assert "line 1" in str(err.value)
+    assert (err.value.kind, err.value.line) == ("tree-format", 1)
+    assert str(err.value) == f"{path}: line 1: unclosed '[' (offset 0)"
 
 
 def test_label_invariants():
@@ -291,40 +291,40 @@ def test_depth_bounds_property():
 
 
 def test_labeled_spans_nested_example():
-    got = {str(s) for s in labeled_spans(parse_bracketed(NESTED))}
-    assert got == {
-        "IN:GET_DIRECTIONS[0,6)",
-        "SL:DESTINATION[3,6)",
-        "IN:GET_EVENT[3,6)",
-        "SL:NAME_EVENT[4,5)",
-        "SL:CAT_EVENT[5,6)",
+    assert set(bracket_items(parse_bracketed(NESTED))) == {
+        ("IN:GET_DIRECTIONS", 0, 6),
+        ("SL:DESTINATION", 3, 6),
+        ("IN:GET_EVENT", 3, 6),
+        ("SL:NAME_EVENT", 4, 5),
+        ("SL:CAT_EVENT", 5, 6),
     }
 
 
 def test_labeled_spans_minimal():
-    spans = labeled_spans(parse_bracketed("[IN:X hello ]"))
-    assert spans == [LabeledSpan(intent("X"), 0, 1)]
+    assert bracket_items(parse_bracketed("[IN:X hello ]")) == {("IN:X", 0, 1): 1}
 
 
 def test_labeled_spans_duplicates_preserved():
     tree = parse_bracketed("[IN:X [SL:Y a ] [SL:Y b ] ]")
-    assert len(labeled_spans(tree)) == 3
+    assert sum(bracket_items(tree).values()) == 3
+    chain = parse_bracketed("[IN:X [SL:Y [IN:X a ] ] ]")
+    assert bracket_items(chain)[("IN:X", 0, 1)] == 2
 
 
 def test_labeled_spans_count_and_nesting_property():
     rng = np.random.default_rng(3)
     for _ in range(300):
         tree = synth.random_valid_tree(rng)
-        spans = labeled_spans(tree)
+        spans = list(bracket_items(tree).elements())
         assert len(spans) == count_nonterminals(tree)
-        for a in spans:
-            for b in spans:
+        for _, a_start, a_end in spans:
+            for _, b_start, b_end in spans:
                 # nested or disjoint, never crossing
                 assert (
-                    a.end <= b.start
-                    or b.end <= a.start
-                    or (a.start <= b.start and b.end <= a.end)
-                    or (b.start <= a.start and a.end <= b.end)
+                    a_end <= b_start
+                    or b_end <= a_start
+                    or (a_start <= b_start and b_end <= a_end)
+                    or (b_start <= a_start and a_end <= b_end)
                 )
 
 
@@ -332,7 +332,7 @@ def test_labeled_spans_match_brute_force():
     rng = np.random.default_rng(4)
     for _ in range(200):
         tree = synth.random_valid_tree(rng)
-        mine = sorted((str(s.label), s.start, s.end) for s in labeled_spans(tree))
+        mine = sorted(bracket_items(tree).elements())
         assert mine == sorted(oracles.brute_spans(tree))
 
 
