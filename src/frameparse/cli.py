@@ -7,17 +7,19 @@ configuration refuses, alone or together), 3 I/O or refused input.  Every
 text input is read by ``dataset.read_lines``.  Every output file is written
 by ``dataset.write_file``, whole or not at all, and refused by
 ``dataset.check_writable`` before any input is read if it could not be.
-Every refusal prints ``error: <path>: line N: <message>``, or
-``error: <path>: <message>`` where no one line is at fault: an input that
-cannot be opened or is not UTF-8, an output that cannot be written, a
-checkpoint that cannot be opened or is malformed, a corpus, gold-tree or
-embeddings file with a bad line, embeddings whose dimension is not the
-model's, a tree nested too deep to check, and a config file with a line
-that is not key=value, names no configuration field or holds a value the
-field refuses, or with values that are invalid together.  A closed stdout
-(``frameparse oracle ... | head``) also exits 3.  The per-line reports
-``validate``, ``oracle`` and ``parse`` print while they carry on
-(``<path>:N: ...``) are not refusals.
+Every refusal is a ``dataset.IngestError`` (a malformed checkpoint's is its
+subclass ``CheckpointError``), which ``main`` alone turns into exit 3 and
+``error: <path>: line N: <message>``, or ``error: <path>: <message>`` where
+no one line is at fault: an input that cannot be opened or is not UTF-8, an
+output that cannot be written, a checkpoint that cannot be opened or is
+malformed, a corpus, gold-tree or embeddings file with a bad line,
+embeddings whose dimension is not the model's, a tree nested too deep to
+check, and a config file with a line that is not key=value, names no
+configuration field or holds a value the field refuses, or with values that
+are invalid together.  A file's first bad line is refused, whatever its
+fault.  A closed stdout (``frameparse oracle ... | head``) also exits 3, in
+the same clause.  The per-line reports ``validate``, ``oracle`` and
+``parse`` print while they carry on (``<path>:N: ...``) are not refusals.
 Hyperparameters resolve as flag > config file (key=value lines) > default,
 and every JSON artifact echoes the fully resolved configuration.
 """
@@ -34,7 +36,6 @@ import numpy as np
 
 from . import dataset, metrics, rnng, transitions, trees
 from .neural import gradcheck as gradcheck_mod
-from .neural.params import CheckpointError
 from .preprocess import TokenNormalizer
 
 EXIT_OK = 0
@@ -471,16 +472,14 @@ def main(argv=None) -> int:
     except rnng.AllEncodersDisabled as err:  # from train flags (see resolve_train_config)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (dataset.IngestError, CheckpointError) as err:
+    except (dataset.IngestError, BrokenPipeError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except BrokenPipeError as err:  # stdout's reader has gone, as in `| head`
-        print(f"error: {err}", file=sys.stderr)
-        # stdout still holds what it could not write; point it at devnull so
-        # that its flush at exit does not fail on the pipe a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if isinstance(err, BrokenPipeError):  # stdout's reader has gone, as in `| head`
+            # stdout still holds what it could not write; point it at devnull
+            # so that its flush at exit does not fail on the pipe a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_IO
     except (metrics.LengthMismatch, transitions.TransitionError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

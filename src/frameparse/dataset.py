@@ -1,11 +1,13 @@
 """Text input, file output, corpus ingestion, pretrained embeddings,
 vocabularies, and corpus statistics.
 
-Every text file the package reads goes through ``read_lines``, every file
-it writes goes through ``write_file``, and every refusal of either is an
-``IngestError`` naming the file and, for one input line, the line.  The
-corpus format is a UTF-8 TSV with three columns per line: the
-raw utterance, the space-tokenized utterance, and the bracketed tree.
+Every text file the package reads goes through ``read_lines``, in one
+pass, and every file it writes goes through ``write_file``.  Every refusal
+of an input or output, checkpoints included, is an ``IngestError`` naming
+the file and, for one input line, the line; a reader refuses the first bad
+line it reaches, whatever its fault.  The corpus format is a UTF-8 TSV with
+three columns per line: the raw utterance, the space-tokenized utterance,
+and the bracketed tree.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import secrets
 import stat
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional
 
@@ -35,16 +37,17 @@ class Split(Enum):
 
 
 class IngestError(Exception):
-    """A refused text input or output file, named in ``path``, with the
+    """A refused input or output file, named in ``path``, with the
     number of the bad line in ``line`` when one input line is at fault.
-    ``kind`` is io (an input ``read_lines`` cannot open, or an output
-    ``write_file`` cannot write) or encoding (from ``read_lines``);
-    bad-column-count, constraint-violation or token-mismatch (a corpus
-    file); tree-format (a corpus or tree file, with a line that is not a
-    bracketed tree or one nested too deep to check); empty-corpus (a
-    corpus or gold-tree file with no tree); embeddings (an embeddings file,
-    or its dimension against the model's); or config (a ``train --config``
-    line the CLI refuses)."""
+    ``kind`` is io (an input ``read_lines`` or ``load_checkpoint`` cannot
+    open, or an output ``write_file`` cannot write) or encoding (from
+    ``read_lines``); bad-column-count, constraint-violation or
+    token-mismatch (a corpus file); tree-format (a corpus or tree file,
+    with a line that is not a bracketed tree or one nested too deep to
+    check); empty-corpus (a corpus or gold-tree file with no tree);
+    embeddings (an embeddings file, or its dimension against the model's);
+    config (a ``train --config`` line the CLI refuses); or checkpoint (a
+    malformed checkpoint, raised as ``neural.params.CheckpointError``)."""
 
     def __init__(self, kind: str, message: str, line: Optional[int] = None, path=None):
         where = f"{path}: " if path is not None else ""
@@ -59,40 +62,25 @@ class IngestError(Exception):
 def read_lines(path):
     """Yield ``(lineno, line)`` for each line of the UTF-8 text file
     ``path``, numbered from 1, without its line end (``\\n``, ``\\r\\n`` or
-    ``\\r``).  Reads as it yields.  A file that cannot be opened raises
-    ``IngestError`` kind io; one that is not UTF-8, kind encoding, naming
-    its first undecodable line once the reader reaches the chunk holding
-    it."""
+    ``\\r``).  Reads as it yields, in one pass.  A file that cannot be opened
+    raises ``IngestError`` kind io; a line that is not UTF-8, kind encoding,
+    naming it, when the reader reaches it."""
     try:
-        handle = open(path, "r", encoding="utf-8")
+        # Bytes that are not UTF-8 decode to lone surrogates, which valid
+        # UTF-8 never yields: only such a line fails the check below.
+        handle = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as err:
         raise IngestError("io", err.strerror or str(err), path=path) from None
     with handle:
-        try:
-            for lineno, line in enumerate(handle, start=1):
-                yield lineno, line.rstrip("\n")
-        except UnicodeDecodeError as err:
-            raise IngestError(
-                "encoding", f"not valid UTF-8 ({err.reason})", _undecodable_line(path), path
-            ) from None
-
-
-def _undecodable_line(path) -> Optional[int]:
-    """Number of the first line of ``path`` that is not UTF-8.  The text
-    reader decodes whole chunks, so its error does not say which line.  The
-    lines split as the reader splits them (at ``\\n``, ``\\r\\n`` or ``\\r``),
-    bytes that no multi-byte UTF-8 sequence contains; a ``\\r\\n`` never
-    straddles two of the binary reader's ``\\n``-ended pieces."""
-    lineno = 0
-    with open(path, "rb") as handle:
-        for piece in handle:
-            for raw in piece.splitlines():
-                lineno += 1
+        for lineno, line in enumerate(handle, start=1):
+            if not line.isascii():
                 try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    return lineno
-    return None
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise IngestError(
+                        "encoding", f"not valid UTF-8 ({err.reason})", lineno, path
+                    ) from None
+            yield lineno, line.rstrip("\n")
 
 
 def write_file(path, chunks) -> None:
@@ -327,18 +315,10 @@ class CorpusStats:
     fraction_depth_gt_2: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "intent_label_count": self.intent_label_count,
-            "slot_label_count": self.slot_label_count,
-            "median_depth": self.median_depth,
-            "mean_depth": self.mean_depth,
-            "median_length": self.median_length,
-            "mean_length": self.mean_length,
-            "fraction_depth_gt_2": self.fraction_depth_gt_2,
-            "depth_histogram": {str(k): v for k, v in sorted(self.depth_histogram.items())},
-            "length_histogram": {str(k): v for k, v in sorted(self.length_histogram.items())},
-        }
+        fields = asdict(self)
+        for name in ("depth_histogram", "length_histogram"):
+            fields[name] = {str(k): v for k, v in sorted(fields[name].items())}
+        return fields
 
     def depth_csv(self) -> str:
         return _histogram_csv("depth", self.depth_histogram)

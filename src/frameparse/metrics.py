@@ -3,7 +3,9 @@ tree-labeled variant, tree validity, and top-k accuracy.
 
 Predictions are read leniently: lines that fail to parse as balanced
 bracketed trees count as invalid predictions (zero credit everywhere) but
-still occupy their slot in every denominator.  Tree validity itself only
+still occupy their slot in every denominator.  Blank lines are skipped in
+the prediction file as in the gold file, so the n-th non-blank line of one
+pairs with the n-th of the other.  Tree validity itself only
 requires a structural parse, not the intent-slot constraints, so output
 from any external system can be scored.
 """
@@ -231,10 +233,13 @@ def read_gold_file(path) -> list:
 
 
 def read_predictions_file(path):
-    """Lenient reader: returns (trees-or-None, raw lines)."""
+    """Lenient reader: returns (trees-or-None, raw lines) of the non-blank
+    lines, which pair with the gold file's."""
     trees = []
     raw = []
     for _, line in read_lines(path):
+        if not line.strip():
+            continue
         raw.append(line)
         try:
             trees.append(parse_bracketed(line.strip()))

@@ -1,5 +1,9 @@
 """Parameter storage, the Adam optimizer, and the checkpoint container.
 
+A refused checkpoint raises ``CheckpointError``, the ``dataset.IngestError``
+of kind checkpoint, which writes the file name before the message; one that
+cannot be opened raises ``IngestError`` kind io, as every input does.
+
 A :class:`ParamStore` keeps all parameters in one arena: four flat buffers,
 ``value``, ``grad`` and Adam's moments ``m`` and ``v``, each allocated once
 at its exact size.  Every :class:`Param` holds reshaped views into them, so
@@ -25,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..dataset import write_file
+from ..dataset import IngestError, write_file
 from .core import Var
 
 CHECKPOINT_MAGIC = b"FRAMEPARSE-CKPT"
@@ -41,8 +45,13 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-class CheckpointError(Exception):
-    pass
+class CheckpointError(IngestError):
+    """A refused checkpoint: ``IngestError`` kind checkpoint, naming the
+    file in ``path`` (None from :meth:`ParamStore.load_values`, which
+    knows no file)."""
+
+    def __init__(self, message: str, path):
+        super().__init__("checkpoint", message, path=path)
 
 
 class Param(Var):
@@ -254,15 +263,16 @@ class ParamStore:
         extra = sorted(set(arrays) - set(self.params))
         if extra:
             raise CheckpointError(
-                f"checkpoint has arrays the model lacks: {', '.join(map(repr, extra))}"
+                f"checkpoint has arrays the model lacks: {', '.join(map(repr, extra))}", None
             )
         for name, param in self.params.items():
             if name not in arrays:
-                raise CheckpointError(f"checkpoint is missing parameter {name!r}")
+                raise CheckpointError(f"checkpoint is missing parameter {name!r}", None)
             shape = tuple(arrays[name].shape)
             if shape != param.shape:
                 raise CheckpointError(
-                    f"parameter {name!r}: checkpoint shape {shape} != model shape {param.shape}"
+                    f"parameter {name!r}: checkpoint shape {shape} != model shape {param.shape}",
+                    None,
                 )
         for name, param in self.params.items():
             param.value[...] = arrays[name].astype(self.dtype, copy=False)
@@ -302,25 +312,26 @@ def _array_entry(path, entry) -> tuple:
     """Validate one array-table entry; returns (name, dtype, shape, nbytes)."""
     if not isinstance(entry, dict) or any(key not in entry for key in _ENTRY_KEYS):
         raise CheckpointError(
-            f"{path}: array table entry {entry!r} needs the keys {', '.join(_ENTRY_KEYS)}"
+            f"array table entry {entry!r} needs the keys {', '.join(_ENTRY_KEYS)}", path
         )
     name, shape, nbytes = entry["name"], entry["shape"], entry["nbytes"]
     if not isinstance(name, str):
-        raise CheckpointError(f"{path}: array name {name!r} is not a string")
+        raise CheckpointError(f"array name {name!r} is not a string", path)
     text = entry["dtype"]
     try:
         dtype = np.dtype(text) if isinstance(text, str) and _DTYPE.fullmatch(text) else None
     except TypeError:
         dtype = None
     if dtype is None:
-        raise CheckpointError(f"{path}: array {name!r} has unsupported dtype {text!r}")
+        raise CheckpointError(f"array {name!r} has unsupported dtype {text!r}", path)
     if not isinstance(shape, list) or not all(type(dim) is int and dim >= 0 for dim in shape):
-        raise CheckpointError(f"{path}: array {name!r} has bad shape {shape!r}")
+        raise CheckpointError(f"array {name!r} has bad shape {shape!r}", path)
     expected = math.prod(shape) * dtype.itemsize
     if type(nbytes) is not int or nbytes != expected:
         raise CheckpointError(
-            f"{path}: array {name!r} declares {nbytes!r} bytes, but shape {shape} of "
-            f"{dtype} needs {expected}"
+            f"array {name!r} declares {nbytes!r} bytes, but shape {shape} of {dtype} needs "
+            f"{expected}",
+            path,
         )
     return name, dtype, tuple(shape), nbytes
 
@@ -331,52 +342,54 @@ def load_checkpoint(path):
     payload that does not match the header's sha256, raises
     ``CheckpointError``; an array table that declares more bytes than the
     file holds does so before any array is read.  A header without a
-    sha256 loads unchecked, and a file that cannot be opened raises it
-    naming ``path``."""
+    sha256 loads unchecked.  A file that cannot be opened raises
+    ``IngestError`` kind io, as every other input does."""
     try:
         handle = open(path, "rb")
     except OSError as err:
-        raise CheckpointError(f"{path}: {err.strerror or err}") from None
+        raise IngestError("io", err.strerror or str(err), path=path) from None
     with handle:
         magic = handle.readline().rstrip(b"\n")
         if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a frameparse checkpoint")
+            raise CheckpointError("not a frameparse checkpoint", path)
         try:
             header = json.loads(handle.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
-            raise CheckpointError(f"{path}: corrupt checkpoint header: {err}") from None
+            raise CheckpointError(f"corrupt checkpoint header: {err}", path) from None
         if not isinstance(header, dict):
-            raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
+            raise CheckpointError("checkpoint header is not a JSON object", path)
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
-                f"{path}: checkpoint version {header.get('version')} is not supported "
-                f"(expected {CHECKPOINT_VERSION})"
+                f"checkpoint version {header.get('version')} is not supported "
+                f"(expected {CHECKPOINT_VERSION})",
+                path,
             )
         table, meta = header.get("arrays"), header.get("meta")
         if not isinstance(table, list) or not isinstance(meta, dict):
             raise CheckpointError(
-                f"{path}: checkpoint header needs an 'arrays' list and a 'meta' object"
+                "checkpoint header needs an 'arrays' list and a 'meta' object", path
             )
         entries = [_array_entry(path, entry) for entry in table]
         declared = sum(nbytes for *_, nbytes in entries)
         available = os.fstat(handle.fileno()).st_size - handle.tell()
         if declared > available:
             raise CheckpointError(
-                f"{path}: truncated checkpoint: the array table declares {declared} bytes, "
-                f"but {available} follow the header"
+                f"truncated checkpoint: the array table declares {declared} bytes, "
+                f"but {available} follow the header",
+                path,
             )
         arrays = {}
         digest = hashlib.sha256()
         for name, dtype, shape, nbytes in entries:
             if name in arrays:
-                raise CheckpointError(f"{path}: array {name!r} appears twice")
+                raise CheckpointError(f"array {name!r} appears twice", path)
             blob = handle.read(nbytes)
             if len(blob) != nbytes:
-                raise CheckpointError(f"{path}: truncated checkpoint")
+                raise CheckpointError("truncated checkpoint", path)
             digest.update(blob)
             arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
         if handle.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after the last array")
+            raise CheckpointError("trailing bytes after the last array", path)
     if "sha256" in header and header["sha256"] != digest.hexdigest():
-        raise CheckpointError(f"{path}: payload does not match the header's sha256")
+        raise CheckpointError("payload does not match the header's sha256", path)
     return arrays, meta

@@ -67,7 +67,6 @@ from .preprocess import TokenNormalizer, UNK_TOKEN
 from .transitions import (
     DEFAULT_MAX_OPEN_NTS,
     Action,
-    EmptyUtterance,
     REDUCE,
     SHIFT,
     apply,  # noqa: F401 - kept importable as rnng.apply
@@ -644,8 +643,6 @@ def parse_greedy(model: Model, tokens) -> tuple:
     forced REDUCEs after the last SHIFT each add exactly 0.
     """
     tokens = tuple(tokens)
-    if not tokens:
-        raise EmptyUtterance("cannot parse an empty utterance")
     branch = start_hypothesis(model, tokens)
     for _ in range(_decode_guard(len(tokens), model.config.max_open_nts)):
         if branch.state.is_terminal:
@@ -672,8 +669,6 @@ def parse_beam(model: Model, tokens, k: int) -> list:
     REDUCE with step log-probability 0, ranks like any other.
     """
     tokens = tuple(tokens)
-    if not tokens:
-        raise EmptyUtterance("cannot parse an empty utterance")
     if k < 1:
         raise ValueError("beam size must be at least 1")
     live = [start_hypothesis(model, tokens)]
@@ -743,7 +738,7 @@ def save_model(model: Model, path) -> None:
 def _meta_strings(path, meta: dict, key: str) -> list:
     value = meta.get(key)
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise CheckpointError(f"{path}: checkpoint meta {key!r} must be a list of strings")
+        raise CheckpointError(f"checkpoint meta {key!r} must be a list of strings", path)
     return value
 
 
@@ -753,46 +748,48 @@ def _meta_labels(path, meta: dict, key: str, kind: str) -> tuple:
         try:
             label = Label.parse(text)
         except ValueError:
-            raise CheckpointError(f"{path}: bad label {text!r} in {key!r}") from None
+            raise CheckpointError(f"bad label {text!r} in {key!r}", path) from None
         if label.kind != kind:
-            raise CheckpointError(f"{path}: {key!r} holds {text!r}, which is not a {kind}: label")
+            raise CheckpointError(f"{key!r} holds {text!r}, which is not a {kind}: label", path)
         labels.append(label)
     return tuple(labels)
 
 
 def load_model(path) -> Model:
     """Read a checkpoint written by :func:`save_model`; anything missing,
-    mistyped or inconsistent raises ``CheckpointError``."""
+    mistyped or inconsistent raises ``CheckpointError`` naming ``path``,
+    the refusals of ``ParamStore.load_values`` among them."""
     arrays, meta = load_checkpoint(path)
     if meta.get("format") != MODEL_FORMAT:
-        raise CheckpointError(f"{path}: not a parser checkpoint")
+        raise CheckpointError("not a parser checkpoint", path)
     if meta.get("model_version") != MODEL_VERSION:
-        raise CheckpointError(
-            f"{path}: model version {meta.get('model_version')} unsupported"
-        )
+        raise CheckpointError(f"model version {meta.get('model_version')} unsupported", path)
     if not isinstance(meta.get("config"), dict):
-        raise CheckpointError(f"{path}: checkpoint meta 'config' must be an object")
+        raise CheckpointError("checkpoint meta 'config' must be an object", path)
     try:
         config = RnngConfig(**meta["config"])
     except (TypeError, ValueError) as err:
-        raise CheckpointError(f"{path}: bad model config: {err}") from None
+        raise CheckpointError(f"bad model config: {err}", path) from None
     try:
         token_vocab = Vocab(_meta_strings(path, meta, "token_vocab"))
     except ValueError as err:
-        raise CheckpointError(f"{path}: bad token vocabulary: {err}") from None
+        raise CheckpointError(f"bad token vocabulary: {err}", path) from None
     intents = _meta_labels(path, meta, "intent_labels", INTENT)
     slots = _meta_labels(path, meta, "slot_labels", SLOT)
     if not isinstance(meta.get("normalizer"), dict):
-        raise CheckpointError(f"{path}: checkpoint meta 'normalizer' must be an object")
+        raise CheckpointError("checkpoint meta 'normalizer' must be an object", path)
     known = _meta_strings(path, meta["normalizer"], "known")
     model = Model(config, token_vocab, intents, slots, TokenNormalizer(frozenset(known)))
     frozen = arrays.pop("word_emb.frozen_rows", None)
-    model.store.load_values(arrays)
+    try:
+        model.store.load_values(arrays)
+    except CheckpointError as err:
+        raise CheckpointError(err.message, path) from None
     if frozen is not None:
         if frozen.shape != (len(token_vocab),):
             raise CheckpointError(
-                f"{path}: word_emb.frozen_rows has shape {frozen.shape}, expected "
-                f"({len(token_vocab)},)"
+                f"word_emb.frozen_rows has shape {frozen.shape}, expected ({len(token_vocab)},)",
+                path,
             )
         model.word_emb.frozen_rows = frozen.astype(bool)
     return model

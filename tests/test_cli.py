@@ -670,6 +670,19 @@ def test_eval_gold_vs_gold(tmp_path, capsys):
     assert "100.00" in out
 
 
+def test_eval_skips_blank_lines_in_both_files(tmp_path, capsys):
+    """Gold and predictions follow one blank-line rule, so a tree file with a
+    gap scores 100 against itself, and a prediction file may have its own
+    gaps."""
+    gap = write_lines(tmp_path / "gap.txt", ["[IN:X a ]", "", "[IN:X b ]"])
+    assert main(["eval", gap, gap]) == 0
+    assert "100.00" in capsys.readouterr().out
+    gold = write_lines(tmp_path / "gold.txt", ["[IN:X a ]", "[IN:X b ]"])
+    pred = write_lines(tmp_path / "pred.txt", ["", "[IN:X a ]", "  ", "broken [", ""])
+    assert main(["eval", gold, pred]) == 0
+    assert "50.00" in capsys.readouterr().out  # exact match 1/2
+
+
 def test_eval_external_predictions(tmp_path, capsys):
     gold = write_lines(tmp_path / "gold.txt", ["[IN:X a ]", "[IN:X b ]", "[IN:X c ]"])
     pred = write_lines(
@@ -876,6 +889,85 @@ def test_parse_unopenable_checkpoint_exits_three_naming_it(tmp_path, capsys, che
     assert main(["parse", str(ckpt), utterances]) == 3
     message = "Is a directory" if checkpoint == "directory" else "No such file or directory"
     assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+
+
+def _parse_with_edited_checkpoint(tmp_path, inputs, edit):
+    """``parse`` of a copy of the trained checkpoint whose arrays ``edit``
+    changed, and the copy's path."""
+    from frameparse.neural.params import load_checkpoint, save_checkpoint
+
+    arrays, meta = load_checkpoint(inputs["ckpt"])
+    edit(arrays)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, arrays, meta)
+    return ["parse", str(ckpt), inputs["utts"]], ckpt
+
+
+def _checkpoint_without_ff_bias(tmp_path, inputs):
+    argv, ckpt = _parse_with_edited_checkpoint(tmp_path, inputs,
+                                               lambda arrays: arrays.pop("ff.bias"))
+    return argv, ckpt, "checkpoint is missing parameter 'ff.bias'"
+
+
+def _checkpoint_with_misshapen_ff_bias(tmp_path, inputs):
+    def shorten(arrays):
+        arrays["ff.bias"] = arrays["ff.bias"][:-1]
+
+    argv, ckpt = _parse_with_edited_checkpoint(tmp_path, inputs, shorten)
+    # --lstm-units 9 in TINY_FLAGS
+    return argv, ckpt, "parameter 'ff.bias': checkpoint shape (8,) != model shape (9,)"
+
+
+def _undecodable_third_line(tmp_path, inputs):
+    tsv = tmp_path / "c.tsv"
+    tsv.write_bytes(b"a\ta\t[IN:X a ]\nb\tb\t[IN:X b ]\n\xff\tc\t[IN:X c ]\n")
+    return ["stats", str(tsv)], tsv, "line 3: not valid UTF-8 (invalid start byte)"
+
+
+def _missing_input(tmp_path, inputs):
+    missing = tmp_path / "missing.txt"
+    return ["validate", str(missing)], missing, "No such file or directory"
+
+
+def _output_in_missing_directory(tmp_path, inputs):
+    out = tmp_path / "missing" / "actions.txt"
+    return ["oracle", inputs["trees"], "-o", str(out)], out, "No such file or directory"
+
+
+def _bad_config_line(tmp_path, inputs):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=0\nlstm_units 5\n", encoding="utf-8")
+    return (["train", inputs["tsv"], "-o", str(tmp_path / "m.ckpt"), "--config", str(cfg)], cfg,
+            "line 2: expected key=value, got 'lstm_units 5'")
+
+
+def _bad_embeddings_line(tmp_path, inputs):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("a 0.1 0.2 0.3\nb 0.1\n", encoding="utf-8")
+    return (["train", inputs["tsv"], "-o", str(tmp_path / "m.ckpt"), "--embeddings",
+             str(vectors), "--word-dim", "3", "--epochs", "0"], vectors,
+            "line 2: expected 3 values, found 1")
+
+
+REFUSED = {
+    "checkpoint-without-array": _checkpoint_without_ff_bias,
+    "checkpoint-misshapen-array": _checkpoint_with_misshapen_ff_bias,
+    "tsv-undecodable-line": _undecodable_third_line,
+    "missing-input": _missing_input,
+    "output-in-missing-directory": _output_in_missing_directory,
+    "config-line": _bad_config_line,
+    "embeddings-line": _bad_embeddings_line,
+}
+
+
+@pytest.mark.parametrize("refused", REFUSED.values(), ids=REFUSED.keys())
+def test_every_refusal_is_one_line_naming_its_file(tmp_path, capsys, output_inputs, refused):
+    """Each kind of refused input or output, checkpoint arrays among them,
+    exits 3 with one line: ``error: <path>: <message>``."""
+    argv, named, message = refused(tmp_path, output_inputs)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {named}: {message}\n"
 
 
 class _FullDisk:

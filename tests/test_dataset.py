@@ -124,12 +124,19 @@ def test_load_undecodable_file_is_refused_with_its_line(tmp_path, strict):
     with pytest.raises(IngestError) as err:
         load_tsv(path, strict=strict)
     assert err.value.kind == "encoding" and err.value.line == 5
+    # After a malformed line: strict mode refuses that line first, in line
+    # order; lenient mode skips it, but never the undecodable one.
+    path.write_bytes(good + b"b\tb\n" + good + b"\xff\tb\t[IN:X b ]\n")
+    with pytest.raises(IngestError) as err:
+        load_tsv(path, strict=strict)
+    assert (err.value.kind, err.value.line) == (
+        ("bad-column-count", 2) if strict else ("encoding", 4))
 
 
-def test_read_lines_streams_up_to_the_undecodable_chunk(tmp_path):
+def test_read_lines_streams_up_to_the_undecodable_line(tmp_path):
     """Lines come without their ends (\\n, \\r\\n or \\r), as they are read:
-    the lines before the chunk holding a byte that is not UTF-8 are yielded
-    before the refusal, which names that byte's line."""
+    every line before the first one holding a byte that is not UTF-8 is
+    yielded before the refusal, which names that line."""
     path = tmp_path / "lines.txt"
     path.write_bytes(b"a\r\nb\rc\n\nd")
     assert list(read_lines(path)) == [(1, "a"), (2, "b"), (3, "c"), (4, ""), (5, "d")]
@@ -140,7 +147,7 @@ def test_read_lines_streams_up_to_the_undecodable_chunk(tmp_path):
         for lineno, line in read_lines(path):
             seen.append((lineno, line))
     assert err.value.kind == "encoding" and err.value.line == n_good + 1
-    assert 0 < len(seen) <= n_good and seen == [(i, "ok") for i in range(1, len(seen) + 1)]
+    assert seen == [(i, "ok") for i in range(1, n_good + 1)]
     missing = tmp_path / "missing.txt"
     with pytest.raises(IngestError) as err:
         list(read_lines(missing))
@@ -148,21 +155,34 @@ def test_read_lines_streams_up_to_the_undecodable_chunk(tmp_path):
     assert str(err.value) == f"{missing}: No such file or directory"
 
 
-@pytest.mark.parametrize("read", [
-    load_tsv,
-    metrics.read_gold_file,
-    metrics.read_predictions_file,
-    metrics.read_beam_file,
-    lambda path: load_embeddings(path, ["a"]),
-    lambda path: load_config_file(path, RnngConfig()),
+@pytest.mark.parametrize("read, first", [
+    (load_tsv, "\u00e9\t\u00e9\t[IN:X \u00e9 ]"),
+    (metrics.read_gold_file, "[IN:X \u00e9 ]"),
+    (metrics.read_predictions_file, "[IN:X \u00e9 ]"),
+    (metrics.read_beam_file, "-0.5\t[IN:X \u00e9 ]"),
+    (lambda path: load_embeddings(path, ["a"]), "\u00e9 0.5"),
+    (lambda path: load_config_file(path, RnngConfig()), "# \u00e9"),
 ], ids=["load_tsv", "gold", "predictions", "beam", "embeddings", "config"])
-def test_every_text_reader_refuses_undecodable_input_with_its_line(tmp_path, read):
+def test_every_text_reader_refuses_undecodable_input_with_its_line(tmp_path, read, first):
+    """After a first line the reader accepts, non-ASCII UTF-8, a line that
+    is not UTF-8 is refused naming it.  Refusals come in line order: after
+    ``# \u00e9``, a reader that refuses that line refuses it first."""
     path = tmp_path / "input.txt"
-    path.write_bytes(b"# \xc3\xa9\n\xe2\x82 1\n")
+    path.write_bytes(first.encode("utf-8") + b"\n\xe2\x82 1\n")
     with pytest.raises(IngestError) as err:
         read(path)
     assert err.value.kind == "encoding" and err.value.line == 2 and err.value.path == path
     assert str(err.value).startswith(f"{path}: line 2: not valid UTF-8 (")
+    path.write_bytes(b"# \xc3\xa9\n")
+    try:
+        read(path)
+        expected = ("encoding", 2)
+    except IngestError as alone:
+        expected = (alone.kind, 1)
+    path.write_bytes(b"# \xc3\xa9\n\xe2\x82 1\n")
+    with pytest.raises(IngestError) as err:
+        read(path)
+    assert (err.value.kind, err.value.line) == expected
 
 
 def test_write_file_replaces_a_symlink_instead_of_following_it(tmp_path):

@@ -1,15 +1,15 @@
 """Property tests of the checkpoint, embedding and corpus readers.
 
 Whatever bytes they are given, ``load_checkpoint`` returns a well-formed
-result or raises its own typed error, or ``UnicodeDecodeError``, which the
-command line reports as refused input; ``load_embeddings`` returns a table
-of finite vectors and ``load_tsv`` a corpus of valid examples, or each
-raises ``IngestError`` naming the file.
+result, ``load_embeddings`` a table of finite vectors and ``load_tsv`` a
+corpus of valid examples, or each raises ``IngestError`` naming the file
+(for a checkpoint, its ``CheckpointError`` subclass, kind checkpoint).
 Seeded and bounded (``derandomize=True``, a fixed ``max_examples``), so a
 run is deterministic and takes a few seconds.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,7 +51,9 @@ def _load_checkpoint_bytes(workdir, blob: bytes):
     path.write_bytes(blob)
     try:
         arrays, meta = load_checkpoint(path)
-    except (CheckpointError, UnicodeDecodeError):
+    except CheckpointError as err:
+        assert err.kind == "checkpoint" and err.path == path
+        assert str(err).startswith(f"{path}: ")
         return None
     assert isinstance(meta, dict)
     assert all(isinstance(a, np.ndarray) for a in arrays.values())
@@ -213,6 +215,18 @@ def _nonblank_lines(blob: bytes) -> int:
     return sum(1 for line in text.split("\n") if line)
 
 
+def _lines_before(blob: bytes, lineno: int) -> list:
+    """The lines of ``blob`` before line ``lineno``, split as the text
+    reader splits them, after checking that they are UTF-8 and that line
+    ``lineno`` is not."""
+    lines = re.split(rb"\r\n|\r|\n", blob)
+    for line in lines[: lineno - 1]:
+        line.decode("utf-8")
+    with pytest.raises(UnicodeDecodeError):
+        lines[lineno - 1].decode("utf-8")
+    return lines[: lineno - 1]
+
+
 def _check_examples(corpus) -> None:
     for example in corpus:
         assert example.tokens == example.tree.tokens
@@ -238,8 +252,23 @@ def test_tsv_bytes_load_valid_examples_or_raise_an_ingest_error(workdir, lines):
     except IngestError as err:
         assert err.kind in FILE_KINDS and err.path == path
         if err.kind == "encoding":
-            assert isinstance(strict, IngestError) and strict.kind == "encoding"
-            assert strict.line == err.line is not None
+            # Never skipped in lenient mode, while strict mode refuses the
+            # first bad line whatever its fault: the first malformed line
+            # before this one (as strict mode refuses the lines before it
+            # alone), or else this one.
+            before = workdir / "before.tsv"
+            before.write_bytes(b"".join(line + b"\n" for line in _lines_before(blob, err.line)))
+            try:
+                load_tsv(before)
+                first = None
+            except IngestError as bad:
+                first = None if bad.kind == "empty-corpus" else bad
+            assert isinstance(strict, IngestError) and err.line is not None
+            if first is None:
+                assert (strict.kind, strict.line) == ("encoding", err.line)
+            else:
+                assert (strict.kind, strict.line, strict.message) == (
+                    first.kind, first.line, first.message)
         return
     _check_examples(lenient)
     skipped = lenient.skipped

@@ -2,7 +2,8 @@
 digest twice, and ``tools/train_digest.py`` computes what the benchmark's
 ``train`` workload runs, so a change to the benchmark cannot leave the tool
 behind.  And scans of the package's source: one reader and one writer of
-files, and nothing public that only tests use."""
+files, one place that writes a refusal's file name, and nothing public
+that only tests use."""
 
 import ast
 import hashlib
@@ -68,7 +69,7 @@ def test_train_digest_matches_the_train_workload(tools, tmp_path):
 
 # The functions that may open a file: the readers, which only read, and the
 # writer, which alone creates, writes, renames or removes one.
-READERS = {"dataset.read_lines", "dataset._undecodable_line", "neural.params.load_checkpoint"}
+READERS = {"dataset.read_lines", "neural.params.load_checkpoint"}
 WRITER = {"dataset.write_file", "dataset.check_writable", "dataset._temporary"}
 
 
@@ -129,6 +130,39 @@ def test_one_reader_and_one_writer_touch_files():
         found.update(scan.found)
     assert found == {**{name: {"read"} for name in READERS},
                      **{name: {"write"} for name in WRITER}}
+
+
+# Where each refusal's constructor takes its message and its path: the
+# positional index, and the keyword.
+REFUSALS = {"IngestError": ((1, "message"), (3, "path")),
+            "CheckpointError": ((0, "message"), (1, "path"))}
+
+
+def _argument(call: ast.Call, index: int, keyword: str):
+    if len(call.args) > index:
+        return call.args[index]
+    return next((kw.value for kw in call.keywords if kw.arg == keyword), None)
+
+
+def test_no_refusal_message_starts_with_its_path():
+    """``IngestError`` alone writes the ``<path>: `` before a refusal's
+    message, so no ``IngestError`` or ``CheckpointError`` message in the
+    package starts with a formatted ``path``, or with the path it passes."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name not in REFUSALS:
+                continue
+            message, named = (_argument(node, *where) for where in REFUSALS[name])
+            paths = {"path"} | ({ast.unparse(named)} if named is not None else set())
+            if (isinstance(message, ast.JoinedStr) and message.values
+                    and isinstance(message.values[0], ast.FormattedValue)
+                    and ast.unparse(message.values[0].value) in paths):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []
 
 
 def _referenced_names(node: ast.AST) -> set:
