@@ -17,9 +17,9 @@ embeddings whose dimension is not the model's, a tree nested too deep to
 check, and a config file with a line that is not key=value, names no
 configuration field or holds a value the field refuses, or with values that
 are invalid together.  A file's first bad line is refused, whatever its
-fault.  A closed stdout (``frameparse oracle ... | head``) also exits 3, in
-the same clause.  The per-line reports ``validate``, ``oracle`` and
-``parse`` print while they carry on (``<path>:N: ...``) are not refusals.
+fault.  A closed stdout (``frameparse oracle ... | head``) also exits 3.
+The per-line reports ``validate``, ``oracle`` and ``parse`` print while
+they carry on (``<path>:N: ...``) are not refusals.
 Hyperparameters resolve as flag > config file (key=value lines) > default,
 and every JSON artifact echoes the fully resolved configuration.
 """
@@ -472,14 +472,16 @@ def main(argv=None) -> int:
     except rnng.AllEncodersDisabled as err:  # from train flags (see resolve_train_config)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (dataset.IngestError, BrokenPipeError) as err:
+    except dataset.IngestError as err:
         print(f"error: {err}", file=sys.stderr)
-        if isinstance(err, BrokenPipeError):  # stdout's reader has gone, as in `| head`
-            # stdout still holds what it could not write; point it at devnull
-            # so that its flush at exit does not fail on the pipe a second time.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        return EXIT_IO
+    except BrokenPipeError as err:  # stdout's reader has gone, as in `| head`
+        print(f"error: {err}", file=sys.stderr)
+        # stdout still holds what it could not write; point it at devnull so
+        # that its flush at exit does not fail on the pipe a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_IO
     except (metrics.LengthMismatch, transitions.TransitionError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -5,9 +5,11 @@ Predictions are read leniently: lines that fail to parse as balanced
 bracketed trees count as invalid predictions (zero credit everywhere) but
 still occupy their slot in every denominator.  Blank lines are skipped in
 the prediction file as in the gold file, so the n-th non-blank line of one
-pairs with the n-th of the other.  Tree validity itself only
-requires a structural parse, not the intent-slot constraints, so output
-from any external system can be scored.
+pairs with the n-th of the other.  A prediction line may start with the
+``score<TAB>`` that ``parse`` writes, so ``parse`` output with a beam of
+one scores as its top trees; a larger beam is refused by its count.  Tree
+validity itself only requires a structural parse, not the intent-slot
+constraints, so output from any external system can be scored.
 """
 
 from __future__ import annotations
@@ -232,20 +234,23 @@ def read_gold_file(path) -> list:
     return trees
 
 
+def _read_prediction(line: str) -> tuple:
+    """The tree text of a prediction line, after the ``score<TAB>`` that
+    ``parse`` writes before it, if any, and its tree (None where it does
+    not parse)."""
+    _, sep, text = line.partition("\t")
+    text = text if sep else line
+    try:
+        return text, parse_bracketed(text.strip())
+    except FormatError:
+        return text, None
+
+
 def read_predictions_file(path):
-    """Lenient reader: returns (trees-or-None, raw lines) of the non-blank
-    lines, which pair with the gold file's."""
-    trees = []
-    raw = []
-    for _, line in read_lines(path):
-        if not line.strip():
-            continue
-        raw.append(line)
-        try:
-            trees.append(parse_bracketed(line.strip()))
-        except FormatError:
-            trees.append(None)
-    return trees, raw
+    """Lenient reader: returns (trees-or-None, raw tree texts) of the
+    non-blank lines, which pair with the gold file's."""
+    read = [_read_prediction(line) for _, line in read_lines(path) if line.strip()]
+    return [tree for _, tree in read], [text for text, _ in read]
 
 
 def read_beam_file(path):
@@ -262,16 +267,11 @@ def read_beam_file(path):
                 beams.append(current)
                 current = None
             continue
+        text, tree = _read_prediction(line)
         if current is None:
             current = []
-        score, sep, tree_text = line.partition("\t")
-        text = tree_text if sep else line
-        if len(current) == 0:
             top_lines.append(text)
-        try:
-            current.append(parse_bracketed(text.strip()))
-        except FormatError:
-            current.append(None)
+        current.append(tree)
     if current is not None:
         beams.append(current)
     return beams, top_lines

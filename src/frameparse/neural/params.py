@@ -50,7 +50,7 @@ class CheckpointError(IngestError):
     file in ``path`` (None from :meth:`ParamStore.load_values`, which
     knows no file)."""
 
-    def __init__(self, message: str, path):
+    def __init__(self, message: str, path=None):
         super().__init__("checkpoint", message, path=path)
 
 
@@ -263,16 +263,15 @@ class ParamStore:
         extra = sorted(set(arrays) - set(self.params))
         if extra:
             raise CheckpointError(
-                f"checkpoint has arrays the model lacks: {', '.join(map(repr, extra))}", None
+                f"checkpoint has arrays the model lacks: {', '.join(map(repr, extra))}"
             )
         for name, param in self.params.items():
             if name not in arrays:
-                raise CheckpointError(f"checkpoint is missing parameter {name!r}", None)
+                raise CheckpointError(f"checkpoint is missing parameter {name!r}")
             shape = tuple(arrays[name].shape)
             if shape != param.shape:
                 raise CheckpointError(
-                    f"parameter {name!r}: checkpoint shape {shape} != model shape {param.shape}",
-                    None,
+                    f"parameter {name!r}: checkpoint shape {shape} != model shape {param.shape}"
                 )
         for name, param in self.params.items():
             param.value[...] = arrays[name].astype(self.dtype, copy=False)

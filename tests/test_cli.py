@@ -311,6 +311,38 @@ def test_parse_with_a_beam_of_one_decodes_greedily(tmp_path, capsys, corpus_tsv,
         assert pred.read_text(encoding="utf-8") == expected
 
 
+def test_plain_eval_scores_the_default_parse_output(tmp_path, capsys, corpus_tsv):
+    """parse writes ``score<TAB>tree`` and a blank line per utterance, with a
+    beam of one by default.  Plain eval reads the tree after the score, so it
+    scores that output exactly as ``eval --topk 1`` does, not as all invalid;
+    a beam with more than one tree per utterance is refused by its count."""
+    tsv, corpus = corpus_tsv
+    ckpt = str(tmp_path / "m.ckpt")
+    assert main(["train", tsv, "-o", ckpt, "--epochs", "1", "--seed", "3"] + TINY_FLAGS) == 0
+    examples = corpus.examples[:8]
+    utterances = write_lines(tmp_path / "utts.txt", [" ".join(e.tokens) for e in examples])
+    gold = write_lines(tmp_path / "gold.txt", [serialize(e.tree) for e in examples])
+    pred = str(tmp_path / "pred.txt")
+    assert main(["parse", ckpt, utterances, "-o", pred]) == 0
+    reports = []
+    for flags in ([], ["--topk", "1"]):
+        report = tmp_path / "report.json"
+        assert main(["eval", gold, pred, "--json", str(report)] + flags) == 0
+        reports.append(json.loads(report.read_text()))
+    plain, topk = ({k: v for k, v in r.items() if k not in ("top_k", "config")} for r in reports)
+    assert plain == topk
+    assert (plain["tree_validity"], plain["n_invalid_predictions"]) == (100.0, 0)
+    capsys.readouterr()
+
+    beams = write_lines(
+        tmp_path / "beams.txt", ["-0.5\t[IN:X a ]", "-0.9\t[IN:Y a ]", "", "-0.1\t[IN:X b ]", ""]
+    )
+    gold = write_lines(tmp_path / "gold.txt", ["[IN:X a ]", "[IN:X b ]"])
+    assert main(["eval", gold, beams]) == 1
+    assert capsys.readouterr().err == "error: 2 gold trees vs 3 predictions\n"
+    assert main(["eval", gold, beams, "--topk", "1"]) == 0
+
+
 def test_parse_checks_every_line_before_writing(tmp_path, capsys, monkeypatch):
     """Every empty utterance and every one with a bracket token is reported,
     then parse exits 1 before it loads the model or writes anything."""
