@@ -11,11 +11,13 @@ derivation yields a well-formed tree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .trees import (
-    INTENT, MAX_DEPTH, SLOT, Label, NonTerminal, Token, Tree, shared_token, validate,
+    INTENT, LABEL_CACHE_SIZE, MAX_DEPTH, SLOT, Label, NonTerminal, Token, Tree, _prechecked,
+    shared_token, validate,
 )
 
 # One nesting limit: every tree that parse_bracketed accepts can be derived.
@@ -70,6 +72,9 @@ SHIFT = Action("SHIFT")
 REDUCE = Action("REDUCE")
 
 
+# Actions are immutable and compare by value, so, as with ``shared_label``,
+# each label has one shared NT action rather than a fresh one per use.
+@functools.lru_cache(maxsize=LABEL_CACHE_SIZE)
 def nt(label: "Label | str") -> Action:
     if isinstance(label, str):
         label = Label.parse(label)
@@ -249,4 +254,6 @@ def execute(
         raise IncompleteDerivation(
             f"derivation ended in non-terminal state {state.summary()}"
         )
-    return Tree(state.root, state.tokens)
+    # The mask closes the root only once the buffer is empty, so the tree's
+    # yield is ``state.tokens``, in order: no walk needs to confirm it.
+    return _prechecked(Tree, root=state.root, tokens=state.tokens)

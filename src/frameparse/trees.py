@@ -12,6 +12,16 @@ three constraints:
 ``validate`` reports violations as data; parsing and the node constructors
 only enforce structural sanity (bracket balance, non-empty non-terminals)
 so that malformed system output can still be inspected.
+
+``Tree`` and ``NonTerminal`` check themselves when built: a non-terminal
+has a child, and a tree's tokens are its root's yield, found by a walk of
+the whole tree.  Two builders skip these checks (``_prechecked``), having
+just established what they would re-derive: ``parse_bracketed``, for its
+non-terminals and its tree, raises ``EmptyNonTerminal`` before a childless
+node and collects the yield as it reads each token; ``transitions.execute``,
+for its tree, follows the action mask, which closes the root only once the
+buffer is empty, so the yield is the tokens in order.  Every other builder,
+the decoders among them, is checked.
 """
 
 from __future__ import annotations
@@ -24,9 +34,14 @@ from typing import Iterator, Union
 INTENT = "IN"
 SLOT = "SL"
 
-_BRACKETS = frozenset("[]")
-# Matches exactly the characters for which ``ch.isspace() or ch in "[]"``.
-_BAD_SYMBOL_CHAR = re.compile(r"[\s\[\]]")
+# The class of exactly the characters for which ``ch.isspace() or ch in
+# "[]"``: no symbol contains one, and they split bracketed text.
+_SEPARATORS = r"\s\[\]"
+_BAD_SYMBOL_CHAR = re.compile(f"[{_SEPARATORS}]")
+# The lexemes of bracketed text: a bracket, or a run of characters that are
+# neither whitespace nor brackets.  Whitespace separates lexemes and is
+# never part of one.
+_LEXEME = re.compile(rf"[\[\]]|[^{_SEPARATORS}]+")
 
 # The deepest nesting of non-terminals that parse_bracketed accepts.  Tree
 # code recurses once or twice per level, so this keeps every traversal far
@@ -182,6 +197,16 @@ class Tree:
                 )
 
 
+def _prechecked(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass, without its ``__post_init__``
+    check: for a builder that has just established what the check would
+    re-derive (see the module docstring)."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 # Constraint identifiers used in Violation.constraint.
 ROOT_NOT_INTENT = "RootNotIntent"
 INTENT_HAS_INTENT_CHILD = "IntentHasIntentChild"
@@ -214,61 +239,53 @@ def parse_bracketed(text: str) -> Tree:
     :class:`FormatError` subclasses carrying the offending character
     offset.
     """
-    n = len(text)
-    i = _skip_ws(text, 0)
-    if i >= n or text[i] != "[":
-        raise UnbalancedBrackets("expected '[' to open a tree", i)
-    root, i = _parse_nonterminal(text, i, 1)
-    i = _skip_ws(text, i)
-    if i < n:
-        raise TrailingInput("unexpected input after tree", i)
-    return Tree(root)
-
-
-def _skip_ws(text: str, i: int) -> int:
-    n = len(text)
-    while i < n and text[i].isspace():
-        i += 1
-    return i
-
-
-def _scan_word(text: str, i: int) -> int:
-    n = len(text)
-    while i < n and not text[i].isspace() and text[i] not in _BRACKETS:
-        i += 1
-    return i
-
-
-def _parse_nonterminal(text: str, i: int, depth: int):
-    if depth > MAX_DEPTH:
-        raise NestingTooDeep(f"non-terminals nested deeper than {MAX_DEPTH}", i)
-    open_offset = i
-    i += 1  # past '['
-    label_start = i
-    i = _scan_word(text, i)
-    raw_label = text[label_start:i]
-    try:
-        label = shared_label(raw_label)
-    except ValueError:
-        raise BadLabelPrefix(f"bad non-terminal label {raw_label!r}", label_start) from None
-    children = []
-    n = len(text)
-    while True:
-        i = _skip_ws(text, i)
-        if i >= n:
-            raise UnbalancedBrackets("unclosed '['", open_offset)
-        ch = text[i]
-        if ch == "]":
+    stack = []  # per open non-terminal: (label, children, offset of its '[')
+    children = None  # the innermost open non-terminal's children
+    words = []  # the yield so far
+    lexemes = _LEXEME.finditer(text)
+    for match in lexemes:
+        lexeme = match.group()
+        if lexeme == "[":
+            start = match.start()
+            if len(stack) == MAX_DEPTH:
+                raise NestingTooDeep(f"non-terminals nested deeper than {MAX_DEPTH}", start)
+            # The label is the word right after the '['; a gap, a bracket
+            # or the end of the text there is an empty label.
+            match = next(lexemes, None)
+            raw = ""
+            if match is not None and match.start() == start + 1 and match.group() not in "[]":
+                raw = match.group()
+            try:
+                label = shared_label(raw)
+            except ValueError:
+                raise BadLabelPrefix(f"bad non-terminal label {raw!r}", start + 1) from None
+            children = []
+            stack.append((label, children, start))
+        elif lexeme == "]":
+            if not stack:
+                raise UnbalancedBrackets("expected '[' to open a tree", match.start())
+            label, _, _ = stack.pop()
             if not children:
-                raise EmptyNonTerminal(f"non-terminal {raw_label} has no children", i)
-            return NonTerminal(label, tuple(children)), i + 1
-        if ch == "[":
-            child, i = _parse_nonterminal(text, i, depth + 1)
-            children.append(child)
+                raise EmptyNonTerminal(f"non-terminal {label} has no children", match.start())
+            node = _prechecked(NonTerminal, label=label, children=tuple(children))
+            if not stack:
+                break
+            children = stack[-1][1]
+            children.append(node)
+        elif not stack:
+            raise UnbalancedBrackets("expected '[' to open a tree", match.start())
         else:
-            start = i
-            i = _scan_word(text, i)
-            children.append(shared_token(text[start:i]))
+            token = shared_token(lexeme)
+            children.append(token)
+            words.append(token.text)
+    else:
+        if stack:
+            raise UnbalancedBrackets("unclosed '['", stack[-1][2])
+        raise UnbalancedBrackets("expected '[' to open a tree", len(text))
+    trailing = next(lexemes, None)
+    if trailing is not None:
+        raise TrailingInput("unexpected input after tree", trailing.start())
+    return _prechecked(Tree, root=node, tokens=tuple(words))
 
 
 def serialize(obj: "Tree | Node") -> str:

@@ -1,8 +1,8 @@
 """Independent brute-force implementations used as test oracles.
 
 Everything here is deliberately written from the definitions, without
-reusing the package's own traversal or counting code, so the tests compare
-two genuinely different routes to the same answer.  The exceptions are
+reusing the package's own traversal, counting or scanning code, so the tests
+compare two genuinely different routes to the same answer.  The exceptions are
 :func:`reference_score_actions`, :func:`reference_taped_score` and
 :func:`reference_example_loss`, which share the parser's encoder but not its
 decoders or its training loss.
@@ -14,7 +14,10 @@ import numpy as np
 
 from frameparse import rnng
 from frameparse.neural import core
-from frameparse.trees import NonTerminal, Token, Tree
+from frameparse.trees import (
+    MAX_DEPTH, BadLabelPrefix, EmptyNonTerminal, Label, NestingTooDeep, NonTerminal, Token, Tree,
+    TrailingInput, UnbalancedBrackets,
+)
 
 
 def brute_constraints_ok(tree: Tree) -> bool:
@@ -56,6 +59,63 @@ def token_leaves(node) -> list:
     for child in node.children:
         out.extend(token_leaves(child))
     return out
+
+
+def reference_parse_bracketed(text: str) -> Tree:
+    """A recursive-descent reader of one bracketed tree, character by
+    character, through the checked constructors.  It raises the same
+    ``FormatError`` subclasses, messages and offsets that
+    ``trees.parse_bracketed`` documents: whitespace is what ``str.isspace``
+    says, a label is the word right after its ``[``, and the first fault
+    from the left wins."""
+    n = len(text)
+
+    def skip_ws(i: int) -> int:
+        while i < n and text[i].isspace():
+            i += 1
+        return i
+
+    def scan_word(i: int) -> int:
+        while i < n and not text[i].isspace() and text[i] not in "[]":
+            i += 1
+        return i
+
+    def nonterminal(i: int, depth: int):
+        if depth > MAX_DEPTH:
+            raise NestingTooDeep(f"non-terminals nested deeper than {MAX_DEPTH}", i)
+        open_offset = i
+        label_start = i + 1
+        i = scan_word(label_start)
+        raw_label = text[label_start:i]
+        try:
+            label = Label.parse(raw_label)
+        except ValueError:
+            raise BadLabelPrefix(f"bad non-terminal label {raw_label!r}", label_start) from None
+        children = []
+        while True:
+            i = skip_ws(i)
+            if i >= n:
+                raise UnbalancedBrackets("unclosed '['", open_offset)
+            if text[i] == "]":
+                if not children:
+                    raise EmptyNonTerminal(f"non-terminal {raw_label} has no children", i)
+                return NonTerminal(label, tuple(children)), i + 1
+            if text[i] == "[":
+                child, i = nonterminal(i, depth + 1)
+                children.append(child)
+            else:
+                start = i
+                i = scan_word(i)
+                children.append(Token(text[start:i]))
+
+    i = skip_ws(0)
+    if i >= n or text[i] != "[":
+        raise UnbalancedBrackets("expected '[' to open a tree", i)
+    root, i = nonterminal(i, 1)
+    i = skip_ws(i)
+    if i < n:
+        raise TrailingInput("unexpected input after tree", i)
+    return Tree(root)
 
 
 def brute_spans(tree: Tree) -> list:

@@ -2,8 +2,9 @@
 digest twice, and ``tools/train_digest.py`` computes what the benchmark's
 ``train`` workload runs, so a change to the benchmark cannot leave the tool
 behind.  And scans of the package's source: one reader and one writer of
-files, one place that writes a refusal's file name, and nothing public
-that only tests use."""
+files, one place that writes a refusal's file name, nothing public that
+only tests use, and two builders alone that skip the tree constructors'
+checks."""
 
 import ast
 import hashlib
@@ -97,14 +98,12 @@ def _file_access(call: ast.Call):
     return None
 
 
-class _FileAccess(ast.NodeVisitor):
-    """Each function of a module that opens, writes or removes a file, by
-    dotted name (``module.function``, with enclosing classes and functions),
-    with the kinds of access it makes."""
+class _Scoped(ast.NodeVisitor):
+    """A visitor that knows the dotted name of the function it is in
+    (``module.function``, with enclosing classes and functions)."""
 
     def __init__(self, module: str):
         self.scope = [module]
-        self.found = {}
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -112,6 +111,15 @@ class _FileAccess(ast.NodeVisitor):
         self.scope.pop()
 
     visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+
+class _FileAccess(_Scoped):
+    """Each function of a module that opens, writes or removes a file, with
+    the kinds of access it makes."""
+
+    def __init__(self, module: str):
+        super().__init__(module)
+        self.found = {}
 
     def visit_Call(self, node):
         access = _file_access(node)
@@ -206,3 +214,43 @@ def test_nothing_public_is_only_for_tests():
     unused = [node.name for node in public if node.name not in used and not any(
         node.name in names for other, names in statements if other is not node)]
     assert unused == []
+
+
+# The builders that may skip the node constructors' checks, because each has
+# just established what the checks would re-derive (see ``trees``).
+PRECHECKED_BUILDERS = {"trees.parse_bracketed", "transitions.execute"}
+
+
+class _Uses(_Scoped):
+    """Each function of a module that uses ``name``, or the module itself
+    for a use outside any function or an import under another name."""
+
+    def __init__(self, module: str, name: str):
+        super().__init__(module)
+        self.name = name
+        self.found = set()
+
+    def visit_Name(self, node):
+        if node.id == self.name:
+            self.found.add(".".join(self.scope))
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name:
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        if node.name == self.name and node.asname not in (None, self.name):
+            self.found.add(".".join(self.scope))
+
+
+def test_only_the_prechecked_builders_skip_the_node_checks():
+    """``trees._prechecked`` is used by ``parse_bracketed`` and ``execute``
+    alone, so no decoder, and no reader of any other input, skips the
+    checks of ``Tree`` and ``NonTerminal``."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        scan = _Uses(".".join(path.relative_to(PACKAGE).with_suffix("").parts), "_prechecked")
+        scan.visit(_parse(path))
+        found |= scan.found
+    assert found == PRECHECKED_BUILDERS

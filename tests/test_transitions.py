@@ -23,6 +23,7 @@ from frameparse.transitions import (
 )
 from frameparse.trees import (
     INTENT,
+    LABEL_CACHE_SIZE,
     MAX_DEPTH,
     SLOT,
     NonTerminal,
@@ -87,6 +88,16 @@ def test_action_parsing_and_formatting():
         Action("NT")
     with pytest.raises(ValueError):
         Action("SHIFT", intent("X"))
+
+
+def test_nt_actions_are_shared_per_label():
+    """``nt`` gives one shared action per label, from a cache as bounded as
+    the label cache; a bad label raises on every call."""
+    assert nt(intent("X")) is nt(intent("X")) == Action("NT", intent("X"))
+    assert nt.cache_info().maxsize == LABEL_CACHE_SIZE
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            nt("XX:Y")
 
 
 def test_valid_actions_initial():

@@ -1,3 +1,4 @@
+import pickle
 import sys
 
 import numpy as np
@@ -152,15 +153,31 @@ def test_label_invariants():
         NonTerminal(intent("X"), ())
 
 
+def _expected_lexemes(ch: str) -> list:
+    """The lexemes of ``a<ch>b`` by the per-character rule: a bracket stands
+    alone, whitespace separates, and anything else joins the word."""
+    if ch in "[]":
+        return ["a", ch, "b"]
+    return ["a", "b"] if ch.isspace() else [f"a{ch}b"]
+
+
 def test_symbol_check_matches_the_per_character_rule():
     """The one-regex search refuses exactly the code points that the rule
-    ``ch.isspace() or ch in "[]"`` refuses, over all of Unicode."""
+    ``ch.isspace() or ch in "[]"`` refuses, over all of Unicode, and the
+    reader's lexemes split at exactly those code points: no lexeme holds a
+    character that ``str.isspace`` counts as whitespace."""
     bad = trees._BAD_SYMBOL_CHAR
     mismatched = [
         hex(cp) for cp in range(sys.maxunicode + 1)
         if (bad.search(chr(cp)) is not None) != (chr(cp).isspace() or chr(cp) in "[]")
     ]
     assert mismatched == []
+    lexemes = trees._LEXEME
+    missplit = [
+        hex(cp) for cp in range(sys.maxunicode + 1)
+        if lexemes.findall(f"a{chr(cp)}b") != _expected_lexemes(chr(cp))
+    ]
+    assert missplit == []
     with pytest.raises(ValueError):
         Token("a\x1cb")  # a Unicode separator, whitespace to str.isspace
     assert Token("a:b").text == "a:b"
@@ -214,6 +231,25 @@ def test_tree_token_agreement_enforced():
     assert Tree(root, ("hello",)).tokens == ("hello",)
     with pytest.raises(ValueError):
         Tree(root, ("goodbye",))
+
+
+def test_builders_that_skip_the_checks_give_the_checked_trees():
+    """``parse_bracketed`` and ``execute`` build their nodes without
+    re-running the constructors' checks.  What they build is the checked
+    tree: equal, with the same hash and repr, before and after a pickle
+    round trip.  The constructors themselves still refuse."""
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        tree = synth.random_valid_tree(rng)
+        for built in (parse_bracketed(serialize(tree)), execute(oracle(tree), tree.tokens)):
+            for same in (built, pickle.loads(pickle.dumps(built))):
+                assert same == tree
+                assert (hash(same), repr(same)) == (hash(tree), repr(tree))
+    root = NonTerminal(intent("X"), (Token("hello"),))
+    with pytest.raises(ValueError):
+        Tree(root, ("hello", "world"))
+    with pytest.raises(ValueError):
+        NonTerminal(intent("X"), ())
 
 
 def test_validate_good_trees():
