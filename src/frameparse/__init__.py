@@ -6,8 +6,8 @@ and runs a neural transition parser, and scores predictions with exact
 match, labeled bracketing F1, tree-labeled F1, and tree validity.
 """
 
-from .dataset import (Corpus, CorpusStats, EmbeddingTable, Example, IngestError, Split, Vocab,
-                      build_vocabs, compute_stats, load_embeddings, load_tsv)
+from .dataset import (Corpus, CorpusStats, Example, IngestError, Split, Vocab, build_vocabs,
+                      compute_stats, load_embeddings, load_tsv)
 from .metrics import (
     MetricsReport,
     bracket_prf,

@@ -12,11 +12,11 @@ subclass ``CheckpointError``), which ``main`` alone turns into exit 3 and
 ``error: <path>: line N: <message>``, or ``error: <path>: <message>`` where
 no one line is at fault: an input that cannot be opened or is not UTF-8, an
 output that cannot be written, a checkpoint that cannot be opened or is
-malformed, a corpus, gold-tree or embeddings file with a bad line,
-embeddings whose dimension is not the model's, a tree nested too deep to
-check, and a config file with a line that is not key=value, names no
-configuration field or holds a value the field refuses, or with values that
-are invalid together.  A file's first bad line is refused, whatever its
+malformed, a corpus, gold-tree or embeddings file with a bad line (an
+embeddings line without ``word_dim`` values among them), a tree nested too
+deep to check, and a config file with a line that is not key=value, names
+no configuration field or holds a value the field refuses, or with values
+that are invalid together.  A file's first bad line is refused, whatever its
 fault.  A closed stdout (``frameparse oracle ... | head``) also exits 3.
 The per-line reports ``validate``, ``oracle`` and ``parse`` print while
 they carry on (``<path>:N: ...``) are not refusals.
@@ -229,11 +229,8 @@ def cmd_train(args) -> int:
     normalizer = TokenNormalizer(frozenset(vocab.symbols))
     embeddings = None
     if args.embeddings:
-        embeddings = dataset.load_embeddings(args.embeddings, vocab.symbols, seed=config.seed)
-        if embeddings.dim != config.word_dim:
-            raise dataset.IngestError("embeddings", f"pretrained embeddings have dim "
-                                      f"{embeddings.dim}, model word_dim is {config.word_dim}",
-                                      path=args.embeddings)
+        embeddings = dataset.load_embeddings(args.embeddings, vocab.symbols, config.word_dim,
+                                             seed=config.seed)
     model = rnng.Model(config, vocab, intents, slots, normalizer, embeddings=embeddings)
 
     log_entries = []
@@ -318,8 +315,8 @@ def cmd_eval(args) -> int:
         pred = [beam[0] if beam else None for beam in beams]
         report = metrics.evaluate(gold, pred, raw_lines=top_lines, beams=beams, top_ks=args.topk)
     else:
-        pred, raw = metrics.read_predictions_file(args.pred)
-        report = metrics.evaluate(gold, pred, raw_lines=raw)
+        # Validity from the trees: a line parses exactly when its tree is not None.
+        report = metrics.evaluate(gold, metrics.read_predictions_file(args.pred))
     print(report.to_table())
     if args.json:
         payload = report.to_json_dict()

@@ -7,17 +7,17 @@ of an input or output, checkpoints included, is an ``IngestError`` naming
 the file and, for one input line, the line; a reader refuses the first bad
 line it reaches, whatever its fault.  The corpus format is a UTF-8 TSV with
 three columns per line: the raw utterance, the space-tokenized utterance,
-and the bracketed tree.
+and the bracketed tree.  ``load_embeddings`` returns pretrained vectors as
+the model's word table, every line checked against the model's width.
 """
 
 from __future__ import annotations
 
-import csv
 import errno
-import io
 import os
 import secrets
 import stat
+import statistics
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -45,7 +45,8 @@ class IngestError(Exception):
     token-mismatch (a corpus file); tree-format (a corpus or tree file,
     with a line that is not a bracketed tree or one nested too deep to
     check); empty-corpus (a corpus or gold-tree file with no tree);
-    embeddings (an embeddings file, or its dimension against the model's);
+    embeddings (an embeddings file, each of whose lines must hold the
+    model's width);
     config (a ``train --config`` line the CLI refuses); or checkpoint (a
     malformed checkpoint, raised as ``neural.params.CheckpointError``)."""
 
@@ -231,48 +232,34 @@ def load_tsv(path, split: Split = Split.UNSPLIT, strict: bool = True) -> Corpus:
     return Corpus(examples=examples, split=split, skipped=tuple(skipped))
 
 
-@dataclass
-class EmbeddingTable:
-    """word -> vector, all of one dimension; ``missing`` lists vocabulary
-    words that had no pretrained vector and were randomly initialized."""
-
-    vectors: dict
-    dim: int
-    missing: tuple = ()
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
-
-    def __getitem__(self, word: str) -> np.ndarray:
-        return self.vectors[word]
-
-
-def load_embeddings(path, vocab, seed: int = 0) -> EmbeddingTable:
+def load_embeddings(path, vocab, dim: int, seed: int = 0) -> tuple:
     """Load the text format ``word v1 v2 ... vd`` (one word per line, split
     at runs of whitespace, so word2vec's space before the line end is
-    accepted), keeping only words in ``vocab``.
+    accepted) for a word table of width ``dim``, keeping only words in
+    ``vocab``.
 
-    Vocabulary words absent from the file get a seeded uniform random
-    vector in [-0.1, 0.1) and are reported in the table's ``missing``
-    field.  An empty file, a line with the wrong number of values, or a
-    kept word with a value that is not a finite number raises
-    ``IngestError`` kind embeddings, naming the line.
+    Returns ``(vectors, pretrained)``: a float64 array of shape
+    ``(len(vocab), dim)`` in vocabulary order, and a boolean mask of the
+    rows the file gave.  Each other row is a seeded uniform random vector in
+    [-0.1, 0.1), drawn in sorted word order.  An empty file, a line without
+    exactly ``dim`` values, or a kept word with a value that is not a finite
+    number raises ``IngestError`` kind embeddings, naming the line.
     """
-    wanted = set(vocab)
-    vectors: dict = {}
-    dim: Optional[int] = None
+    rows = {word: i for i, word in enumerate(vocab)}
+    vectors = np.zeros((len(rows), dim))
+    pretrained = np.zeros(len(rows), dtype=bool)
+    lineno = 0
     for lineno, line in read_lines(path):
         parts = line.split()
         if len(parts) < 2:
             raise IngestError("embeddings", "expected a word followed by values", lineno, path)
         word, values = parts[0], parts[1:]
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
+        if len(values) != dim:
             raise IngestError(
                 "embeddings", f"expected {dim} values, found {len(values)}", lineno, path
             )
-        if word not in wanted:
+        row = rows.get(word)
+        if row is None:
             continue
         try:
             vector = np.asarray([float(v) for v in values], dtype=np.float64)
@@ -282,23 +269,14 @@ def load_embeddings(path, vocab, seed: int = 0) -> EmbeddingTable:
         if not np.isfinite(vector).all():
             raise IngestError("embeddings", f"non-finite embedding value for {word!r}", lineno,
                               path)
-        vectors[word] = vector
-    if dim is None:
+        vectors[row] = vector
+        pretrained[row] = True
+    if not lineno:
         raise IngestError("embeddings", "embedding file is empty", path=path)
     rng = np.random.default_rng(seed)
-    missing = sorted(wanted - set(vectors))
-    for word in missing:
-        vectors[word] = rng.uniform(-0.1, 0.1, dim)
-    return EmbeddingTable(vectors=vectors, dim=dim, missing=tuple(missing))
-
-
-def lower_median(values) -> int:
-    """Median of a multiset, taking the lower of the two middle elements
-    when the size is even."""
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("median of empty multiset")
-    return ordered[(len(ordered) - 1) // 2]
+    for word in sorted(word for word, row in rows.items() if not pretrained[row]):
+        vectors[rows[word]] = rng.uniform(-0.1, 0.1, dim)
+    return vectors, pretrained
 
 
 @dataclass
@@ -328,12 +306,7 @@ class CorpusStats:
 
 
 def _histogram_csv(name: str, histogram: dict) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([name, "count"])
-    for key in sorted(histogram):
-        writer.writerow([key, histogram[key]])
-    return out.getvalue()
+    return f"{name},count\n" + "".join(f"{key},{histogram[key]}\n" for key in sorted(histogram))
 
 
 def iter_labels(tree: Tree):
@@ -362,9 +335,9 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
         slot_label_count=len(slots),
         depth_histogram=dict(Counter(depths)),
         length_histogram=dict(Counter(lengths)),
-        median_depth=lower_median(depths),
+        median_depth=statistics.median_low(depths),
         mean_depth=sum(depths) / n,
-        median_length=lower_median(lengths),
+        median_length=statistics.median_low(lengths),
         mean_length=sum(lengths) / n,
         fraction_depth_gt_2=sum(1 for d in depths if d > 2) / n,
     )
@@ -410,16 +383,13 @@ def build_vocabs(corpus: Corpus, min_count: int = 1):
         for token in example.tokens:
             counts[preprocess.NUM_TOKEN if preprocess.is_number(token) else token] += 1
     kept = {tok for tok, c in counts.items() if c >= min_count}
-    classes = set()
-    for example in corpus:
-        for position, token in enumerate(example.tokens):
-            if preprocess.is_number(token):
-                continue
-            if token not in kept:
-                classes.add(preprocess.unk_class(token, position))
+    # Each corpus token's symbol under the kept tokens: the number constant,
+    # a kept token, or the unknown-word class of any other.
+    symbols = {preprocess.normalize(token, position, kept)
+               for example in corpus for position, token in enumerate(example.tokens)}
     reserved = [preprocess.UNK_TOKEN, preprocess.NUM_TOKEN]
     ordinary = sorted(kept - set(reserved))
-    extra_classes = sorted(classes - set(reserved) - kept)
+    extra_classes = sorted(symbols - set(reserved) - kept)
     token_vocab = Vocab(reserved + ordinary + extra_classes)
 
     intents = set()

@@ -246,11 +246,10 @@ def _read_prediction(line: str) -> tuple:
         return text, None
 
 
-def read_predictions_file(path):
-    """Lenient reader: returns (trees-or-None, raw tree texts) of the
-    non-blank lines, which pair with the gold file's."""
-    read = [_read_prediction(line) for _, line in read_lines(path) if line.strip()]
-    return [tree for _, tree in read], [text for text, _ in read]
+def read_predictions_file(path) -> list:
+    """Lenient reader: returns the tree (None where it does not parse) of
+    each non-blank line, which pair with the gold file's."""
+    return [_read_prediction(line)[1] for _, line in read_lines(path) if line.strip()]
 
 
 def read_beam_file(path):

@@ -24,8 +24,6 @@ import json
 import math
 import os
 import re
-import weakref
-from typing import Optional
 
 import numpy as np
 
@@ -62,32 +60,21 @@ class Param(Var):
 
     ``init`` fills the value at allocation: ``"glorot"``, ``"zeros"``, or a
     callable that writes into the zeroed value.  ``frozen_rows`` (a boolean
-    mask over the first axis) excludes rows from optimizer updates; used for
-    pretrained embedding rows.  Assign a new mask to change it.  ``order``
-    is the memory order of the views, ``"C"`` or ``"F"``.
+    mask over the first axis, or None) excludes rows from optimizer updates;
+    used for pretrained embedding rows.  Set it before the store's first
+    Adam step.  ``order`` is the memory order of the views, ``"C"`` or
+    ``"F"``.
     """
 
-    __slots__ = ("name", "shape", "init", "order", "m", "v", "_store", "_frozen_rows")
+    __slots__ = ("name", "shape", "init", "order", "m", "v", "frozen_rows")
 
-    def __init__(self, store: "ParamStore", name: str, shape: tuple, init, order: str):
+    def __init__(self, name: str, shape: tuple, init, order: str):
         # No Var.__init__: the views stay unset until the store allocates.
-        # A weak reference, so that a store and its parameters form no
-        # cycle and are freed as soon as the model is dropped.
-        self._store = weakref.ref(store)
         self.name = name
         self.shape = shape
         self.init = init
         self.order = order
-        self._frozen_rows = None
-
-    @property
-    def frozen_rows(self) -> Optional[np.ndarray]:
-        return self._frozen_rows
-
-    @frozen_rows.setter
-    def frozen_rows(self, rows: Optional[np.ndarray]) -> None:
-        self._frozen_rows = rows
-        self._store()._chunks = None
+        self.frozen_rows = None
 
 
 class ParamStore:
@@ -109,9 +96,8 @@ class ParamStore:
         self.t = 0  # shared Adam timestep
         # The arena's flat buffers, set by allocate().
         self.value = self.grad = self.m = self.v = None
-        # Adam's work list (see _adam_chunks), made by the first step and
-        # again after a frozen_rows assignment.  Its scratch rows are shared,
-        # so one thread steps a store at a time.
+        # Adam's work list (see _adam_chunks), made by the first step.  Its
+        # scratch rows are shared, so one thread steps a store at a time.
         self._chunks = None
 
     def add(self, name: str, shape, init="auto", order: str = "C") -> Param:
@@ -124,7 +110,7 @@ class ParamStore:
             init = "glorot" if len(shape) == 2 else "zeros"
         if not (callable(init) or init in ("zeros", "glorot")):
             raise ValueError(f"unknown init {init!r}")
-        param = Param(self, name, shape, init, order)
+        param = Param(name, shape, init, order)
         self.params[name] = param
         return param
 

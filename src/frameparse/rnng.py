@@ -167,7 +167,12 @@ class RnngConfig:
 
 
 class Model:
-    """Configuration, vocabularies, and all learned parameters."""
+    """Configuration, vocabularies, and all learned parameters.
+
+    ``embeddings``, the ``(vectors, pretrained)`` pair that
+    ``dataset.load_embeddings`` returns, starts the word table; the rows the
+    file gave stay fixed in training unless ``finetune_embeddings`` is on.
+    """
 
     def __init__(self, config: RnngConfig, token_vocab: Vocab, intent_labels, slot_labels,
                  normalizer: TokenNormalizer, embeddings=None):
@@ -221,22 +226,15 @@ class Model:
         store.allocate()
 
         if embeddings is not None:
-            self._load_pretrained(embeddings)
-
-    def _load_pretrained(self, table) -> None:
-        if table.dim != self.config.word_dim:
-            raise core.DimensionMismatch(
-                f"pretrained embeddings have dim {table.dim}, model word_dim is "
-                f"{self.config.word_dim}"
-            )
-        missing = set(table.missing)
-        frozen = np.zeros(len(self.token_vocab), dtype=bool)
-        for i, word in enumerate(self.token_vocab):
-            if word in table:
-                self.word_emb.value[i] = np.asarray(table[word], dtype=self.config.dtype)
-                frozen[i] = word not in missing
-        if not self.config.finetune_embeddings:
-            self.word_emb.frozen_rows = frozen
+            vectors, pretrained = embeddings
+            if vectors.shape != self.word_emb.shape:
+                raise core.DimensionMismatch(
+                    f"pretrained embeddings have shape {vectors.shape}, model word_emb is "
+                    f"{self.word_emb.shape}"
+                )
+            self.word_emb.value[...] = vectors
+            if not cfg.finetune_embeddings:
+                self.word_emb.frozen_rows = pretrained
 
     def token_ids(self, tokens) -> list:
         unk = self.token_vocab.index(UNK_TOKEN) if UNK_TOKEN in self.token_vocab else 0

@@ -241,15 +241,14 @@ def execute(
     tokens: Sequence[str],
     max_open_nts: int = DEFAULT_MAX_OPEN_NTS,
 ) -> Tree:
-    """Fold :func:`apply` over ``actions`` starting from ``tokens``."""
+    """Fold :func:`apply` over ``actions`` starting from ``tokens``; an
+    action the mask refuses (every action, once the state is terminal)
+    raises :class:`InvalidAction` naming its step."""
     state = initial_state(tokens)
     for step, action in enumerate(actions):
-        if state.is_terminal:
+        if not kind_of(action) & valid_actions(state, max_open_nts):
             raise InvalidAction(action, state.summary(), step=step)
-        try:
-            state = apply(state, action, max_open_nts)
-        except InvalidAction as err:
-            raise InvalidAction(err.action, err.state_summary, step=step) from None
+        state = apply_unchecked(state, action)
     if not state.is_terminal:
         raise IncompleteDerivation(
             f"derivation ended in non-terminal state {state.summary()}"

@@ -440,7 +440,7 @@ def test_train_embeddings_of_another_dimension_exit_three(tmp_path, capsys, corp
     flags = ["--embeddings", embeddings, "--word-dim", "3", "--epochs", "0"]
     assert main(["train", tsv, "-o", str(ckpt)] + flags) == 3
     assert capsys.readouterr().err == (
-        f"error: {embeddings}: pretrained embeddings have dim 2, model word_dim is 3\n")
+        f"error: {embeddings}: line 1: expected 3 values, found 2\n")
     assert not ckpt.exists()
 
 
@@ -721,9 +721,12 @@ def test_eval_external_predictions(tmp_path, capsys):
         tmp_path / "pred.txt",
         ["[IN:X a ]", "totally broken [", "[IN:Y c ]"],
     )
-    assert main(["eval", gold, pred]) == 0
+    report_path = tmp_path / "report.json"
+    assert main(["eval", gold, pred, "--json", str(report_path)]) == 0
     out = capsys.readouterr().out
     assert "33.33" in out  # exact match 1/3
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert (report["tree_validity"], report["n_invalid_predictions"]) == (100.0 * 2 / 3, 1)
 
 
 def test_eval_length_mismatch(tmp_path):

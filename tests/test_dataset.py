@@ -17,7 +17,6 @@ from frameparse.dataset import (
     compute_stats,
     load_embeddings,
     load_tsv,
-    lower_median,
     read_lines,
     write_file,
 )
@@ -160,7 +159,7 @@ def test_read_lines_streams_up_to_the_undecodable_line(tmp_path):
     (metrics.read_gold_file, "[IN:X \u00e9 ]"),
     (metrics.read_predictions_file, "[IN:X \u00e9 ]"),
     (metrics.read_beam_file, "-0.5\t[IN:X \u00e9 ]"),
-    (lambda path: load_embeddings(path, ["a"]), "\u00e9 0.5"),
+    (lambda path: load_embeddings(path, ["a"], 1), "\u00e9 0.5"),
     (lambda path: load_config_file(path, RnngConfig()), "# \u00e9"),
 ], ids=["load_tsv", "gold", "predictions", "beam", "embeddings", "config"])
 def test_every_text_reader_refuses_undecodable_input_with_its_line(tmp_path, read, first):
@@ -234,14 +233,6 @@ def _corpus_of(*bracketed):
     return Corpus(examples=examples)
 
 
-def test_lower_median():
-    assert lower_median([1, 2, 4]) == 2
-    assert lower_median([1, 2, 3, 4]) == 2
-    assert lower_median([5]) == 5
-    with pytest.raises(ValueError):
-        lower_median([])
-
-
 def test_stats_single_tree():
     stats = compute_stats(_corpus_of("[IN:X hello ]"))
     assert stats.count == 1
@@ -284,6 +275,11 @@ def test_stats_csv_shape():
     assert lines[0] == "depth,count"
     assert lines[1:] == ["1,1", "2,1"]
     assert stats.to_json_dict()["median_depth"] == 1
+    # An even count of lengths 1 to 4: the median is the lower middle one.
+    stats = compute_stats(_corpus_of("[IN:X a b c d ]", "[IN:X a [SL:Y b ] ]", "[IN:X a ]",
+                                     "[IN:X a b c ]"))
+    assert stats.median_length == 2 and stats.median_depth == 1
+    assert stats.length_csv() == "length,count\n1,1\n2,1\n3,1\n4,1\n"
 
 
 def test_vocab_basics():

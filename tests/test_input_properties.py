@@ -1,7 +1,7 @@
 """Property tests of the checkpoint, embedding and corpus readers.
 
 Whatever bytes they are given, ``load_checkpoint`` returns a well-formed
-result, ``load_embeddings`` a table of finite vectors and ``load_tsv`` a
+result, ``load_embeddings`` a word table of finite vectors and ``load_tsv`` a
 corpus of valid examples, or each raises ``IngestError`` naming the file
 (for a checkpoint, its ``CheckpointError`` subclass, kind checkpoint).
 Seeded and bounded (``derandomize=True``, a fixed ``max_examples``), so a
@@ -131,40 +131,40 @@ VALUES = st.sampled_from(("0.5", "-1e-3", "7", "nan", "inf", "-inf", "1e999", "N
 
 @st.composite
 def embedding_text(draw):
-    """Lines of a word and mostly ``dim`` values, some of them not finite
-    numbers."""
+    """``dim`` and lines of a word and mostly ``dim`` values, some of them
+    not finite numbers."""
     dim = draw(st.integers(1, 3))
     lines = []
     for _ in range(draw(st.integers(0, 5))):
         size = draw(st.sampled_from((dim, dim, dim, dim + 1, 0)))
         values = draw(st.lists(VALUES, min_size=size, max_size=size))
         lines.append(" ".join([draw(WORDS)] + values))
-    return "\n".join(lines)
+    return dim, "\n".join(lines)
 
 
-def _check_embeddings(workdir, blob: bytes) -> None:
+def _check_embeddings(workdir, blob: bytes, dim: int) -> None:
     path = workdir / "vectors.txt"
     path.write_bytes(blob)
     try:
-        table = load_embeddings(path, VOCAB, seed=0)
+        vectors, pretrained = load_embeddings(path, VOCAB, dim, seed=0)
     except IngestError as err:
         assert err.kind in ("embeddings", "encoding") and err.path == path
         return
-    assert set(table.vectors) == set(VOCAB)
-    for vector in table.vectors.values():
-        assert vector.shape == (table.dim,) and np.isfinite(vector).all()
+    assert vectors.shape == (len(VOCAB), dim) and np.isfinite(vectors).all()
+    assert pretrained.shape == (len(VOCAB),) and pretrained.dtype == bool
 
 
 @SETTINGS
 @given(embedding_text())
-def test_embedding_text_loads_finite_vectors_or_raises(workdir, text):
-    _check_embeddings(workdir, text.encode("utf-8"))
+def test_embedding_text_loads_finite_vectors_or_raises(workdir, dim_text):
+    dim, text = dim_text
+    _check_embeddings(workdir, text.encode("utf-8"), dim)
 
 
 @SETTINGS
-@given(st.binary(max_size=120))
-def test_embedding_bytes_load_finite_vectors_or_raise(workdir, blob):
-    _check_embeddings(workdir, blob)
+@given(st.binary(max_size=120), st.integers(1, 3))
+def test_embedding_bytes_load_finite_vectors_or_raise(workdir, blob, dim):
+    _check_embeddings(workdir, blob, dim)
 
 
 # Pieces of corpus lines: brackets, label prefixes, words, tabs, ASCII and

@@ -236,13 +236,11 @@ def test_readers(tmp_path):
 
     pred_path = tmp_path / "pred.txt"
     pred_path.write_text(f"{NESTED}\nbroken [line\n", encoding="utf-8")
-    pred, raw = read_predictions_file(pred_path)
-    assert pred[0] is not None and pred[1] is None
-    assert len(raw) == 2
+    pred = read_predictions_file(pred_path)
+    assert len(pred) == 2 and pred[0] is not None and pred[1] is None
     pred_path.write_text("-0.5\t[IN:X a ]\n\n-0.1\tbroken [\n\n", encoding="utf-8")
-    pred, raw = read_predictions_file(pred_path)  # parse's output, beam of one
+    pred = read_predictions_file(pred_path)  # parse's output, beam of one
     assert pred == [parse_bracketed("[IN:X a ]"), None]
-    assert raw == ["[IN:X a ]", "broken ["]
 
     beam_path = tmp_path / "beam.txt"
     beam_path.write_text(

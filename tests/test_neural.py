@@ -481,8 +481,8 @@ def test_arena_views_survive_training_and_loading(tmp_path):
     emb_path = tmp_path / "vectors.txt"
     words = [w for w in model.token_vocab.symbols if not w.startswith("<")][:3]
     emb_path.write_text("".join(f"{w} {' '.join(['0.5'] * 8)}\n" for w in words))
-    table = load_embeddings(emb_path, model.token_vocab.symbols, seed=0)
-    pretrained, _ = _tiny_corpus_model(embeddings=table)
+    embeddings = load_embeddings(emb_path, model.token_vocab.symbols, 8, seed=0)
+    pretrained, _ = _tiny_corpus_model(embeddings=embeddings)
     _assert_views_tile_arena(pretrained.store)
     assert np.all(pretrained.word_emb.value[model.token_vocab.index(words[0])] == 0.5)
 

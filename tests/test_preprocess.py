@@ -83,42 +83,46 @@ def _write(tmp_path, text):
 
 def test_load_embeddings_basic(tmp_path):
     path = _write(tmp_path, "alpha 1.0 2.0 3.0\nbeta 4.0 5.0 6.0\n")
-    table = load_embeddings(path, ["alpha", "beta", "gamma"], seed=0)
-    assert table.dim == 3
-    assert np.allclose(table["alpha"], [1.0, 2.0, 3.0])
-    assert table.missing == ("gamma",)
-    assert table["gamma"].shape == (3,)
+    vectors, pretrained = load_embeddings(path, ["alpha", "beta", "gamma"], 3, seed=0)
+    assert vectors.shape == (3, 3) and vectors.dtype == np.float64
+    assert np.allclose(vectors[0], [1.0, 2.0, 3.0])
+    assert (~pretrained).tolist() == [False, False, True]
+    assert np.all(np.abs(vectors[2]) <= 0.1)
     # Seeded: reloading gives the same random fallback vector.
-    again = load_embeddings(path, ["alpha", "beta", "gamma"], seed=0)
-    assert np.array_equal(table["gamma"], again["gamma"])
+    again, _ = load_embeddings(path, ["alpha", "beta", "gamma"], 3, seed=0)
+    assert np.array_equal(vectors[2], again[2])
 
 
 def test_load_embeddings_ignores_out_of_vocab_words(tmp_path):
     path = _write(tmp_path, "alpha 1.0 2.0\nzzz 9.0 9.0\n")
-    table = load_embeddings(path, ["alpha"], seed=0)
-    assert set(table.vectors) == {"alpha"}
+    vectors, pretrained = load_embeddings(path, ["alpha"], 2, seed=0)
+    assert vectors.tolist() == [[1.0, 2.0]] and pretrained.tolist() == [True]
 
 
 def test_load_embeddings_accepts_word2vec_line_ends(tmp_path):
     # word2vec's text format puts a space after the last value.
     path = _write(tmp_path, "alpha 1.0 2.0 \nbeta 3.0 4.0 \n")
-    table = load_embeddings(path, ["alpha", "beta"], seed=0)
-    assert table.dim == 2 and table.missing == ()
-    assert np.array_equal(table["beta"], [3.0, 4.0])
+    vectors, pretrained = load_embeddings(path, ["alpha", "beta"], 2, seed=0)
+    assert vectors.shape[1] == 2 and not (~pretrained).any()
+    assert np.array_equal(vectors[1], [3.0, 4.0])
 
 
 def test_load_embeddings_ragged(tmp_path):
     path = _write(tmp_path, "alpha 1.0 2.0 3.0\nbeta 4.0 5.0\n")
     with pytest.raises(IngestError) as err:
-        load_embeddings(path, ["alpha", "beta"])
+        load_embeddings(path, ["alpha", "beta"], 3)
     assert err.value.kind == "embeddings" and err.value.line == 2 and err.value.path == path
     assert str(err.value) == f"{path}: line 2: expected 3 values, found 2"
+    # Every line holds the model's width, the first one too.
+    with pytest.raises(IngestError) as err:
+        load_embeddings(path, ["alpha", "beta"], 2)
+    assert str(err.value) == f"{path}: line 1: expected 2 values, found 3"
 
 
 def test_load_embeddings_non_numeric(tmp_path):
     path = _write(tmp_path, "alpha 1.0 x 3.0\n")
     with pytest.raises(IngestError) as err:
-        load_embeddings(path, ["alpha"])
+        load_embeddings(path, ["alpha"], 3)
     assert err.value.kind == "embeddings" and err.value.line == 1 and err.value.path == path
 
 
@@ -126,7 +130,7 @@ def test_load_embeddings_non_numeric(tmp_path):
 def test_load_embeddings_rejects_non_finite_values(tmp_path, value):
     path = _write(tmp_path, f"alpha 1 2 3\nbeta 0.1 {value} 0.3\n")
     with pytest.raises(IngestError) as err:
-        load_embeddings(path, ["alpha", "beta"])
+        load_embeddings(path, ["alpha", "beta"], 3)
     assert err.value.kind == "embeddings" and err.value.line == 2 and err.value.path == path
     assert str(err.value) == f"{path}: line 2: non-finite embedding value for 'beta'"
 
@@ -134,6 +138,6 @@ def test_load_embeddings_rejects_non_finite_values(tmp_path, value):
 def test_load_embeddings_empty(tmp_path):
     path = _write(tmp_path, "")
     with pytest.raises(IngestError) as err:
-        load_embeddings(path, ["alpha"])
+        load_embeddings(path, ["alpha"], 3)
     assert err.value.kind == "embeddings" and err.value.line is None
     assert str(err.value) == f"{path}: embedding file is empty"

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 from dataclasses import replace
 from pathlib import Path
@@ -803,23 +804,71 @@ def test_pretrained_embeddings_frozen_rows(tmp_path):
         for i, word in enumerate(known):
             values = " ".join(str(0.01 * (i + j)) for j in range(dim))
             handle.write(f"{word} {values}\n")
-    table = load_embeddings(emb_path, vocab.symbols, seed=0)
+    vectors, pretrained = load_embeddings(emb_path, vocab.symbols, dim, seed=0)
     config = RnngConfig(seed=5, precision="f32", **TINY)
     model = Model(config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)),
-                  embeddings=table)
+                  embeddings=(vectors, pretrained))
     frozen_idx = vocab.index(known[0])
     row_before = model.word_emb.value[frozen_idx].copy()
     train(model, corpus, epochs=2)
     assert np.array_equal(model.word_emb.value[frozen_idx], row_before)
     # Rows without pretrained vectors stay trainable.
-    trainable = [i for i, w in enumerate(vocab.symbols) if w in table.missing]
+    trainable = np.flatnonzero(~pretrained)
     assert any(
         not np.array_equal(model.word_emb.value[i], Model(
             config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)),
-            embeddings=table,
+            embeddings=(vectors, pretrained),
         ).word_emb.value[i])
         for i in trainable
     )
+    with pytest.raises(neural_core.DimensionMismatch):
+        Model(config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)),
+              embeddings=(vectors[:, 1:], pretrained))
+
+
+# sha256 of the store values before and after two epochs and of the saved
+# checkpoint's bytes, per (precision, finetune_embeddings), as the parser
+# gave them when the embeddings loader inferred the width from the file.
+PRETRAINED_DIGESTS = {
+    ("f32", False): ("e6f94dfa6ec7a11adaf5f3ab53201a369f9c14ddeccaba764086117e643b55cc",
+                     "e4a8ad9a643657cd1ab95b1c42075015bdfce68397b1a2a0c22e58de2575597f",
+                     "77da4fd9751d9ba87f78002c0e31772097dc2aab55a28f9d20d93e2beb8bcbca"),
+    ("f32", True): ("e6f94dfa6ec7a11adaf5f3ab53201a369f9c14ddeccaba764086117e643b55cc",
+                    "6cc01cea482e40cce00825ef4d8db943b39e37c2ec19b93fc83c589f9c41410d",
+                    "488b6ce71a486e6bbea277547087b338e3d38fb5d9512166fc9413d42517bb38"),
+    ("f64", False): ("0a5ca28fa586ad5853281086f83b8b12fa5ee2d9a9e44b684de2745f740c2388",
+                     "56900cb430183ca5b1e92788d22bb89f0a573b4e4167dca235589bccd833a0aa",
+                     "69c12e2b3aa656ea2ef3e6b39bef1fcf61a17c6c13f44975c0c0b021379d376b"),
+    ("f64", True): ("0a5ca28fa586ad5853281086f83b8b12fa5ee2d9a9e44b684de2745f740c2388",
+                    "42b3209908a6f258065b98307104fa391d81052367aa7ca93a5e7ebfba85eced",
+                    "0a5e9372efbf30cdcf1d52ab6154b31b9fa7a19e5c640ff7410239e52e38b930"),
+}
+
+
+@pytest.mark.parametrize("finetune", [False, True], ids=["frozen", "finetuned"])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_pretrained_embeddings_train_bit_for_bit(tmp_path, precision, finetune):
+    """A model started from an embeddings file, one of whose lines is a word
+    outside the vocabulary, builds, trains and saves to pinned bytes."""
+    corpus = synth.learnable_corpus(seed=15, size=10)
+    vocab, intents, slots = build_vocabs(corpus)
+    dim = TINY["word_dim"]
+    known = [w for w in vocab.symbols if not w.startswith("<")][:4]
+    lines = [f"{w} {' '.join(str(0.01 * (i + j)) for j in range(dim))}"
+             for i, w in enumerate(known)]
+    lines.insert(1, "out-of-vocabulary " + " ".join(["-0.5"] * dim))
+    emb_path = tmp_path / "vectors.txt"
+    emb_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    embeddings = load_embeddings(emb_path, vocab.symbols, dim, seed=0)
+    config = RnngConfig(seed=5, precision=precision, finetune_embeddings=finetune, **TINY)
+    model = Model(config, vocab, intents, slots, TokenNormalizer(frozenset(vocab.symbols)),
+                  embeddings=embeddings)
+    initial = hashlib.sha256(model.store.value.tobytes()).hexdigest()
+    train(model, corpus, epochs=2)
+    trained = hashlib.sha256(model.store.value.tobytes()).hexdigest()
+    save_model(model, tmp_path / "m.ckpt")
+    saved = hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
+    assert (initial, trained, saved) == PRETRAINED_DIGESTS[precision, finetune]
 
 
 # ---------------------------------------------------------------------------
