@@ -13,7 +13,8 @@ subclass ``CheckpointError``), which ``main`` alone turns into exit 3 and
 no one line is at fault: an input that cannot be opened or is not UTF-8, an
 output that cannot be written, a checkpoint that cannot be opened or is
 malformed, a corpus, gold-tree or embeddings file with a bad line (an
-embeddings line without ``word_dim`` values among them), a tree nested too
+embeddings line without ``word_dim`` values among them, or with a value that
+is not a finite number where its word is in the vocabulary), a tree nested too
 deep to check, and a config file with a line that is not key=value, names
 no configuration field or holds a value the field refuses, or with values
 that are invalid together.  A file's first bad line is refused, whatever its
@@ -310,12 +311,13 @@ def cmd_eval(args) -> int:
     if args.json:
         dataset.check_writable(args.json)
     gold = metrics.read_gold_file(args.gold)
+    # Validity comes from the trees: a line parses exactly when its tree is
+    # not None, so no line is parsed twice.
     if args.topk:
-        beams, top_lines = metrics.read_beam_file(args.pred)
-        pred = [beam[0] if beam else None for beam in beams]
-        report = metrics.evaluate(gold, pred, raw_lines=top_lines, beams=beams, top_ks=args.topk)
+        beams, _ = metrics.read_beam_file(args.pred)
+        pred = [beam[0] for beam in beams]
+        report = metrics.evaluate(gold, pred, beams=beams, top_ks=args.topk)
     else:
-        # Validity from the trees: a line parses exactly when its tree is not None.
         report = metrics.evaluate(gold, metrics.read_predictions_file(args.pred))
     print(report.to_table())
     if args.json:

@@ -78,10 +78,8 @@ def grad_check(loss_fn, store: ParamStore, tolerance: float = 1e-4, step: float 
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if max_coords_per_param is not None and max_coords_per_param < 1:
         raise ValueError(f"max_coords_per_param must be at least 1, got {max_coords_per_param}")
-    store.zero_grad()
     tape = Tape()
-    loss = loss_fn(tape)
-    tape.backward(loss)
+    store.backward(tape, loss_fn(tape))
     analytic = {name: store[name].grad.astype(np.float64).copy() for name in store}
     if rng is None:
         rng = np.random.default_rng(0)

@@ -6,8 +6,9 @@ cannot be opened raises ``IngestError`` kind io, as every input does.
 
 A :class:`ParamStore` keeps all parameters in one arena: four flat buffers,
 ``value``, ``grad`` and Adam's moments ``m`` and ``v``, each allocated once
-at its exact size.  Every :class:`Param` holds reshaped views into them, so
-Adam runs over four arrays instead of one set per parameter.
+at its exact size.  Every :class:`Param` holds reshaped views of its value
+and gradient; Adam runs over the four flat arrays, so the moments have no
+per-parameter view.
 
 A matrix that feeds matrix products is stored column-major (``order="F"``,
 set by the layer that owns it), so ``value.T`` is a free C-contiguous
@@ -53,10 +54,9 @@ class CheckpointError(IngestError):
 
 
 class Param(Var):
-    """A named parameter: ``value``, ``grad`` and the Adam moments ``m`` and
-    ``v`` are views into its store's flat buffers, set by
-    :meth:`ParamStore.allocate`; reading one before that raises
-    ``AttributeError``.
+    """A named parameter: ``value`` and ``grad`` are views into its store's
+    flat buffers, set by :meth:`ParamStore.allocate`; reading one before
+    that raises ``AttributeError``.
 
     ``init`` fills the value at allocation: ``"glorot"``, ``"zeros"``, or a
     callable that writes into the zeroed value.  ``frozen_rows`` (a boolean
@@ -66,7 +66,7 @@ class Param(Var):
     ``"F"``.
     """
 
-    __slots__ = ("name", "shape", "init", "order", "m", "v", "frozen_rows")
+    __slots__ = ("name", "shape", "init", "order", "frozen_rows")
 
     def __init__(self, name: str, shape: tuple, init, order: str):
         # No Var.__init__: the views stay unset until the store allocates.
@@ -126,15 +126,15 @@ class ParamStore:
             start = stop
 
     def allocate(self) -> None:
-        """Allocate the four flat buffers, point every parameter's views
-        into them, and initialize the values in ``add`` order.  Only the
-        first call does anything."""
+        """Allocate the four flat buffers, point every parameter's value and
+        gradient views into them, and initialize the values in ``add``
+        order.  Only the first call does anything."""
         if self.value is not None:
             return
         size = self.num_values()
         self.value, self.grad, self.m, self.v = (np.zeros(size, self.dtype) for _ in range(4))
-        for param, *views in self._views(self.value, self.grad, self.m, self.v):
-            param.value, param.grad, param.m, param.v = views
+        for param, value, grad in self._views(self.value, self.grad):
+            param.value, param.grad = value, grad
             if param.init == "glorot":
                 scale = np.sqrt(6.0 / sum(param.shape))
                 param.value[...] = self.rng.uniform(-scale, scale, param.shape)
@@ -153,23 +153,21 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self.params)
 
-    def zero_grad(self, products: bool = True) -> None:
-        """Zero the gradients.  With ``products=False`` only those that
-        accumulate over a backward pass, the row-major parameters' (biases,
-        embedding tables, initial states): ``core.Tape.backward`` writes the
-        column-major product weights' gradients over what they hold, and
-        :meth:`zero_unwritten` zeroes the ones a pass did not write."""
-        if products:
-            self.grad.fill(0)
-            return
+    def zero_grad(self) -> None:
+        """Zero the gradients that accumulate over a backward pass: the
+        row-major parameters' (biases, embedding tables, initial states)."""
         for param in self.params.values():
             if param.order == "C":
                 param.grad.fill(0)
 
-    def zero_unwritten(self, written) -> None:
-        """Zero the gradient of each product weight not in ``written``, the
-        weights a backward pass wrote: one it did not use still holds an
-        earlier pass's gradient."""
+    def backward(self, tape, loss) -> None:
+        """Leave every gradient equal to the gradient of ``loss``: zero the
+        ones that accumulate, run ``tape.backward``, which writes the
+        column-major product weights' over what they hold, then zero the
+        product weights the pass did not use, which still hold an earlier
+        pass's."""
+        self.zero_grad()
+        written = tape.backward(loss)
         for param in self.params.values():
             if param.order == "F" and param not in written:
                 param.grad.fill(0)

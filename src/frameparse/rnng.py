@@ -567,19 +567,14 @@ def example_loss(model: Model, tokens, gold_actions, tape):
 def train_example(model: Model, example, rng) -> float:
     """One forward/backward/update step on a single example, on a tape
     that drops at the configured rate from ``rng``; a loss that is not
-    finite raises ``NonFiniteLoss`` before any update.  Only the gradients
-    that accumulate are zeroed before the backward pass, which writes the
-    product weights' over the last example's; those it does not write are
-    zeroed after it."""
+    finite raises ``NonFiniteLoss`` before any update."""
     gold_actions = oracle(example.tree)
     tape = core.Tape(rng, model.config.dropout)
     loss = example_loss(model, example.tokens, gold_actions, tape)
     if not np.isfinite(loss.value):
         raise NonFiniteLoss(f"loss is {loss.value} on example {example.raw_utterance!r}")
-    store = model.store
-    store.zero_grad(products=False)
-    store.zero_unwritten(tape.backward(loss))
-    store.adam_step(model.config.lr, model.config.weight_decay)
+    model.store.backward(tape, loss)
+    model.store.adam_step(model.config.lr, model.config.weight_decay)
     return float(loss.value)
 
 

@@ -236,17 +236,13 @@ def _oracle_walk(node, actions: list) -> None:
     actions.append(REDUCE)
 
 
-def execute(
-    actions: Sequence[Action],
-    tokens: Sequence[str],
-    max_open_nts: int = DEFAULT_MAX_OPEN_NTS,
-) -> Tree:
+def execute(actions: Sequence[Action], tokens: Sequence[str]) -> Tree:
     """Fold :func:`apply` over ``actions`` starting from ``tokens``; an
     action the mask refuses (every action, once the state is terminal)
     raises :class:`InvalidAction` naming its step."""
     state = initial_state(tokens)
     for step, action in enumerate(actions):
-        if not kind_of(action) & valid_actions(state, max_open_nts):
+        if not kind_of(action) & valid_actions(state):
             raise InvalidAction(action, state.summary(), step=step)
         state = apply_unchecked(state, action)
     if not state.is_terminal:

@@ -432,6 +432,23 @@ def test_train_bad_embeddings_exit_three(tmp_path, capsys, corpus_tsv, line):
     assert not ckpt.exists()
 
 
+def test_embeddings_values_are_read_only_for_words_in_the_vocabulary(tmp_path, capsys):
+    """Every line's values are counted, but only a vocabulary word's are
+    read: reading the rest would parse a whole pretrained file."""
+    outside = write_lines(tmp_path / "outside.txt", ["zzz x nan 1", "alpha 1 2 3"])
+    vectors, pretrained = dataset.load_embeddings(outside, ["alpha"], 3)
+    assert vectors.tolist() == [[1.0, 2.0, 3.0]] and pretrained.tolist() == [True]
+    tsv = write_lines(tmp_path / "c.tsv", ["alpha\talpha\t[IN:X alpha ]"])
+    inside = write_lines(tmp_path / "inside.txt", ["alpha 1 nan 3"])
+    ckpt = tmp_path / "model.ckpt"
+    train = ["train", tsv, "-o", str(ckpt), "--word-dim", "3", "--epochs", "0", "--embeddings"]
+    assert main(train + [outside]) == 0
+    capsys.readouterr()
+    assert main(train + [inside]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {inside}: line 1: non-finite embedding value for 'alpha'\n")
+
+
 def test_train_embeddings_of_another_dimension_exit_three(tmp_path, capsys, corpus_tsv):
     tsv, corpus = corpus_tsv
     word = corpus.examples[0].tokens[0]
@@ -751,6 +768,22 @@ def test_eval_gold_without_trees_exits_three(tmp_path, capsys, topk):
         assert main(["eval", gold, gold] + topk) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {gold}: no gold trees\n")
+
+
+def test_eval_topk_parses_each_line_once(tmp_path, monkeypatch):
+    gold = write_lines(tmp_path / "gold.txt", ["[IN:X a ]", "[IN:X b ]"])
+    beams = write_lines(tmp_path / "beams.txt",
+                        ["-0.1\t[IN:X a ]", "-0.5\t[IN:Y a ]", "", "-0.2\t[IN:X b", ""])
+    report_path = tmp_path / "report.json"
+    parse, parsed = metrics.parse_bracketed, []
+    monkeypatch.setattr(metrics, "parse_bracketed",
+                        lambda text: parsed.append(text) or parse(text))
+    assert main(["eval", gold, beams, "--topk", "1,2", "--json", str(report_path)]) == 0
+    assert len(parsed) == 5  # 2 gold trees and 3 beam lines
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    monkeypatch.undo()
+    assert report["tree_validity"] == metrics.tree_validity(["[IN:X a ]", "[IN:X b"]) == 50.0
+    assert report["top_k"] == {"1": 50.0, "2": 50.0}
 
 
 def test_gradcheck_passes(capsys):

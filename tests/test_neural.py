@@ -431,10 +431,18 @@ def test_adam_step_is_bitwise_dense_adam():
             if store[name].frozen_rows is not None:
                 update[store[name].frozen_rows] = 0
             ref["value"] -= lr * update
+    _assert_moments_equal(store, dense)
     for name in store:
-        assert np.array_equal(store[name].m, dense[name]["m"]), name
-        assert np.array_equal(store[name].v, dense[name]["v"]), name
         assert np.array_equal(store[name].value, dense[name]["value"]), name
+
+
+def _assert_moments_equal(store, dense):
+    """The store's flat Adam moments are the dense reference's, each
+    parameter's raveled in its memory order and laid out in ``add`` order."""
+    for moment in ("m", "v"):
+        expected = np.concatenate([dense[name][moment].ravel(order=param.order)
+                                   for name, param in store.params.items()])
+        assert np.array_equal(getattr(store, moment), expected), moment
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +450,12 @@ def test_adam_step_is_bitwise_dense_adam():
 
 
 def _assert_views_tile_arena(store):
-    """Every parameter's value/grad/m/v is the next slice of the store's
+    """Every parameter's value and grad are the next slice of the store's
     flat buffers, in ``add`` order, and together they cover them."""
     offset = 0
     for param in store.params.values():
         size = math.prod(param.shape)
-        for view in ("value", "grad", "m", "v"):
+        for view in ("value", "grad"):
             array, flat = getattr(param, view), getattr(store, view)
             assert array.shape == param.shape, (param.name, view)
             assert array.flags[f"{param.order}_CONTIGUOUS"], (param.name, view)
@@ -514,18 +522,51 @@ def test_arena_add_after_allocation_raises():
     assert "late" not in store and store.value.size == 6
 
 
-def test_zero_grad_clears_every_gradient():
+def test_zero_grad_clears_exactly_the_row_major_gradients():
     store = f64_store(33)
     Lstm(store, "lstm", 3, 4, 1)
-    store.add("scorer", (5, 4))
+    store.add("scorer", (5, 4), order="F")
     store.allocate()
-    for name in store:
-        store[name].grad[...] = 1.5
+    store.grad[...] = 1.5
     store.zero_grad()
-    assert not store.grad.any()
     for name in store:
-        assert not store[name].grad.any(), name
+        param = store[name]
+        if param.order == "C":
+            assert not param.grad.any(), name
+        else:
+            assert np.all(param.grad == 1.5), name
     _assert_views_tile_arena(store)
+
+
+def test_store_backward_leaves_no_stale_gradient():
+    """Gradients prefilled with garbage end bitwise equal to a fresh
+    store's after the same pass, in a product weight the pass does not use
+    ("unused") as in every other."""
+
+    def build():
+        store = f64_store(36)
+        lstm = Lstm(store, "lstm", 3, 4, 1)
+        weights = {name: store.add(name, (5, 4), order="F") for name in ("used", "unused")}
+        bias = store.add("bias", (5,))
+        store.allocate()
+        return store, lstm, weights["used"], bias
+
+    def loss_fn(tape, lstm, weight, bias):
+        inputs = [Var(np.arange(3.0) + step) for step in range(3)]
+        outputs = [lstm.output(s) for s in lstm.run(tape, inputs)]
+        logits = linear(tape, weight, bias, outputs[-1])
+        return masked_nll(tape, logits, 2, [0, 2, 4])
+
+    fresh, *fresh_layers = build()
+    tape = Tape()
+    fresh.backward(tape, loss_fn(tape, *fresh_layers))
+    assert not fresh["unused"].grad.any()
+    stale, *stale_layers = build()
+    stale.grad[...] = np.nan
+    tape = Tape()
+    stale.backward(tape, loss_fn(tape, *stale_layers))
+    assert stale.grad.tobytes() == fresh.grad.tobytes()
+    _assert_views_tile_arena(stale)
 
 
 def test_dropped_model_frees_its_arena_without_cycle_collection():
@@ -577,9 +618,8 @@ def test_adam_chunks_match_dense_adam_across_frozen_boundary():
             if store[name].frozen_rows is not None:
                 update[store[name].frozen_rows] = 0
             ref["value"] -= lr * update
+    _assert_moments_equal(store, dense)
     for name in store:
-        assert np.array_equal(store[name].m, dense[name]["m"]), name
-        assert np.array_equal(store[name].v, dense[name]["v"]), name
         assert np.array_equal(store[name].value, dense[name]["value"]), name
     assert np.array_equal(emb.value[frozen], initial[frozen])
     assert not np.array_equal(emb.value[1022], initial[1022])

@@ -641,7 +641,7 @@ def _zero_everything_train_example(model, example, rng):
     pass, so no gradient can outlive its example."""
     tape = Tape(rng, model.config.dropout)
     loss = example_loss(model, example.tokens, oracle(example.tree), tape)
-    model.store.zero_grad()
+    model.store.grad.fill(0)
     tape.backward(loss)
     model.store.adam_step(model.config.lr, model.config.weight_decay)
     return float(loss.value)
@@ -890,21 +890,33 @@ def _referenced_names(root: Path, skip) -> set:
     return names
 
 
+def _public_methods(cls):
+    """The public methods and properties ``cls`` defines itself."""
+    return [name for name, value in vars(cls).items() if not name.startswith("_") and (
+        inspect.isfunction(value) or isinstance(value, (property, staticmethod, classmethod)))]
+
+
 def test_every_public_parser_name_has_a_caller_outside_the_tests():
-    """Each public function and class of every module of the package is
-    used by the package or the benchmark, or is library API (re-exported
-    by ``frameparse/__init__.py``)."""
+    """Each public function and class of every module of the package, and
+    each public method and property of its classes, is used by the package
+    or the benchmark, or is library API (re-exported by
+    ``frameparse/__init__.py``).  Names are matched without their owner, so
+    a method passes if anything of the same name is read."""
     package = Path(frameparse.__file__).parent
     used = _referenced_names(package, lambda path: path.name == "__init__.py")
     used |= _referenced_names(Path(__file__).resolve().parents[1] / "perfbench",
                               lambda path: "tests" in path.parts)
-    api = set(vars(frameparse))
-    unused = [
-        f"{module.__name__}.{name}"
-        for module in (rnng, neural_core, neural_layers, neural_params, neural_gradcheck,
-                       trees_mod, transitions, dataset_mod, metrics, preprocess, cli)
-        for name, value in vars(module).items()
-        if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
-        and value.__module__ == module.__name__ and name not in used and name not in api
-    ]
+    used |= set(vars(frameparse))
+    unused = []
+    for module in (rnng, neural_core, neural_layers, neural_params, neural_gradcheck,
+                   trees_mod, transitions, dataset_mod, metrics, preprocess, cli):
+        for name, value in vars(module).items():
+            if (name.startswith("_") or not (inspect.isfunction(value) or inspect.isclass(value))
+                    or value.__module__ != module.__name__):
+                continue
+            names = [name]
+            if inspect.isclass(value):
+                names += [f"{name}.{method}" for method in _public_methods(value)]
+            unused += [f"{module.__name__}.{qualified}" for qualified in names
+                       if qualified.rpartition(".")[2] not in used]
     assert unused == []
