@@ -309,13 +309,17 @@ def _histogram_csv(name: str, histogram: dict) -> str:
     return f"{name},count\n" + "".join(f"{key},{histogram[key]}\n" for key in sorted(histogram))
 
 
-def iter_labels(tree: Tree):
-    stack = [tree.root]
+def _label_sets(corpus: Corpus) -> tuple:
+    """The sets of intent and of slot labels the corpus's trees use."""
+    intents = set()
+    slots = set()
+    stack = [example.tree.root for example in corpus]
     while stack:
         node = stack.pop()
         if isinstance(node, NonTerminal):
-            yield node.label
+            (intents if node.label.is_intent else slots).add(node.label)
             stack.extend(node.children)
+    return intents, slots
 
 
 def compute_stats(corpus: Corpus) -> CorpusStats:
@@ -323,11 +327,7 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
         raise ValueError("cannot compute statistics of an empty corpus")
     depths = [depth(e.tree) for e in corpus]
     lengths = [len(e.tokens) for e in corpus]
-    intents = set()
-    slots = set()
-    for example in corpus:
-        for label in iter_labels(example.tree):
-            (intents if label.is_intent else slots).add(label)
+    intents, slots = _label_sets(corpus)
     n = len(corpus)
     return CorpusStats(
         count=n,
@@ -357,9 +357,6 @@ class Vocab:
 
     def __contains__(self, symbol) -> bool:
         return symbol in self._index
-
-    def __iter__(self):
-        return iter(self.symbols)
 
     def index(self, symbol) -> int:
         return self._index[symbol]
@@ -391,11 +388,6 @@ def build_vocabs(corpus: Corpus, min_count: int = 1):
     ordinary = sorted(kept - set(reserved))
     extra_classes = sorted(symbols - set(reserved) - kept)
     token_vocab = Vocab(reserved + ordinary + extra_classes)
-
-    intents = set()
-    slots = set()
-    for example in corpus:
-        for label in iter_labels(example.tree):
-            (intents if label.is_intent else slots).add(label)
+    intents, slots = _label_sets(corpus)
     by_name = lambda lab: lab.name
     return token_vocab, tuple(sorted(intents, key=by_name)), tuple(sorted(slots, key=by_name))

@@ -53,10 +53,6 @@ class Var:
         else:
             self.grad += g
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self) -> str:
         return f"Var(shape={self.value.shape}, dtype={self.value.dtype})"
 
@@ -68,8 +64,8 @@ class Tape:
     weight-gradient rows ``outer(dz, x)`` of one use of ``weight``, a
     parameter whose gradient only its products give.
 
-    :func:`dropout` on the tape drops at ``rate`` with masks from ``rng``; a
-    tape without an ``rng`` never drops.  Each op draws its mask as it runs,
+    :func:`dropout` on the tape drops at ``rate`` with masks from ``rng``,
+    which a tape that drops needs.  Each op draws its mask as it runs,
     until :meth:`draw` draws the pass's values in one block: from then on
     each op takes the slice of the block at ``at`` and moves ``at`` past it,
     and the caller sets ``at`` to place a site anywhere in the block.
@@ -82,7 +78,7 @@ class Tape:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self._steps = []
         self.rng = rng
-        self.rate = rate if rng is not None else 0.0
+        self.rate = rate
         self.draws = None
         self.at = 0
 
@@ -164,16 +160,15 @@ def _product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], weight.T)[:, 0, :]
 
 
-def linear(tape, weight: Var, bias, x):
-    """y = W x + b (bias optional)."""
+def linear(tape, weight: Var, bias: Var, x):
+    """y = W x + b."""
     value = x if tape is None else x.value
     if weight.value.shape[1] != value.shape[-1]:
         raise DimensionMismatch(
             f"linear: weight {weight.value.shape} does not accept input {value.shape}"
         )
     y = _product(weight.value, value)
-    if bias is not None:
-        y += bias.value
+    y += bias.value
     if tape is None:
         return y
     out = Var(y)
@@ -182,8 +177,7 @@ def linear(tape, weight: Var, bias, x):
         g = out.grad
         if g is None:
             return None
-        if bias is not None:
-            bias.add_grad(g)
+        bias.add_grad(g)
         x.add_grad(weight.value.T @ g)
         return weight, g, x.value
 

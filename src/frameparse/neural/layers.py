@@ -10,8 +10,9 @@ from .core import EmptySequence, Var
 
 
 def embedding_lookup(tape, table: Var, index):
-    """Row ``index`` of the table.  Without a tape, ``index`` may also be
-    an array of indices, one row each."""
+    """Row ``index`` of the table, a parameter whose ``grad`` its store
+    allocated.  Without a tape, ``index`` may also be an array of indices,
+    one row each."""
     if tape is None:
         return table.value.take(index, axis=0)
     out = Var(table.value[index].copy())
@@ -20,8 +21,6 @@ def embedding_lookup(tape, table: Var, index):
         g = out.grad
         if g is None:
             return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.value)
         table.grad[index] += g
 
     tape.record(backward)

@@ -58,12 +58,12 @@ class Param(Var):
     flat buffers, set by :meth:`ParamStore.allocate`; reading one before
     that raises ``AttributeError``.
 
-    ``init`` fills the value at allocation: ``"glorot"``, ``"zeros"``, or a
-    callable that writes into the zeroed value.  ``frozen_rows`` (a boolean
-    mask over the first axis, or None) excludes rows from optimizer updates;
-    used for pretrained embedding rows.  Set it before the store's first
-    Adam step.  ``order`` is the memory order of the views, ``"C"`` or
-    ``"F"``.
+    ``init`` fills the value at allocation: None, for the store's default
+    (see :class:`ParamStore`), or a callable that writes into the zeroed
+    value.  ``frozen_rows`` (a boolean mask over the first axis, or None)
+    excludes rows from optimizer updates; used for pretrained embedding
+    rows.  Set it before the store's first Adam step.  ``order`` is the
+    memory order of the views, ``"C"`` or ``"F"``.
     """
 
     __slots__ = ("name", "shape", "init", "order", "frozen_rows")
@@ -85,8 +85,8 @@ class ParamStore:
     used, allocates the arena and draws the initial values in ``add``
     order, after which ``add`` raises.  Initialization draws from a
     generator seeded at construction, so a fixed seed gives bit-identical
-    parameters.  Matrices use uniform +-sqrt(6 / (fan_in + fan_out));
-    vectors start at zero.
+    parameters.  Without an ``init``, matrices use uniform
+    +-sqrt(6 / (fan_in + fan_out)) and every other shape starts at zero.
     """
 
     def __init__(self, seed=0, dtype=np.float32):
@@ -100,17 +100,14 @@ class ParamStore:
         # scratch rows are shared, so one thread steps a store at a time.
         self._chunks = None
 
-    def add(self, name: str, shape, init="auto", order: str = "C") -> Param:
+    def add(self, name: str, shape, init=None, order: str = "C") -> Param:
+        """Record a parameter; ``init`` is None or a callable (see
+        :class:`Param`)."""
         if self.value is not None:
             raise RuntimeError(f"cannot add {name!r}: the parameter arena is already allocated")
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        shape = tuple(shape)
-        if init == "auto":
-            init = "glorot" if len(shape) == 2 else "zeros"
-        if not (callable(init) or init in ("zeros", "glorot")):
-            raise ValueError(f"unknown init {init!r}")
-        param = Param(name, shape, init, order)
+        param = Param(name, tuple(shape), init, order)
         self.params[name] = param
         return param
 
@@ -135,23 +132,17 @@ class ParamStore:
         self.value, self.grad, self.m, self.v = (np.zeros(size, self.dtype) for _ in range(4))
         for param, value, grad in self._views(self.value, self.grad):
             param.value, param.grad = value, grad
-            if param.init == "glorot":
+            if param.init is not None:
+                param.init(param.value)
+            elif len(param.shape) == 2:
                 scale = np.sqrt(6.0 / sum(param.shape))
                 param.value[...] = self.rng.uniform(-scale, scale, param.shape)
-            elif callable(param.init):
-                param.init(param.value)
 
     def __getitem__(self, name: str) -> Param:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
     def __iter__(self):
         return iter(sorted(self.params))
-
-    def __len__(self) -> int:
-        return len(self.params)
 
     def zero_grad(self) -> None:
         """Zero the gradients that accumulate over a backward pass: the

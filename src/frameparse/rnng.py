@@ -537,12 +537,11 @@ def example_loss(model: Model, tokens, gold_actions, tape):
     position, so every mask, and where the stream ends, is what drawing
     them one op at a time in that order gives."""
     tokens = tuple(tokens)
-    cfg = model.config
     buffer, stack, actions = (
         0 if lstm is None else lstm.dropout_draws()
         for lstm in (model.buffer_lstm, model.stack_lstm, model.action_lstm)
     )
-    summary = cfg.lstm_units * len(cfg.enabled_encoders)
+    summary = model.ff_w.shape[1]  # the width of the summary ff.weight takes
     frame = stack + actions + summary
     buffer_end = len(tokens) * buffer
     tape.draw(buffer_end + len(gold_actions) * frame)
@@ -587,7 +586,10 @@ def train(model: Model, corpus: Corpus, epochs: Optional[int] = None, rng=None,
     bit.  Returns the per-epoch mean example loss.  A non-finite example
     loss raises ``NonFiniteLoss`` naming the epoch and the example (its
     1-based position in ``corpus``), with the model as that example found it.
+    An empty corpus raises ``ValueError`` before anything is drawn.
     """
+    if not corpus.examples:
+        raise ValueError("cannot train on an empty corpus")
     if epochs is None:
         epochs = model.config.epochs
     if rng is None:

@@ -33,11 +33,13 @@ class EmptyUtterance(TransitionError):
 
 
 class InvalidAction(TransitionError):
+    """An action the mask refuses; the message names the action, the step
+    (when given) and the state's :meth:`ParserState.summary`."""
+
     def __init__(self, action: "Action", state_summary: str, step: Optional[int] = None):
         at = f" at step {step}" if step is not None else ""
         super().__init__(f"invalid action {action}{at} in state {state_summary}")
         self.action = action
-        self.state_summary = state_summary
         self.step = step
 
 
@@ -48,7 +50,6 @@ class IncompleteDerivation(TransitionError):
 class ConstraintViolation(TransitionError):
     def __init__(self, violations):
         super().__init__("; ".join(str(v) for v in violations))
-        self.violations = list(violations)
 
 
 @dataclass(frozen=True)
@@ -182,11 +183,10 @@ def valid_actions(state: ParserState, max_open_nts: int = DEFAULT_MAX_OPEN_NTS) 
     return bits
 
 
-def apply(
-    state: ParserState, action: Action, max_open_nts: int = DEFAULT_MAX_OPEN_NTS
-) -> ParserState:
-    """Execute one action, or raise :class:`InvalidAction` if masked out."""
-    if not kind_of(action) & valid_actions(state, max_open_nts):
+def apply(state: ParserState, action: Action) -> ParserState:
+    """Execute one action, or raise :class:`InvalidAction` if the default
+    mask refuses it."""
+    if not kind_of(action) & valid_actions(state):
         raise InvalidAction(action, state.summary())
     return apply_unchecked(state, action)
 

@@ -180,11 +180,12 @@ def _linear_relu_builder(store, rng):
     w1 = store.add("w1", (d_hid, d_in))
     b1 = store.add("b1", (d_hid,))
     w2 = store.add("w2", (3, d_hid))
+    b2 = store.add("b2", (3,))
     x = rng.normal(size=d_in)
 
     def loss_fn(tape):
         hidden = relu(tape, linear(tape, w1, b1, Var(x.copy())))
-        return masked_nll(tape, linear(tape, w2, None, hidden), 1, [0, 1, 2])
+        return masked_nll(tape, linear(tape, w2, b2, hidden), 1, [0, 1, 2])
 
     return loss_fn
 
@@ -193,11 +194,12 @@ def _embedding_builder(store, rng):
     rows, dim = int(rng.integers(3, 9)), int(rng.integers(2, 6))
     table = store.add("emb", (rows, dim))
     w = store.add("w", (3, 2 * dim))
+    b = store.add("b", (3,))
     i, j = int(rng.integers(rows)), int(rng.integers(rows))
 
     def loss_fn(tape):
         pair = concat(tape, [embedding_lookup(tape, table, i), embedding_lookup(tape, table, j)])
-        return masked_nll(tape, linear(tape, w, None, pair), 2, [0, 1, 2])
+        return masked_nll(tape, linear(tape, w, b, pair), 2, [0, 1, 2])
 
     return loss_fn
 
@@ -233,7 +235,7 @@ def _bilstm_builder(store, rng):
 
 
 def _softmax_builder(store, rng):
-    logits = store.add("logits", (8,), init="zeros")
+    logits = store.add("logits", (8,))
     store.allocate()
     logits.value[...] = rng.normal(size=8)
     mask = sorted(rng.choice(8, size=5, replace=False).tolist())
@@ -247,6 +249,7 @@ def _softmax_builder(store, rng):
 
 def _dropout_builder(store, rng):
     w = store.add("w", (3, 6))
+    b = store.add("b", (3,))
     x = rng.normal(size=6)
     mask_seed = int(rng.integers(1 << 30))
 
@@ -254,7 +257,7 @@ def _dropout_builder(store, rng):
         # Seed the tape's stream per call, so every probe draws the same mask.
         tape.rng, tape.rate = np.random.default_rng(mask_seed), 0.4
         dropped = dropout(tape, Var(x.copy()))
-        return masked_nll(tape, linear(tape, w, None, dropped), 0, [0, 1, 2])
+        return masked_nll(tape, linear(tape, w, b, dropped), 0, [0, 1, 2])
 
     return loss_fn
 

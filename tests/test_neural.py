@@ -166,13 +166,14 @@ def test_backward_consumes_tape_and_refcount_frees_it():
     store = f64_store(19)
     lstm = Lstm(store, "lstm", 3, 4, 2)
     scorer = store.add("scorer", (4, 4))
+    scorer_b = store.add("scorer.bias", (4,))
     store.allocate()
     inputs = [Var(np.random.default_rng(i).normal(size=3)) for i in range(4)]
     gc.disable()
     try:
         tape = Tape()
         outs = [lstm.output(s) for s in lstm.run(tape, inputs)]
-        loss = masked_nll(tape, linear(tape, scorer, None, outs[-1]), 1, [0, 1, 2, 3])
+        loss = masked_nll(tape, linear(tape, scorer, scorer_b, outs[-1]), 1, [0, 1, 2, 3])
         tape_ref, hidden_ref = weakref.ref(tape), weakref.ref(outs[0])
         tape.backward(loss)
         assert len(tape) == 0
@@ -312,7 +313,7 @@ def test_masked_log_probs_are_the_negated_masked_nll_bitwise(dtype):
 def test_masked_nll_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     store = f64_store(8)
-    logits_param = store.add("logits", (7,), init="zeros")
+    logits_param = store.add("logits", (7,))
     store.allocate()
     logits_param.value[...] = rng.normal(size=7)
     mask = [0, 2, 3, 6]
@@ -345,7 +346,7 @@ def test_adam_zero_gradients_no_change():
 
 def test_adam_single_step_hand_computed():
     store = f64_store()
-    param = store.add("w", (1,), init="zeros")
+    param = store.add("w", (1,))
     store.allocate()
     param.value[...] = 1.0
     param.grad[...] = 1.0
@@ -359,7 +360,7 @@ def test_adam_single_step_hand_computed():
 
 def test_adam_decoupled_weight_decay():
     store = f64_store()
-    param = store.add("w", (1,), init="zeros")
+    param = store.add("w", (1,))
     store.allocate()
     param.value[...] = 2.0
     param.grad[...] = 0.0
@@ -369,7 +370,7 @@ def test_adam_decoupled_weight_decay():
 
 def test_adam_optimizes_quadratic():
     store = f64_store(10)
-    param = store.add("xy", (2,), init="zeros")
+    param = store.add("xy", (2,))
     store.allocate()
     param.value[...] = (3.0, -2.0)
     target = np.array([1.0, 1.0])
@@ -519,7 +520,7 @@ def test_arena_add_after_allocation_raises():
     store.allocate()
     with pytest.raises(RuntimeError):
         store.add("late", (3,))
-    assert "late" not in store and store.value.size == 6
+    assert "late" not in store.params and store.value.size == 6
 
 
 def test_zero_grad_clears_exactly_the_row_major_gradients():
@@ -666,12 +667,13 @@ def _sum_to_scalar(tape, x):
 def test_grad_check_linear_model_is_exact():
     store = f64_store(12)
     w = store.add("w", (4, 3))
+    b = store.add("b", (4,))
     store.allocate()
     rng = np.random.default_rng(12)
     x = rng.normal(size=3)
 
     def loss_fn(tape):
-        return _sum_to_scalar(tape, linear(tape, w, None, Var(x.copy())))
+        return _sum_to_scalar(tape, linear(tape, w, b, Var(x.copy())))
 
     # Linearity means central differences have zero truncation error, so a
     # large step leaves only negligible roundoff.
@@ -683,11 +685,12 @@ def test_grad_check_detects_corruption():
     """A loss whose recorded backward doubles the gradient must fail."""
     store = f64_store(13)
     w = store.add("w", (4, 3))
+    b = store.add("b", (4,))
     store.allocate()
     x = np.random.default_rng(13).normal(size=3)
 
     def loss_fn(tape):
-        loss = masked_nll(tape, linear(tape, w, None, Var(x.copy())), 0, [0, 1, 2, 3])
+        loss = masked_nll(tape, linear(tape, w, b, Var(x.copy())), 0, [0, 1, 2, 3])
         out = Var(loss.value.copy())  # the identity, forward
 
         def wrong_backward():
@@ -698,7 +701,9 @@ def test_grad_check_detects_corruption():
 
     report = grad_check(loss_fn, store)
     assert not report.passed
-    assert report.worst.name == "w"
+    # Both parameters get the doubled gradient, so each check fails.
+    assert [(check.name, check.max_rel_err > report.tolerance) for check in report.checks] == [
+        ("b", True), ("w", True)]
 
 
 @pytest.mark.parametrize("coords", [0, -1])
@@ -739,9 +744,8 @@ def test_grad_check_refuses_a_tolerance_that_is_not_positive_and_finite(toleranc
 
 
 def test_dropout_zero_rate_is_identity():
-    # A tape without a stream never drops, whatever rate it is given.
     x = Var(np.random.default_rng(1).normal(size=50))
-    for tape in (Tape(np.random.default_rng(0), 0.0), Tape(), Tape(None, 0.3)):
+    for tape in (Tape(np.random.default_rng(0), 0.0), Tape()):
         assert tape.rate == 0.0
         assert dropout(tape, x) is x
 
@@ -789,7 +793,7 @@ def test_dropout_masks_taken_by_position_from_one_draw_equal_per_op_draws(dtype)
 
 def test_a_tape_that_does_not_drop_draws_no_block():
     rng = np.random.default_rng(71)
-    for tape in (Tape(rng, 0.0), Tape(None, 0.3)):
+    for tape in (Tape(rng, 0.0), Tape()):
         tape.draw(10)
         assert tape.draws is None and tape.at == 0
     assert rng.random() == np.random.default_rng(71).random()
@@ -798,7 +802,7 @@ def test_a_tape_that_does_not_drop_draws_no_block():
 def test_dropout_backward_uses_same_mask():
     rng = np.random.default_rng(15)
     store = f64_store(15)
-    w = store.add("w", (6,), init="zeros")
+    w = store.add("w", (6,))
     store.allocate()
     w.value[...] = np.random.default_rng(2).normal(size=6)
 
@@ -813,8 +817,8 @@ def test_dropout_backward_uses_same_mask():
 
 def test_concat_and_relu_and_add_n_gradients():
     store = f64_store(16)
-    a = store.add("a", (3,), init="zeros")
-    b = store.add("b", (2,), init="zeros")
+    a = store.add("a", (3,))
+    b = store.add("b", (2,))
     store.allocate()
     a.value[...] = [0.5, -1.0, 2.0]
     b.value[...] = [1.5, -0.25]
@@ -842,7 +846,6 @@ def test_untaped_ops_match_the_taped_ops_bitwise(monkeypatch, dtype):
     store.allocate()
     ops = {  # name -> (op, widths of its inputs)
         "linear": (lambda tape, x: linear(tape, w, b, x), [5]),
-        "linear without bias": (lambda tape, x: linear(tape, w, None, x), [5]),
         "relu": (relu, [5]),
         "concat": (lambda tape, x, y: concat(tape, [x, y]), [5, 3]),
         "lstm_cell": (lambda tape, x, h, c: lstm_cell(tape, cell_w, cell_b, x, h, c), [5, 3, 3]),

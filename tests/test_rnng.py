@@ -261,6 +261,18 @@ def test_non_finite_loss_is_refused_before_any_update():
         train(model, corpus, epochs=1)
 
 
+def test_training_refuses_an_empty_corpus_before_any_draw():
+    model = tiny_model(seed=39)
+    before = {name: value.copy() for name, value in model.store.value_arrays().items()}
+    rng = np.random.default_rng(5)
+    for epochs in (None, 0, 1):
+        with pytest.raises(ValueError, match="^cannot train on an empty corpus$"):
+            train(model, Corpus([], Split.TRAIN), epochs=epochs, rng=rng)
+    assert rng.random() == np.random.default_rng(5).random()
+    for name, value in model.store.value_arrays().items():
+        assert np.array_equal(value, before[name]), name
+
+
 def test_training_reduces_loss():
     corpus = synth.learnable_corpus(seed=9, size=30)
     vocab, intents, slots = build_vocabs(corpus)

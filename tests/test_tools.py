@@ -1,15 +1,17 @@
 """The digest tools that bit-for-bit claims rest on: each gives the same
-digest twice, and ``tools/train_digest.py`` computes what the benchmark's
-``train`` workload runs, so a change to the benchmark cannot leave the tool
-behind.  And scans of the package's source: one reader and one writer of
-files, one place that writes a refusal's file name, nothing public that
-only tests use, and two builders alone that skip the tree constructors'
-checks."""
+digest twice and the digests the record cites, and
+``tools/train_digest.py`` computes what the benchmark's ``train`` workload
+runs, so a change to the benchmark cannot leave the tool behind.  And scans
+of the package's source: one reader and one writer of files, one place that
+writes a refusal's file name, nothing public that only tests use, two
+builders alone that skip the tree constructors' checks, no default that
+only tests override and no attribute that nothing reads."""
 
 import ast
 import hashlib
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +50,19 @@ def test_digests_are_deterministic(tools):
     train = tools["train_digest"].digests(2301, 3)
     assert set(train) == {"loss_sum", "params", "next_draw"}
     assert tools["train_digest"].digests(2301, 3) == train
+
+
+def test_digests_hold_their_pinned_values(tools):
+    """The digests that the bit-for-bit claims of the record cite."""
+    assert tools["decode_digest"].digests(9601, 300) == {
+        "greedy": "cc0353eaebe604dd929946a4c8951686e9756b9c85e4347d025d551945dda1f4",
+        "beam5": "1812881cae380a49f442663cfbb0463b8d2e9b0c3c17c7e33dbb2eb059931c3b",
+    }
+    assert tools["train_digest"].digests(2301, 300) == {
+        "loss_sum": "6965.066924095154",
+        "params": "7454beef9405d3cadc78c508270fc9fd5e5fc289e31741f5323dba08cc1d83ad",
+        "next_draw": "0.09131277085114231",
+    }
 
 
 def test_train_digest_matches_the_train_workload(tools, tmp_path):
@@ -194,6 +209,15 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _sources(*directories, tests: bool = False):
+    """The parsed .py files under ``directories``; the files under a
+    ``tests`` directory only with ``tests``."""
+    for directory in directories:
+        for path in sorted(directory.rglob("*.py")):
+            if tests or "tests" not in path.relative_to(directory).parts:
+                yield _parse(path)
+
+
 def test_nothing_public_is_only_for_tests():
     """Every public module-level function and class of the package is used
     by the package, outside its own definition and the ``__init__``
@@ -201,10 +225,8 @@ def test_nothing_public_is_only_for_tests():
     without their module, so a definition passes if anything else of the
     same name is used."""
     used = set()
-    for directory in (ROOT / "perfbench", ROOT / "tools"):
-        for path in directory.rglob("*.py"):
-            if "tests" not in path.relative_to(directory).parts:
-                used |= _referenced_names(_parse(path))
+    for tree in _sources(ROOT / "perfbench", ROOT / "tools"):
+        used |= _referenced_names(tree)
     # Per top-level statement of each module, the names it uses; a
     # definition's own statement does not count for it.
     statements = [(node, _referenced_names(node)) for path in sorted(PACKAGE.rglob("*.py"))
@@ -254,3 +276,102 @@ def test_only_the_prechecked_builders_skip_the_node_checks():
         scan.visit(_parse(path))
         found |= scan.found
     assert found == PRECHECKED_BUILDERS
+
+
+# Defaulted parameters that only the tests set, on purpose: the entry
+# point's argument list, and the finite-difference step, whose default
+# would leave roundoff above a linear model's 1e-9 tolerance.
+TEST_SET_DEFAULTS = {("main", "argv"), ("grad_check", "step")}
+
+
+def _defaulted(tree: ast.Module) -> dict:
+    """(function name, parameter name) -> the parameter's position in a
+    call, or None if it is keyword-only, for every parameter with a default
+    of every function in ``tree``.  A method's ``self`` or ``cls`` takes no
+    position, and ``__init__`` is called by its class's name."""
+    found = {}
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    methods = {id(item): cls.name for cls in classes for item in cls.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = node.name
+        positional = node.args.posonlyargs + node.args.args
+        if id(node) in methods and not any(
+                getattr(d, "id", None) == "staticmethod" for d in node.decorator_list):
+            positional = positional[1:]
+            if name == "__init__":
+                name = methods[id(node)]
+        defaulted = positional[len(positional) - len(node.args.defaults):]
+        for arg in defaulted:
+            found[name, arg.arg] = positional.index(arg)
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                found[name, arg.arg] = None
+    return found
+
+
+def _set_by_calls(tree: ast.Module, found: dict) -> None:
+    """Add to ``found`` what the calls in ``tree`` set, per callee name: how
+    many positions some call fills (all of them, through a ``*`` argument),
+    and the names of the keywords they pass (``"**"`` for a ``**``
+    argument, which may set any)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if callee is None:
+            continue
+        entry = found.setdefault(callee, [0, set()])
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        entry[0] = max(entry[0], math.inf if starred else len(node.args))
+        entry[1].update(kw.arg or "**" for kw in node.keywords)
+
+
+def test_every_default_is_overridden_outside_the_tests():
+    """Every defaulted parameter of a package function is set by some call
+    in the package, the benchmark or the tools, by keyword, by position or
+    through ``*`` or ``**``: a value only the tests pass is a branch only
+    they reach.  Functions are matched by name, without their owner."""
+    defaults = {}
+    for tree in _sources(PACKAGE):
+        defaults.update(_defaulted(tree))
+    calls = {}
+    for tree in _sources(PACKAGE, ROOT / "perfbench", ROOT / "tools"):
+        _set_by_calls(tree, calls)
+    unset = []
+    for (function, parameter), position in defaults.items():
+        positions, keywords = calls.get(function, (0, set()))
+        if not ((function, parameter) in TEST_SET_DEFAULTS or keywords & {parameter, "**"}
+                or (position is not None and position < positions)):
+            unset.append(f"{function}({parameter})")
+    assert unset == []
+
+
+def _assigned_attributes(tree: ast.Module) -> dict:
+    """Each attribute name a ``self.<name> = ...`` in ``tree`` sets, with
+    the line of its first assignment."""
+    found = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            found.setdefault(node.attr, node.lineno)
+    return found
+
+
+def test_every_attribute_the_package_sets_is_read():
+    """Every ``self.<name> =`` in the package is read as ``.<name>``
+    somewhere in the package, the benchmark, the tools or the tests: state
+    that nothing reads is state to delete.  Attributes are matched by name,
+    without their owner."""
+    assigned = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for name, line in _assigned_attributes(_parse(path)).items():
+            assigned.setdefault(name, f"{path.relative_to(ROOT)}:{line}")
+    read = set()
+    for tree in _sources(PACKAGE, ROOT / "perfbench", ROOT / "tools", ROOT / "tests",
+                         tests=True):
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert sorted(f"{where} self.{name}" for name, where in assigned.items()
+                  if name not in read) == []

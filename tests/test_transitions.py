@@ -129,11 +129,11 @@ def test_valid_actions_slot_with_intent_child_is_reduce_only():
 
 def test_valid_actions_respects_open_cap():
     state = initial_state(("a",))
-    state = apply(state, nt("IN:X"), max_open_nts=3)
-    state = apply(state, nt("SL:Y"), max_open_nts=3)
+    state = apply(state, nt("IN:X"))
+    state = apply(state, nt("SL:Y"))
     kinds = valid_actions(state, max_open_nts=3)
     assert kinds & NT_INTENT_BIT
-    state = apply(state, nt("IN:X"), max_open_nts=3)
+    state = apply(state, nt("IN:X"))
     kinds = valid_actions(state, max_open_nts=3)
     assert not kinds & NT_SLOT_BIT and not kinds & NT_INTENT_BIT
     assert kinds & SHIFT_BIT
@@ -274,7 +274,7 @@ def test_valid_actions_equals_the_set_building_reference():
             ordered = [k for k in (NT_INTENT_BIT, NT_SLOT_BIT, REDUCE_BIT, SHIFT_BIT) if k in kinds]
             kind = ordered[int(rng.integers(len(ordered)))]
             options = concrete[kind]
-            state = apply(state, options[int(rng.integers(len(options)))], cap)
+            state = apply(state, options[int(rng.integers(len(options)))])
         assert state.is_terminal and validate(Tree(state.root)) == []
 
 
